@@ -53,6 +53,7 @@ def filter_check(rules, pkt: Packet) -> str:
 
 class PacketFilter:
     kind = "PacketFilter"
+    cell_id = None
 
     def __init__(self, component_id: int, rules):
         self.component_id = component_id
@@ -66,6 +67,7 @@ class StaticIDS:
     """Non-mobile exact-substring matcher over the full signature set."""
 
     kind = "StaticIDS"
+    cell_id = None
 
     def __init__(self, component_id: int, signatures):
         self.component_id = component_id
@@ -75,10 +77,6 @@ class StaticIDS:
         if pkt.klass != DATA:
             return CLEAN  # certified immune traffic is not payload-scanned
         return MALICIOUS if contains_signature(self.signatures, pkt.payload) else CLEAN
-
-
-def ids_check(ids: StaticIDS, pkt: Packet) -> str:
-    return ids.check(pkt)
 
 
 class DetectorComponent:
@@ -100,19 +98,14 @@ class DetectorComponent:
             return CLEAN
         fp = db.fingerprint()
         # identical stores share one scan per packet across hops and cells
-        cache = getattr(pkt, "scan_cache", None)
+        cache = pkt.scan_cache
         if cache is None:
-            cache = {}
-            pkt.scan_cache = cache
+            cache = pkt.scan_cache = {}
         verdict = cache.get(fp)
         if verdict is None:
             verdict = db.scan(pkt.payload)
             cache[fp] = verdict
         return MALICIOUS if verdict else CLEAN
-
-
-def anima_check(detector: DetectorComponent, pkt: Packet) -> str:
-    return detector.check(pkt)
 
 
 @dataclass
@@ -158,5 +151,5 @@ class DefenseStack:
         for component in self.components_at(node):
             if component.check(pkt) == MALICIOUS:
                 return CheckOutcome(True, component.component_id, component.kind,
-                                    getattr(component, "cell_id", None))
+                                    component.cell_id)
         return CheckOutcome(False)

@@ -86,11 +86,10 @@ class World:
 
         self.network = build_topology(config.topology, self.seeds.stream("topology"),
                                       cfg_tr.link_bandwidth)
-        self.routing = compute_routing(self.network)
-        self.dist = {}
-        for node in self.network.nodes:
-            for other, d in bfs_distances(self.network, node).items():
-                self.dist[(node, other)] = d
+        # hop counts dist[src][dst]: the one all-pairs pass that routing, the
+        # diameter and station distances all read
+        self.dist = {node: bfs_distances(self.network, node) for node in self.network.nodes}
+        self.routing = compute_routing(self.network, self.dist)
         self.state = TransportState(self.network, self.routing, cfg_tr.queue_capacity)
         self.state.strict_checks = strict_checks
         self.log = self.state.log
@@ -212,10 +211,11 @@ class World:
             sid += 1
         all_stations.append(AdminStation(sid, ADMIN, nodes[-1], self.admin_receptor))
         self.stations = [st for st in all_stations if st.station_id not in set(drop_stations)]
+        self.station_by_id = {st.station_id: st for st in self.stations}
 
         self.substance_ttl = cfg.substance_ttl
         if self.substance_ttl is None:
-            self.substance_ttl = 4 * diameter(self.network)
+            self.substance_ttl = 4 * diameter(self.dist)
 
         self.caps = {
             DETECTOR: cfg.caps.get("Detector", self.config.detectors.count),
@@ -317,12 +317,7 @@ class World:
                 self._arrive_cell(cargo, node)
             return
         if isinstance(cargo, receptors.Substance):
-            st = self._station_at(node)
-            if st is not None:
-                st.inbox.append(cargo)
-            else:
-                state.log.append(state.clock, "Drop", sid=cargo.sid, node=node,
-                                 reason="no-station")
+            self.station_by_id[cargo.dest].inbox.append(cargo)
             return
         if pkt.attack is not None:
             adversary.on_attack_delivery(state, self.health, node, pkt, self.attacks)
@@ -353,7 +348,7 @@ class World:
 
     def cells(self, state: TransportState) -> None:
         for cell in self.population.alive_sorted():
-            if not cell.alive or cell.in_transit or getattr(cell, "pending_move", False):
+            if not cell.alive or cell.in_transit or cell.pending_move:
                 continue
             if cell.location is None:
                 continue
@@ -479,7 +474,7 @@ class World:
                             reason="no-opener")
             return
         sub.hop_ttl -= 1
-        self._transmit_substance(st.node, target.node, sub)
+        self._transmit_substance(st.node, target, sub, "relay")
 
     def _lymph_on_report(self, st: LymphStation, message: dict) -> None:
         node = message["node"]
@@ -503,7 +498,7 @@ class World:
             st.signature_feed.append(sig)
         radius = self.config.stations.immunization_radius
         for cell in self.population.of_kind(DETECTOR):
-            if cell.location is None or self.dist.get((cell.location, around), 99) > radius:
+            if cell.location is None or self.dist[cell.location][around] > radius:
                 continue
             sub = self._make_substance(st.node, sig, {cell.receptor.public})
             self.log.append(self.state.clock, "SubstanceSend", sid=sub.sid,
@@ -567,38 +562,27 @@ class World:
 
     def _send_substance(self, origin: int, payload: bytes, required,
                         what: str) -> None:
-        """Seal and hand off to the nearest station, travelling as an
-        immune-class packet when the station is elsewhere."""
+        """Seal and hand off to the nearest station."""
         if not self.stations:
             return
         sub = self._make_substance(origin, payload, required)
-        target = nearest_station(self.stations, origin, self.dist)
-        self.log.append(self.state.clock, "SubstanceSend", sid=sub.sid, src=origin,
+        self._transmit_substance(origin, nearest_station(self.stations, origin, self.dist),
+                                 sub, what)
+
+    def _transmit_substance(self, src: int, target: Station, sub: receptors.Substance,
+                            what: str) -> None:
+        """Address a substance to a station, travelling as an immune-class
+        packet when the station is elsewhere."""
+        sub.dest = target.station_id
+        self.log.append(self.state.clock, "SubstanceSend", sid=sub.sid, src=src,
                         dst=target.node, what=what, station=target.station_id)
-        if target.node == origin:
+        if target.node == src:
             target.inbox.append(sub)
             return
-        self._enqueue_substance(origin, target.node, sub)
-
-    def _transmit_substance(self, src: int, dst: int, sub: receptors.Substance) -> None:
-        self.log.append(self.state.clock, "SubstanceSend", sid=sub.sid, src=src,
-                        dst=dst, what="relay", station=self._station_at(dst).station_id)
-        if src == dst:
-            self._station_at(dst).inbox.append(sub)
-            return
-        self._enqueue_substance(src, dst, sub)
-
-    def _enqueue_substance(self, src: int, dst: int, sub: receptors.Substance) -> None:
-        pkt = self.state.make_packet(src, dst, IMMUNE, payload=sub.ciphertext, cargo=sub)
+        pkt = self.state.make_packet(src, target.node, IMMUNE, payload=sub.ciphertext, cargo=sub)
         self.state.log.append(self.state.clock, "Inject", pid=pkt.pid, node=src,
-                              src=src, dst=dst, klass=IMMUNE, attack=None)
+                              src=src, dst=target.node, klass=IMMUNE, attack=None)
         self.state.enqueue(src, pkt)
-
-    def _station_at(self, node: int) -> Station | None:
-        for st in self.stations:
-            if st.node == node:
-                return st
-        return None
 
     # -------------------------------------------------------------- run
 

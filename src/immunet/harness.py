@@ -1,4 +1,4 @@
-"""Experiment harness: parameter sweeps, report emission, log replay."""
+"""Experiment harness: parameter sweeps and report emission."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import json
 from dataclasses import fields, is_dataclass
 
 from .engine import run
-from .metrics import Metrics, compute_metrics
+from .metrics import Metrics
 from .scenario import ScenarioConfig
 
 
@@ -101,8 +101,3 @@ def emit_report(data, fmt: str, path) -> None:
             fh.write("\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
-
-def replay(events) -> Metrics:
-    """Recompute metrics from a persisted event log."""
-    return compute_metrics(events)

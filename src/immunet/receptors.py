@@ -49,6 +49,7 @@ class Substance:
     origin: int
     sid: int = -1
     visited: set[int] = field(default_factory=set)  # station ids already tried
+    dest: int = -1  # id of the station the substance is addressed to
 
 
 def _stream_key(required: frozenset[bytes]) -> bytes:

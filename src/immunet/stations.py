@@ -48,33 +48,17 @@ class AdminStation(Station):
 
 
 def next_station(stations: list[Station], current: Station, sub: Substance,
-                 dist: dict[tuple[int, int], int]) -> Station | None:
+                 dist: dict[int, dict[int, int]]) -> Station | None:
     """Nearest station the substance has not tried yet; ties go to the
     smaller station id. None when every station has been visited."""
-    best = None
-    best_key = None
-    for st in stations:
-        if st.station_id == current.station_id or st.station_id in sub.visited:
-            continue
-        hop = 0 if st.node == current.node else dist[(current.node, st.node)]
-        key = (hop, st.station_id)
-        if best_key is None or key < best_key:
-            best = st
-            best_key = key
-    return best
+    untried = [st for st in stations
+               if st.station_id != current.station_id and st.station_id not in sub.visited]
+    return nearest_station(untried, current.node, dist)
 
 
 def nearest_station(stations: list[Station], node: int,
-                    dist: dict[tuple[int, int], int],
-                    kinds: tuple[str, ...] | None = None) -> Station | None:
-    best = None
-    best_key = None
-    for st in stations:
-        if kinds is not None and st.kind not in kinds:
-            continue
-        hop = 0 if st.node == node else dist[(node, st.node)]
-        key = (hop, st.station_id)
-        if best_key is None or key < best_key:
-            best = st
-            best_key = key
-    return best
+                    dist: dict[int, dict[int, int]]) -> Station | None:
+    """Station fewest hops from `node`, ties to the smaller station id;
+    None when there is no station."""
+    hops = dist[node]
+    return min(stations, key=lambda st: (hops[st.node], st.station_id), default=None)

@@ -1,13 +1,13 @@
 """Network topology: validated undirected graphs and precomputed next-hop routing.
 
-Links are unit cost (hop count); routing tables come from Dijkstra per
-source with ties broken toward the smallest next-hop node id so every
-run is reproducible.
+Links are unit cost (hop count). One breadth-first search per node gives
+the all-pairs hop counts `dist[src][dst]`; the routing table and the
+diameter are both read off those counts, with routing ties broken toward
+the smallest next-hop node id so every run is reproducible.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from random import Random
 
@@ -154,44 +154,31 @@ def bfs_distances(net: Network, source: int) -> dict[int, int]:
     return dist
 
 
-def dijkstra_distances(net: Network, source: int) -> dict[int, int]:
-    """Unit-cost Dijkstra from one source."""
-    dist: dict[int, int] = {}
-    heap = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in dist:
-            continue
-        dist[u] = d
-        for v in net.adjacency[u]:
-            if v not in dist:
-                heapq.heappush(heap, (d + 1, v))
-    return dist
-
-
-def compute_routing(net: Network) -> dict[tuple[int, int], int]:
+def compute_routing(net: Network, dist: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
     """Next-hop table for every ordered (src, dst) pair, src != dst.
 
-    The chosen next hop lies on a minimum-hop path; among equal-length
-    options the smallest neighbor id wins.
+    `dist[src][dst]` holds the hop counts of `net`. The chosen next hop lies
+    on a minimum-hop path; among equal-length options the smallest neighbor
+    id wins.
     """
-    dist_from = {n: dijkstra_distances(net, n) for n in net.nodes}
     table: dict[tuple[int, int], int] = {}
     for s in net.nodes:
+        nbrs = net.adjacency[s]
         for d in net.nodes:
-            if s == d:
-                continue
-            want = dist_from[s][d] - 1
-            # adjacency is sorted, so the first qualifying neighbor is the tie-break winner
-            for nbr in net.adjacency[s]:
-                if dist_from[nbr][d] == want:
-                    table[(s, d)] = nbr
-                    break
+            if s != d:
+                to_d = dist[d]  # hop counts are symmetric on an undirected graph
+                want = to_d[s] - 1
+                # adjacency is sorted, so the first qualifying neighbor is the tie-break winner
+                for nbr in nbrs:
+                    if to_d[nbr] == want:
+                        table[(s, d)] = nbr
+                        break
     return table
 
 
-def diameter(net: Network) -> int:
-    return max(max(bfs_distances(net, n).values()) for n in net.nodes)
+def diameter(dist: dict[int, dict[int, int]]) -> int:
+    """Largest hop count in the all-pairs table `dist[src][dst]`."""
+    return max(max(row.values()) for row in dist.values())
 
 
 def betweenness(net: Network) -> dict[int, float]:

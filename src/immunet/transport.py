@@ -42,6 +42,8 @@ class Packet:
     hop_count: int = 0
     injected_at: int = -1
     cargo: object = None  # in-simulation freight: a cell or a sealed substance
+    # store fingerprint -> scan verdict, shared across hops and cells
+    scan_cache: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.klass not in (IMMUNE, DATA):
@@ -58,7 +60,7 @@ class NodeQueue:
         self.immune: deque[Packet] = deque()
         self.data: deque[Packet] = deque()
         self._seq = 0
-        self._enq_seq: dict[int, int] = {}
+        self._enq_seq: dict[int, int] = {}  # pid -> enqueue order, for queued packets only
 
     def occupancy(self) -> int:
         return len(self.immune) + len(self.data)
@@ -70,8 +72,9 @@ class NodeQueue:
         self._enq_seq[pkt.pid] = self._seq
         self._seq += 1
 
-    def enqueue_seq(self, pkt: Packet) -> int:
-        return self._enq_seq.get(pkt.pid, -1)
+    def release(self, pkt: Packet) -> int:
+        """Forget a packet that leaves the queue; returns its enqueue order."""
+        return self._enq_seq.pop(pkt.pid, -1)
 
 
 @dataclass
@@ -142,6 +145,7 @@ class TransportState:
             return ACCEPTED
         if pkt.klass == IMMUNE and q.data:
             victim = q.data.pop()
+            q.release(victim)
             self.log.append(self.clock, "Evict", pid=victim.pid, node=node,
                             klass=victim.klass, attack=victim.attack, by=pkt.pid)
             q.immune.append(pkt)
@@ -184,8 +188,8 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
                 break
             budgets[nh] -= 1
             q.immune.popleft()
+            seq = q.release(pkt)
             if state.strict_checks:
-                seq = q.enqueue_seq(pkt)
                 assert seq > last_seq, "immune lane FIFO violated"
                 last_seq = seq
             _forward(state, hooks, pkt, node, nh)
@@ -200,9 +204,9 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
                 break
             budgets[nh] -= 1
             q.data.popleft()
+            seq = q.release(pkt)
             if state.strict_checks:
                 assert not q.immune, "data forwarded while immune queued"
-                seq = q.enqueue_seq(pkt)
                 assert seq > last_seq, "data lane FIFO violated"
                 last_seq = seq
             _forward(state, hooks, pkt, node, nh)

@@ -6,9 +6,19 @@ from immunet.scenario import (AntConfig, AttackConfig, DetectorConfig,
                               MonitorConfig, PheromoneConfig, ScenarioConfig,
                               StationConfig, TopologySpec, TrafficConfig,
                               TransportConfig, VulnerabilityConfig, WormConfig)
+from immunet.topology import bfs_distances, compute_routing
 
 SIG_HEX = "a3f1c08e55d2764b9900eeab1275c3d4"
 SIG = bytes.fromhex(SIG_HEX)
+
+
+def hop_counts(net):
+    """All-pairs hop counts dist[src][dst], one BFS per node, as World builds them."""
+    return {n: bfs_distances(net, n) for n in net.nodes}
+
+
+def routing_table(net):
+    return compute_routing(net, hop_counts(net))
 
 
 def quiet_config(nodes=4, links=None, capacity=8, bandwidth=2, horizon=20):

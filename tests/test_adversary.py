@@ -8,8 +8,10 @@ from immunet.adversary import (AttackDef, InjectionGate, NodeHealth,
                                TrafficModel, attack_payload, benign_payload,
                                inject_background, on_attack_delivery, poisson,
                                spawn_worm, worm_emit)
-from immunet.topology import UnknownNode, build_network, compute_routing, erdos_renyi
+from immunet.topology import UnknownNode, build_network, erdos_renyi
 from immunet.transport import DATA, TransportState
+
+from conftest import routing_table
 
 SIG = bytes.fromhex("a3f1c08e55d2764b9900eeab1275c3d4")
 ATTACK = AttackDef(attack_id=1, signature=SIG, infects=True, fanout=3)
@@ -20,7 +22,7 @@ CHI2_48_999 = 84.037
 
 def fresh_state(n=50, seed=5):
     net = erdos_renyi(n, 0.1, random.Random(seed))
-    return TransportState(net, compute_routing(net), 32)
+    return TransportState(net, routing_table(net), 32)
 
 
 def all_healthy(state, vulnerable=True):
@@ -165,7 +167,7 @@ class TestInjectionGate:
 
     def test_excess_deferred_not_lost(self):
         net = build_network([0, 1], [(0, 1, 4)])
-        state = TransportState(net, compute_routing(net), 32)
+        state = TransportState(net, routing_table(net), 32)
         gate = InjectionGate(net)
         gate.begin_step(state)
         packets = [state.make_packet(0, 1, DATA) for _ in range(10)]
@@ -180,7 +182,7 @@ class TestInjectionGate:
 
     def test_clear_deferred(self):
         net = build_network([0, 1], [(0, 1, 2)])
-        state = TransportState(net, compute_routing(net), 32)
+        state = TransportState(net, routing_table(net), 32)
         gate = InjectionGate(net)
         gate.begin_step(state)
         gate.offer(state, 0, [state.make_packet(0, 1, DATA) for _ in range(5)])

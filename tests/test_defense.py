@@ -5,8 +5,7 @@ import pytest
 from immunet.cells import DetectorCell
 from immunet.defense import (CLEAN, MALICIOUS, DefenseStack, DetectorComponent,
                              DuplicateRegistration, FilterRule, PacketFilter,
-                             StaticIDS, UnknownComponent, anima_check,
-                             filter_check, ids_check)
+                             StaticIDS, UnknownComponent, filter_check)
 from immunet.signatures import CompressedSignatureDb, contains_signature
 from immunet.topology import UnknownNode, line_network
 from immunet.transport import DATA, IMMUNE, Packet
@@ -76,15 +75,15 @@ class TestIds:
 
     def test_worm_payload_malicious(self):
         ids = StaticIDS(1, [SIG])
-        assert ids_check(ids, packet(payload=b"xx" + SIG + b"yy")) == MALICIOUS
+        assert ids.check(packet(payload=b"xx" + SIG + b"yy")) == MALICIOUS
 
     def test_benign_clean(self, rng):
         ids = StaticIDS(1, [SIG])
-        assert ids_check(ids, packet(payload=rng.randbytes(64))) == CLEAN
+        assert ids.check(packet(payload=rng.randbytes(64))) == CLEAN
 
     def test_immune_class_skipped(self):
         ids = StaticIDS(1, [SIG])
-        assert ids_check(ids, packet(klass=IMMUNE, payload=SIG)) == CLEAN
+        assert ids.check(packet(klass=IMMUNE, payload=SIG)) == CLEAN
 
     def test_agreement_with_detector_on_corpus(self):
         """The static matcher is the exact oracle the compressed store
@@ -103,8 +102,8 @@ class TestIds:
                 if contains_signature([SIG], payload):
                     continue
             pkt = packet(pid=i, payload=payload)
-            ids_verdict = ids_check(ids, pkt)
-            det_verdict = anima_check(det, pkt)
+            ids_verdict = ids.check(pkt)
+            det_verdict = det.check(pkt)
             if contains_signature([SIG], payload):
                 assert ids_verdict == MALICIOUS
                 assert det_verdict == MALICIOUS  # no false negatives

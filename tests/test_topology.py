@@ -8,6 +8,8 @@ from immunet.topology import (DisconnectedGraph, DuplicateLink, SelfLoop,
                               erdos_renyi, line_network, ring_network,
                               star_network, top_betweenness)
 
+from conftest import hop_counts
+
 
 def bfs_reachable(adj, start):
     """Independent connectivity oracle."""
@@ -104,13 +106,13 @@ class TestRouting:
 
     def test_line_next_hop(self):
         net = line_network(3)
-        table = compute_routing(net)
+        table = compute_routing(net, hop_counts(net))
         assert table[(0, 2)] == 1
 
     def test_cycle_tie_break(self):
         # 4-cycle: both 1 and 3 reach node 2 in two hops; smaller id wins
         net = ring_network(4)
-        table = compute_routing(net)
+        table = compute_routing(net, hop_counts(net))
         assert table[(0, 2)] == 1
 
     def test_bellman_ford_oracle_200_graphs(self):
@@ -118,7 +120,7 @@ class TestRouting:
         rng = random.Random(4242)
         for _ in range(200):
             net = random_connected(rng)
-            table = compute_routing(net)
+            table = compute_routing(net, hop_counts(net))
             for s in net.nodes:
                 oracle = bellman_ford(net.nodes, net.links, s)
                 for d in net.nodes:
@@ -135,7 +137,7 @@ class TestRouting:
     def test_next_hop_on_shortest_path(self):
         rng = random.Random(7)
         net = random_connected(rng, max_nodes=8)
-        table = compute_routing(net)
+        table = compute_routing(net, hop_counts(net))
         for (s, d), nh in table.items():
             oracle_s = bellman_ford(net.nodes, net.links, s)
             oracle_nh = bellman_ford(net.nodes, net.links, nh)
@@ -145,7 +147,7 @@ class TestRouting:
 class TestGraphStats:
 
     def test_diameter_line(self):
-        assert diameter(line_network(6)) == 5
+        assert diameter(hop_counts(line_network(6))) == 5
 
     def test_star_betweenness(self):
         net = star_network(6)
@@ -156,3 +158,41 @@ class TestGraphStats:
     def test_top_betweenness_tie_break(self):
         net = ring_network(4)  # symmetric: all nodes tie, smaller ids first
         assert top_betweenness(net, 2) == [0, 1]
+
+
+def networkx_graphs(count=40, seed=9001):
+    """Seeded random connected graphs, each paired with its networkx twin."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 30)
+        net = erdos_renyi(n, min(1.0, 3.0 / n), rng)
+        graph = nx.Graph()
+        graph.add_nodes_from(net.nodes)
+        graph.add_edges_from((u, v) for u, v, _bw in net.links)
+        yield nx, net, graph
+
+
+class TestNetworkxOracles:
+
+    def test_next_hop_is_smallest_neighbor_one_hop_closer(self):
+        for nx, net, graph in networkx_graphs():
+            lengths = dict(nx.all_pairs_shortest_path_length(graph))
+            table = compute_routing(net, hop_counts(net))
+            assert len(table) == len(net) * (len(net) - 1)
+            for (s, d), nh in table.items():
+                closer = [v for v in graph.neighbors(s) if lengths[v][d] == lengths[s][d] - 1]
+                assert nh == min(closer)
+
+    def test_diameter_matches_networkx(self):
+        for nx, net, graph in networkx_graphs():
+            assert diameter(hop_counts(net)) == nx.diameter(graph)
+
+    def test_betweenness_is_twice_networkx_unnormalized(self):
+        # networkx counts each unordered pair once on undirected graphs;
+        # Brandes over every source counts it from both ends
+        for nx, net, graph in networkx_graphs():
+            expected = nx.betweenness_centrality(graph, normalized=False)
+            cb = betweenness(net)
+            for n in net.nodes:
+                assert cb[n] == pytest.approx(2 * expected[n], abs=1e-9)

@@ -4,17 +4,17 @@ import pytest
 
 from immunet.engine import World
 from immunet.events import EventLog, parse_line
-from immunet.topology import UnknownNode, build_network, compute_routing, line_network
+from immunet.topology import UnknownNode, build_network, line_network
 from immunet.transport import (ACCEPTED, DATA, DROPPED, IMMUNE,
                                ConservationViolation, StepHooks, TransportState,
                                conservation_audit, step)
 
-from conftest import quiet_config
+from conftest import quiet_config, routing_table
 
 
 def make_state(net=None, capacity=4):
     net = net or line_network(3, bandwidth=2)
-    return TransportState(net, compute_routing(net), capacity)
+    return TransportState(net, routing_table(net), capacity)
 
 
 class TestQueue:
@@ -109,7 +109,7 @@ class TestStep:
 
     def test_immune_forwarded_before_data(self):
         net = line_network(3, bandwidth=1)
-        state = TransportState(net, compute_routing(net), 8)
+        state = TransportState(net, routing_table(net), 8)
         data = state.make_packet(0, 2, DATA)
         imm = state.make_packet(0, 2, IMMUNE)
         state.enqueue(0, data)
@@ -126,7 +126,7 @@ class TestStep:
         # bandwidth 1 and two immune packets: the second immune blocks the lane,
         # so no data moves at all that step
         net = line_network(3, bandwidth=1)
-        state = TransportState(net, compute_routing(net), 8)
+        state = TransportState(net, routing_table(net), 8)
         state.strict_checks = True
         for _ in range(2):
             state.enqueue(0, state.make_packet(0, 2, IMMUNE))
@@ -137,7 +137,7 @@ class TestStep:
 
     def test_per_link_budget(self):
         net = line_network(3, bandwidth=2)
-        state = TransportState(net, compute_routing(net), 16)
+        state = TransportState(net, routing_table(net), 16)
         for _ in range(5):
             state.enqueue(0, state.make_packet(0, 2, DATA))
         step(state)
