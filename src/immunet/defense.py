@@ -8,7 +8,9 @@ engines (static or cell-borne) scan data payloads.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .signatures import CompressedSignatureDb, contains_signature
 from .topology import UnknownNode
@@ -16,6 +18,8 @@ from .transport import DATA, Packet
 
 MALICIOUS = "Malicious"
 CLEAN = "Clean"
+
+_component_id = attrgetter("component_id")
 
 
 class DuplicateRegistration(ValueError):
@@ -118,37 +122,40 @@ class CheckOutcome:
 
 class DefenseStack:
     def __init__(self, network):
-        self._at: dict[int, dict[int, object]] = {n: {} for n in network.nodes}
+        # each node's components, kept in ascending component id
+        self._at: dict[int, list] = {n: [] for n in network.nodes}
         self._home: dict[int, int] = {}  # component id -> node
 
-    def register(self, node: int, component) -> None:
-        if node not in self._at:
+    def _components(self, node: int) -> list:
+        at = self._at.get(node)
+        if at is None:
             raise UnknownNode(node)
+        return at
+
+    def register(self, node: int, component) -> None:
+        at = self._components(node)
         cid = component.component_id
         if cid in self._home:
             raise DuplicateRegistration(f"component {cid} already at node {self._home[cid]}")
-        self._at[node][cid] = component
+        insort(at, component, key=_component_id)
         self._home[cid] = node
 
     def deregister(self, node: int, component_id: int) -> None:
-        if node not in self._at:
-            raise UnknownNode(node)
+        at = self._components(node)
         if self._home.get(component_id) != node:
             raise UnknownComponent(component_id)
-        del self._at[node][component_id]
+        del at[bisect_left(at, component_id, key=_component_id)]
         del self._home[component_id]
 
     def components_at(self, node: int) -> list:
-        if node not in self._at:
-            raise UnknownNode(node)
-        return [self._at[node][cid] for cid in sorted(self._at[node])]
+        return list(self._components(node))
 
     def location_of(self, component_id: int) -> int | None:
         return self._home.get(component_id)
 
     def check_all(self, node: int, pkt: Packet) -> CheckOutcome:
         """Consult every component in id order; first malicious verdict wins."""
-        for component in self.components_at(node):
+        for component in self._components(node):
             if component.check(pkt) == MALICIOUS:
                 return CheckOutcome(True, component.component_id, component.kind,
                                     component.cell_id)

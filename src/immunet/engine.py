@@ -58,10 +58,7 @@ def build_topology(spec: TopologySpec, rng: Random, bandwidth: int) -> Network:
     if spec.kind == "explicit":
         links = [tuple(link) if len(link) == 3 else (link[0], link[1], bandwidth)
                  for link in spec.links]
-        node_ids = sorted({n for link in links for n in link[:2]})
-        if isinstance(spec.nodes, int) and spec.nodes > len(node_ids):
-            node_ids = sorted(set(node_ids) | set(range(spec.nodes)))
-        return build_network(node_ids, links)
+        return build_network(spec.node_ids(), links)
     raise ValueError(f"unknown topology kind {spec.kind!r}")
 
 

@@ -59,7 +59,12 @@ class PheromoneMap:
         return mass
 
     def node_mass(self, node: int) -> float:
-        return self.out_mass().get(node, 0.0)
+        """One node's entry of `out_mass`, summed in the same order."""
+        mass = 0.0
+        for (u, _v), lvl in self.level.items():
+            if u == node:
+                mass += lvl
+        return mass
 
     def declare(self, ants_present: dict[int, int], quorum: int) -> list[int]:
         """Nodes whose outgoing mass crosses the threshold with an ant quorum."""

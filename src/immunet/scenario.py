@@ -31,6 +31,16 @@ class TopologySpec:
     edge_prob: float = 0.08
     links: list[list[int]] = field(default_factory=list)  # explicit: [u, v] or [u, v, bw]
 
+    def node_ids(self) -> list[int]:
+        """The ids of the network's nodes: 0..nodes-1, or for an explicit
+        topology the link endpoints, widened to 0..nodes-1 when that is larger."""
+        if self.kind != "explicit":
+            return list(range(self.nodes))
+        ids = {n for link in self.links for n in link[:2]}
+        if isinstance(self.nodes, int) and self.nodes > len(ids):
+            ids |= set(range(self.nodes))
+        return sorted(ids)
+
 
 @dataclass
 class TransportConfig:
@@ -204,6 +214,10 @@ def from_dict(data: dict) -> ScenarioConfig:
     return config
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate(config: ScenarioConfig) -> None:
     topo = config.topology
     if topo.kind not in ("erdos_renyi", "line", "ring", "star", "explicit"):
@@ -286,6 +300,9 @@ def validate(config: ScenarioConfig) -> None:
         raise ValidationError("stations.nurseries", "redundancy requires >= 2")
     if isinstance(st.placement, list) and len(st.placement) < st.lymph + st.nurseries + 1:
         raise ValidationError("stations.placement", "need a node per station plus admin")
+    if st.admin_node is not None and not (_is_int(st.admin_node)
+                                          and st.admin_node in topo.node_ids()):
+        raise ValidationError("stations.admin_node", "not a node of the topology")
     if st.release_period < 1:
         raise ValidationError("stations.release_period", "must be >= 1")
     for kind in st.release_mix:
@@ -310,6 +327,8 @@ def validate(config: ScenarioConfig) -> None:
             raise ValidationError(f"filters[{i}].action", "Drop or Accept")
         if rule.klass not in (None, "Data", "Immune"):
             raise ValidationError(f"filters[{i}].klass", "Data, Immune, or null")
+    if not _is_int(config.horizon):
+        raise ValidationError("horizon", "must be an integer")
     if config.horizon < 0:
         raise ValidationError("horizon", "must be >= 0")
 

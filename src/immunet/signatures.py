@@ -10,8 +10,10 @@ well under the configured target even after windowed scanning.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import struct
 
 
 class EmptySignatureSet(ValueError):
@@ -19,30 +21,14 @@ class EmptySignatureSet(ValueError):
 
 
 _SALT = b"sigdb-probe-v1"
+_WORDS = struct.Struct(">16I")  # one 64-byte digest as 16 probe words
 
 
-def _probe_positions(key: bytes, count: int, size: int) -> list[int]:
-    """`count` distinct probe positions in [0, size).
-
-    Distinctness keeps the false-positive rate tight on the tiny arrays a
-    near-singleton store gets; colliding probes would make the realised
-    rate a per-signature lottery.
-    """
-    positions: list[int] = []
-    seen: set[int] = set()
-    block = 0
-    while len(positions) < count:
-        digest = hashlib.blake2b(key, digest_size=64, salt=_SALT,
-                                 person=block.to_bytes(8, "big")).digest()
-        for i in range(0, 64, 4):
-            pos = int.from_bytes(digest[i:i + 4], "big") % size
-            if pos not in seen:
-                seen.add(pos)
-                positions.append(pos)
-                if len(positions) == count:
-                    break
-        block += 1
-    return positions
+@functools.cache
+def _block_state(block: int):
+    """The salted blake2b state personalised with probe block `block`;
+    callers hash a key into a `.copy()` of it."""
+    return hashlib.blake2b(digest_size=64, salt=_SALT, person=block.to_bytes(8, "big"))
 
 
 class CompressedSignatureDb:
@@ -57,53 +43,68 @@ class CompressedSignatureDb:
         if not 0.0 < target_fpr < 1.0:
             raise ValueError("target_fpr must be in (0, 1)")
         self.target_fpr = target_fpr
-        self._members: set[bytes] = set()
-        self._bits = 0
-        self._capacity = 0
         self._rebuild(set(sigs))
 
     def _rebuild(self, members: set[bytes]) -> None:
+        """Size the array for exactly `members` and set their probe bits."""
         n = len(members)
-        self._capacity = n
         self.size_bits = 2 * math.ceil(1.44 * n * math.log2(1.0 / self.target_fpr))
         self.num_probes = min(max(1, round(self.size_bits / n * math.log(2))),
                               self.size_bits)
-        self._bits = 0
-        self._members = set()
-        for sig in sorted(members):
-            self._insert(sig)
+        bits = 0
+        for sig in members:
+            bits |= self._probe_mask(sig, -1)  # -1 has every bit set: walk all probes
+        self._bits = bits
+        self._members = members
+        self.window_lengths = tuple(sorted({len(s) for s in members}))
         self._fingerprint = None
 
-    def _insert(self, sig: bytes) -> None:
-        for pos in _probe_positions(sig, self.num_probes, self.size_bits):
-            self._bits |= 1 << pos
-        self._members.add(sig)
+    def _probe_mask(self, key: bytes, within: int) -> int:
+        """Mask of `key`'s probe bits, walked in order until one is not set
+        in `within` or num_probes distinct ones are seen.
+
+        Probe positions are the successive 32-bit words of the salted
+        blake2b digests of `key` for blocks 0, 1, ..., reduced mod
+        size_bits, with repeats skipped. Distinctness keeps the
+        false-positive rate tight on the tiny arrays a near-singleton store
+        gets; colliding probes would make the realised rate a per-signature
+        lottery. A block is hashed only when the walk reaches it, so most
+        non-members cost one digest.
+        """
+        size = self.size_bits
+        left = self.num_probes
+        seen = 0
+        block = 0
+        while True:
+            state = _block_state(block).copy()
+            state.update(key)
+            for word in _WORDS.unpack(state.digest()):
+                mask = 1 << word % size
+                if seen & mask:
+                    continue
+                seen |= mask
+                if not within & mask:
+                    return seen
+                left -= 1
+                if not left:
+                    return seen
+            block += 1
 
     def add(self, sig: bytes) -> None:
         """Insert one signature, resizing so the fpr target keeps holding."""
         sig = bytes(sig)
         if not sig:
             raise EmptySignatureSet("signatures must be non-empty")
-        if sig in self._members:
-            return
-        if len(self._members) + 1 > self._capacity:
+        if sig not in self._members:
             self._rebuild(self._members | {sig})
-        else:
-            self._insert(sig)
-            self._fingerprint = None
 
     @property
     def signature_count(self) -> int:
         return len(self._members)
 
-    @property
-    def window_lengths(self) -> tuple[int, ...]:
-        return tuple(sorted({len(s) for s in self._members}))
-
     def contains(self, key: bytes) -> bool:
         bits = self._bits
-        return all((bits >> pos) & 1
-                   for pos in _probe_positions(key, self.num_probes, self.size_bits))
+        return not self._probe_mask(key, bits) & ~bits
 
     def fingerprint(self) -> tuple:
         # identifies db contents so identical stores can share scan results
@@ -116,11 +117,10 @@ class CompressedSignatureDb:
 
     def scan(self, payload: bytes) -> bool:
         """True when any payload window of a registered length tests positive."""
+        contains = self.contains
         for length in self.window_lengths:
-            if length > len(payload):
-                continue
             for off in range(len(payload) - length + 1):
-                if self.contains(payload[off:off + length]):
+                if contains(payload[off:off + length]):
                     return True
         return False
 

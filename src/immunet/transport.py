@@ -176,6 +176,8 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
     arrivals: list[tuple[int, int, Packet]] = []
     for node in state.network.nodes:
         q = state.queues[node]
+        if not q.immune and not q.data:
+            continue
         budgets = {nbr: state.network.link_bandwidth(node, nbr)
                    for nbr in state.network.neighbors(node)}
         immune_blocked = False

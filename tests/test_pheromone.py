@@ -16,6 +16,21 @@ def declare_oracle(level, ants_present, theta, quorum):
                   if mass[n] >= theta and ants_present.get(n, 0) >= quorum)
 
 
+class TestNodeMass:
+
+    def test_equals_out_mass_entry_bit_for_bit(self):
+        rng = random.Random(4)
+        pm = PheromoneMap(deposit_quantum=0.37, evaporation_rate=0.03)
+        for _ in range(400):
+            pm.deposit((rng.randrange(6), rng.randrange(6)))
+            if rng.random() < 0.3:
+                pm.evaporate()
+        out = pm.out_mass()
+        for node in range(7):
+            assert pm.node_mass(node) == out.get(node, 0.0)
+        assert pm.node_mass(6) == 0.0
+
+
 class TestDeposit:
 
     def test_single_deposit(self):

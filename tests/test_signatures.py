@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -104,3 +105,83 @@ class TestScan:
         fp1 = db.fingerprint()
         db.add(b"efgh1234")
         assert db.fingerprint() != fp1
+
+
+def eager_probe_positions(key: bytes, count: int, size: int) -> list[int]:
+    """Reference: all `count` distinct probe positions of `key`, hashed up
+    front, as the store computed them before it learned to stop early."""
+    positions: list[int] = []
+    seen: set[int] = set()
+    block = 0
+    while len(positions) < count:
+        digest = hashlib.blake2b(key, digest_size=64, salt=b"sigdb-probe-v1",
+                                 person=block.to_bytes(8, "big")).digest()
+        for i in range(0, 64, 4):
+            pos = int.from_bytes(digest[i:i + 4], "big") % size
+            if pos not in seen:
+                seen.add(pos)
+                positions.append(pos)
+                if len(positions) == count:
+                    break
+        block += 1
+    return positions
+
+
+def eager_bits(members, count: int, size: int) -> int:
+    bits = 0
+    for sig in members:
+        for pos in eager_probe_positions(sig, count, size):
+            bits |= 1 << pos
+    return bits
+
+
+def eager_contains(db: CompressedSignatureDb, key: bytes) -> bool:
+    return all((db._bits >> pos) & 1
+               for pos in eager_probe_positions(key, db.num_probes, db.size_bits))
+
+
+class TestProbeEquivalence:
+    """The probe walk that stops at the first unset bit gives the verdicts
+    and the bit array that testing every eagerly hashed position gives."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("fpr", [0.01, 1e-4])
+    def test_store_and_verdicts_match_eager_probes(self, n, fpr):
+        rng = random.Random(1000 * n + round(1 / fpr))
+        sigs = [rng.randbytes(16) for _ in range(n)]
+        db = CompressedSignatureDb(sigs, fpr)
+        assert db._bits == eager_bits(sigs, db.num_probes, db.size_bits)
+        keys = sigs + [rng.randbytes(16) for _ in range(2000)]
+        verdicts = [db.contains(k) for k in keys]
+        assert verdicts == [eager_contains(db, k) for k in keys]
+        assert all(verdicts[:n])
+
+    def test_walks_past_the_first_hash_block(self):
+        """At fpr 1e-4 a singleton store needs more distinct probes than one
+        digest has words; on dense random arrays the walk's first unset bit
+        often lies in a later block, and verdicts of both kinds occur."""
+        rng = random.Random(5)
+        db = CompressedSignatureDb([rng.randbytes(16)], 1e-4)
+        assert db.num_probes > 16
+        full = (1 << db.size_bits) - 1
+        verdicts = []
+        for _ in range(300):
+            unset = rng.getrandbits(db.size_bits) & rng.getrandbits(db.size_bits)
+            db._bits = full & ~(unset & rng.getrandbits(db.size_bits)
+                                & rng.getrandbits(db.size_bits))
+            for _ in range(10):
+                key = rng.randbytes(16)
+                verdicts.append(db.contains(key))
+                assert verdicts[-1] == eager_contains(db, key)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_members_positive_after_each_rebuild(self):
+        rng = random.Random(12)
+        sigs = [rng.randbytes(length) for length in (16, 8, 16, 24, 12)]
+        db = CompressedSignatureDb(sigs[:1], 1e-4)
+        for i, sig in enumerate(sigs[1:], start=2):
+            db.add(sig)
+            assert db.signature_count == i
+            assert all(db.contains(s) for s in sigs[:i])
+            assert db._bits == eager_bits(sigs[:i], db.num_probes, db.size_bits)
+            assert db.window_lengths == tuple(sorted({len(s) for s in sigs[:i]}))
