@@ -75,9 +75,6 @@ class CellPopulation:
             raise ValueError(f"cell id {cell.cell_id} already present")
         self._cells[cell.cell_id] = cell
 
-    def get(self, cell_id: int) -> ArtificialCell | None:
-        return self._cells.get(cell_id)
-
     def retire(self, cell_id: int) -> None:
         cell = self._cells.pop(cell_id, None)
         if cell is not None:

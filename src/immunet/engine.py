@@ -595,9 +595,6 @@ class World:
             stations=self.station_actions,
         )
 
-    def step(self) -> None:
-        transport.step(self.state, self.hooks())
-
     def run(self, horizon: int | None = None) -> RunResult:
         steps = self.config.horizon if horizon is None else horizon
         hooks = self.hooks()

@@ -7,8 +7,6 @@ the log alone so every run is replayable from its persisted log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # Closed set of event kinds; the line format is a stable external interface.
 KINDS = (
     "Step",
@@ -26,13 +24,20 @@ KINDS = (
     "SubstanceOpen",
     "Spawn",
 )
+_KIND_SET = frozenset(KINDS)
+_KIND_TOKENS = {f"kind={kind}": kind for kind in KINDS}  # parsed events share these strings
 
 
-@dataclass(frozen=True)
 class Event:
-    step: int
-    kind: str
-    fields: tuple[tuple[str, object], ...]
+    """One logged fact: its step, its kind and its ordered `(key, value)` fields.
+    Slotted, because a run builds, keeps and reads hundreds of thousands."""
+
+    __slots__ = ("step", "kind", "fields")
+
+    def __init__(self, step: int, kind: str, fields: tuple[tuple[str, object], ...]):
+        self.step = step
+        self.kind = kind
+        self.fields = fields
 
     def get(self, key: str, default=None):
         for k, v in self.fields:
@@ -41,9 +46,11 @@ class Event:
         return default
 
     def to_line(self) -> str:
-        parts = [f"step={self.step}", f"kind={self.kind}"]
-        parts.extend(f"{k}={_fmt(v)}" for k, v in self.fields)
-        return " ".join(parts)
+        return f"step={self.step} kind={self.kind}" + "".join(
+            [f" {k}={v}" if type(v) in _VERBATIM else f" {k}={_fmt(v)}" for k, v in self.fields])
+
+
+_VERBATIM = frozenset({int, str})  # types whose log text is plain str(value)
 
 
 def _fmt(value: object) -> str:
@@ -63,7 +70,7 @@ class EventLog:
         self.events: list[Event] = []
 
     def append(self, step: int, kind: str, **fields) -> Event:
-        if kind not in KINDS:
+        if kind not in _KIND_SET:
             raise ValueError(f"unknown event kind: {kind}")
         ev = Event(step, kind, tuple(fields.items()))
         self.events.append(ev)
@@ -76,27 +83,36 @@ class EventLog:
         return len(self.events)
 
     def to_text(self) -> str:
-        return "\n".join(ev.to_line() for ev in self.events) + ("\n" if self.events else "")
+        return "\n".join([ev.to_line() for ev in self.events]) + ("\n" if self.events else "")
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text())
 
 
-def parse_line(line: str) -> Event:
-    """Parse one `step=<int> kind=<enum> key=value ...` record."""
+class _FieldTable(dict):
+    """Raw `key=value` token -> its parsed `(key, value)` field, each distinct
+    token parsed on first sight. A log repeats few distinct tokens many times."""
+
+    def __missing__(self, token: str) -> tuple[str, object]:
+        key, _, raw = token.partition("=")
+        field = self[token] = (key, _parse_value(raw))
+        return field
+
+
+def _parse(line: str, table: _FieldTable) -> Event:
     tokens = line.split()
     if len(tokens) < 2 or not tokens[0].startswith("step=") or not tokens[1].startswith("kind="):
-        raise ValueError(f"malformed event line: {line!r}")
-    step = int(tokens[0][5:])
-    kind = tokens[1][5:]
-    if kind not in KINDS:
-        raise ValueError(f"unknown event kind in line: {line!r}")
-    fields = []
-    for tok in tokens[2:]:
-        key, _, raw = tok.partition("=")
-        fields.append((key, _parse_value(raw)))
-    return Event(step, kind, tuple(fields))
+        raise ValueError(f"malformed event line: {line.strip()!r}")
+    kind = _KIND_TOKENS.get(tokens[1])
+    if kind is None:
+        raise ValueError(f"unknown event kind in line: {line.strip()!r}")
+    return Event(int(tokens[0][5:]), kind, tuple(map(table.__getitem__, tokens[2:])))
+
+
+def parse_line(line: str) -> Event:
+    """Parse one `step=<int> kind=<enum> key=value ...` record."""
+    return _parse(line, _FieldTable())
 
 
 def _parse_value(raw: str):
@@ -114,10 +130,7 @@ def _parse_value(raw: str):
 
 
 def load_log(path) -> list[Event]:
-    events = []
+    """Parse a saved log; one field table serves every line of the file."""
+    table = _FieldTable()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(parse_line(line))
-    return events
+        return [_parse(line, table) for line in fh if not line.isspace()]

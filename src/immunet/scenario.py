@@ -1,15 +1,18 @@
 """Scenario configuration: a run is a pure function of (config, seed).
 
 Scenarios are JSON documents validated strictly: unknown keys are
-rejected so typos cannot silently change an experiment. Every knob of
-every subsystem lives here.
+rejected so typos cannot silently change an experiment, and every value
+must fit its field's annotation. Every knob of every subsystem lives here.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from importlib import resources
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 
 class ParseError(ValueError):
@@ -165,51 +168,67 @@ class ScenarioConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-_SECTIONS = {
-    "topology": TopologySpec,
-    "transport": TransportConfig,
-    "traffic": TrafficConfig,
-    "worm": WormConfig,
-    "vulnerability": VulnerabilityConfig,
-    "detectors": DetectorConfig,
-    "ants": AntConfig,
-    "monitors": MonitorConfig,
-    "pheromone": PheromoneConfig,
-    "stations": StationConfig,
-    "static_ids": IdsConfig,
-}
-
-
-def _build_section(cls, data: dict, path: str):
+def _build_section(cls, data, path: str):
+    """Build dataclass `cls` from a JSON object. Each value must fit its
+    field's annotation; a section, or a list of sections, is built in turn."""
     if not isinstance(data, dict):
         raise ValidationError(path, "expected an object")
-    allowed = set(cls.__dataclass_fields__)
-    for key in data:
-        if key not in allowed:
-            raise ValidationError(f"{path}.{key}", "unknown key")
-    return cls(**data)
+    hints = _field_types(cls)
+    kwargs = {}
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else key
+        if key not in hints:
+            raise ValidationError(where, "unknown key")
+        kwargs[key] = _build_value(hints[key], value, where)
+    return cls(**kwargs)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return get_type_hints(cls)
+
+
+def _build_value(hint, value, path: str):
+    if type(value) is hint:  # a plain scalar of exactly the annotated type
+        return value
+    if is_dataclass(hint):
+        return _build_section(hint, value, path)
+    item = get_args(hint)[0] if get_origin(hint) is list else None
+    if is_dataclass(item):
+        if not isinstance(value, list):
+            raise ValidationError(path, "expected a list")
+        return [_build_section(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if not _fits(value, hint):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ValidationError(path, f"expected {name}")
+    return value
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits an annotation. A bool is not a number, an
+    int is a float, and None fits only where the annotation admits it."""
+    args = get_args(hint)
+    origin = get_origin(hint)
+    if origin is UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(k, args[0]) and _fits(v, args[1])
+                                               for k, v in value.items())
+    if hint is type(None):
+        return value is None
+    if hint is float:
+        return _is_number(value)
+    if hint is int:
+        return _is_int(value)
+    return isinstance(value, hint)
 
 
 def from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ValidationError("<root>", "scenario must be an object")
-    allowed = set(ScenarioConfig.__dataclass_fields__)
-    for key in data:
-        if key not in allowed:
-            raise ValidationError(key, "unknown key")
-    kwargs: dict = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build_section(_SECTIONS[key], value, key)
-        elif key == "attacks":
-            kwargs[key] = [_build_section(AttackConfig, a, f"attacks[{i}]")
-                           for i, a in enumerate(value)]
-        elif key == "filters":
-            kwargs[key] = [_build_section(FilterRuleConfig, f, f"filters[{i}]")
-                           for i, f in enumerate(value)]
-        else:
-            kwargs[key] = value
-    config = ScenarioConfig(**kwargs)
+    config = _build_section(ScenarioConfig, data, "")
     validate(config)
     return config
 
@@ -218,12 +237,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_nodes(path: str, nodes, node_ids: set) -> None:
+    for i, node in enumerate(nodes):
+        if node not in node_ids:
+            raise ValidationError(f"{path}[{i}]", "not a node of the topology")
+
+
 def validate(config: ScenarioConfig) -> None:
     topo = config.topology
     if topo.kind not in ("erdos_renyi", "line", "ring", "star", "explicit"):
         raise ValidationError("topology.kind", f"unknown kind {topo.kind!r}")
     if topo.kind != "explicit" and topo.nodes < 2:
         raise ValidationError("topology.nodes", "need at least 2 nodes")
+    node_ids = set(topo.node_ids())
     if topo.kind == "erdos_renyi" and not 0.0 < topo.edge_prob <= 1.0:
         raise ValidationError("topology.edge_prob", "must be in (0, 1]")
     if config.transport.queue_capacity < 1:
@@ -254,8 +284,10 @@ def validate(config: ScenarioConfig) -> None:
     for i, entry in enumerate(config.traffic.attack_mix):
         if set(entry) != {"attack_id", "rate"}:
             raise ValidationError(f"traffic.attack_mix[{i}]", "wants attack_id and rate")
-        if entry["attack_id"] not in attack_ids:
+        if not _is_int(entry["attack_id"]) or entry["attack_id"] not in attack_ids:
             raise ValidationError(f"traffic.attack_mix[{i}].attack_id", "undeclared attack")
+        if not _is_number(entry["rate"]):
+            raise ValidationError(f"traffic.attack_mix[{i}].rate", "must be a number")
         if entry["rate"] < 0:
             raise ValidationError(f"traffic.attack_mix[{i}].rate", "must be >= 0")
     if config.worm.enabled:
@@ -263,6 +295,8 @@ def validate(config: ScenarioConfig) -> None:
             raise ValidationError("worm.attack_id", "undeclared attack")
         if config.worm.entry_step < 0:
             raise ValidationError("worm.entry_step", "must be >= 0")
+        if _is_int(config.worm.entry) and config.worm.entry not in node_ids:
+            raise ValidationError("worm.entry", "not a node of the topology")
     if not 0.0 <= config.vulnerability.probability <= 1.0:
         raise ValidationError("vulnerability.probability", "must be in [0, 1]")
     if not 0.0 <= config.detectors.p_move <= 1.0:
@@ -290,18 +324,25 @@ def validate(config: ScenarioConfig) -> None:
         raise ValidationError("pheromone.threshold", "must be > 0")
     if ph.quorum < 1:
         raise ValidationError("pheromone.quorum", "must be >= 1")
-    if isinstance(config.detectors.placement, list) and \
-            len(config.detectors.placement) < config.detectors.count:
-        raise ValidationError("detectors.placement", "fewer nodes than count")
+    if isinstance(config.detectors.placement, list):
+        if len(config.detectors.placement) < config.detectors.count:
+            raise ValidationError("detectors.placement", "fewer nodes than count")
+        _check_nodes("detectors.placement", config.detectors.placement, node_ids)
     st = config.stations
     if st.lymph < 2:
         raise ValidationError("stations.lymph", "redundancy requires >= 2")
     if st.nurseries < 2:
         raise ValidationError("stations.nurseries", "redundancy requires >= 2")
-    if isinstance(st.placement, list) and len(st.placement) < st.lymph + st.nurseries + 1:
-        raise ValidationError("stations.placement", "need a node per station plus admin")
+    if st.lymph + st.nurseries + 1 > len(node_ids):
+        raise ValidationError("stations", "more stations (lymph, nurseries, admin) than nodes")
+    if isinstance(st.placement, list):
+        if len(st.placement) < st.lymph + st.nurseries + 1:
+            raise ValidationError("stations.placement", "need a node per station plus admin")
+        _check_nodes("stations.placement", st.placement, node_ids)
+        if len(set(st.placement)) < len(st.placement):
+            raise ValidationError("stations.placement", "repeats a node")
     if st.admin_node is not None and not (_is_int(st.admin_node)
-                                          and st.admin_node in topo.node_ids()):
+                                          and st.admin_node in node_ids):
         raise ValidationError("stations.admin_node", "not a node of the topology")
     if st.release_period < 1:
         raise ValidationError("stations.release_period", "must be >= 1")
@@ -319,10 +360,14 @@ def validate(config: ScenarioConfig) -> None:
         raise ValidationError("stations.substance_ttl", "must be >= 1")
     if config.static_ids.count < 0:
         raise ValidationError("static_ids.count", "must be >= 0")
-    if isinstance(config.static_ids.placement, str) and \
-            config.static_ids.placement != "top-betweenness":
-        raise ValidationError("static_ids.placement", "top-betweenness or a node list")
+    if isinstance(config.static_ids.placement, str):
+        if config.static_ids.placement != "top-betweenness":
+            raise ValidationError("static_ids.placement", "top-betweenness or a node list")
+    else:
+        _check_nodes("static_ids.placement", config.static_ids.placement, node_ids)
     for i, rule in enumerate(config.filters):
+        if rule.node not in node_ids:
+            raise ValidationError(f"filters[{i}].node", "not a node of the topology")
         if rule.action not in ("Drop", "Accept"):
             raise ValidationError(f"filters[{i}].action", "Drop or Accept")
         if rule.klass not in (None, "Data", "Immune"):

@@ -3,9 +3,9 @@
 One step runs a fixed phase order: (1) traffic injection, (2) per-node
 dequeue and forwarding within per-link bandwidth budgets, (3) arrival
 checking and admission, (4) infected-node emission, (5) cell actions,
-(6) pheromone evaporation, (7) station actions, (8) sampling. Packets
-injected during a step become forwardable the next step, so a packet
-needs exactly one step per hop.
+(6) pheromone evaporation, (7) station actions. Packets injected
+during a step become forwardable the next step, so a packet needs
+exactly one step per hop.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class StepHooks:
     cells: Callable = lambda state: None
     evaporate: Callable = lambda state: None
     stations: Callable = lambda state: None
-    sample: Callable = lambda state: None
 
 
 class TransportState:
@@ -229,12 +228,11 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
         state.enqueue(node, pkt)
     state._staged_injections.clear()
 
-    # phases 4-8
+    # phases 4-7
     hooks.emit(state)
     hooks.cells(state)
     hooks.evaporate(state)
     hooks.stations(state)
-    hooks.sample(state)
 
     state.log.append(now, "Step")
     state.clock += 1

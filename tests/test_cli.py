@@ -36,6 +36,30 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: horizon:") and err.count("\n") == 1
 
+    def test_string_node_count(self, tmp_path, capsys, command):
+        path = scenario_file(tmp_path, "topology", nodes="50")
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: topology.nodes:") and err.count("\n") == 1
+
+    def test_string_attack_rate(self, tmp_path, capsys, command):
+        path = scenario_file(tmp_path, "traffic", attack_mix=[{"attack_id": 1, "rate": "1"}])
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: traffic.attack_mix[0].rate:") and err.count("\n") == 1
+
+    def test_detectors_outside_topology(self, tmp_path, capsys, command):
+        path = scenario_file(tmp_path, "detectors", placement=[999] * 30)
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: detectors.placement[0]:") and err.count("\n") == 1
+
+    def test_stations_sharing_one_node(self, tmp_path, capsys, command):
+        path = scenario_file(tmp_path, "stations", placement=[0, 0, 0, 0, 0])
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stations.placement:") and err.count("\n") == 1
+
     def test_admin_node_inside_topology(self, tmp_path, capsys, command):
         path = scenario_file(tmp_path, "stations", admin_node=49)
         assert invoke(command, path) == 0

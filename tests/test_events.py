@@ -1,0 +1,101 @@
+import math
+
+import pytest
+
+from immunet.engine import World
+from immunet.events import Event, EventLog, load_log, parse_line
+from immunet.metrics import compute_metrics
+
+from conftest import worm_config
+
+
+# Reference copies of the parser and the formatter as they were before the
+# log parsed each distinct token once: one token at a time, int then float.
+def reference_parse_line(line: str):
+    tokens = line.split()
+    step = int(tokens[0][5:])
+    kind = tokens[1][5:]
+    fields = []
+    for tok in tokens[2:]:
+        key, _, raw = tok.partition("=")
+        fields.append((key, reference_parse_value(raw)))
+    return step, kind, tuple(fields)
+
+
+def reference_parse_value(raw: str):
+    if raw == "-":
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        return float(raw)
+    except ValueError:
+        pass
+    return raw
+
+
+def reference_to_line(step, kind, fields) -> str:
+    def fmt(value):
+        if isinstance(value, float):
+            return format(value, ".6g")
+        if isinstance(value, bytes):
+            return value.hex() or "-"
+        if value is None:
+            return "-"
+        return str(value)
+    parts = [f"step={step}", f"kind={kind}"]
+    parts.extend(f"{k}={fmt(v)}" for k, v in fields)
+    return " ".join(parts)
+
+
+def typed(fields):
+    """Fields with each value's type; repr makes nan comparable to nan."""
+    return [(key, type(value), repr(value)) for key, value in fields]
+
+
+class TestReplay:
+
+    def test_saved_log_replays_the_run(self, tmp_path):
+        result = World(worm_config(horizon=200), 6).run()
+        path = tmp_path / "run.log"
+        result.log.save(path)
+        loaded = load_log(path)
+        assert len(loaded) == len(result.log.events) > 0
+        for ran, replayed in zip(result.log.events, loaded):
+            assert (replayed.step, replayed.kind) == (ran.step, ran.kind)
+            assert typed(replayed.fields) == typed(ran.fields)
+        assert compute_metrics(loaded) == compute_metrics(result.log.events)
+
+    def test_repeated_tokens_parse_as_the_reference_does(self, tmp_path):
+        tokens = ["a=007", "a=7", "a=-3", "a=1e3", "a=nan", "a=00ab", "a=-", "a=x=y"]
+        lines = [f"step={i} kind=Inject " + " ".join(tokens[i:] + tokens[:i])
+                 for i in range(len(tokens))] * 2
+        path = tmp_path / "hand.log"
+        path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+        loaded = load_log(path)
+        assert len(loaded) == len(lines)
+        for line, ev in zip(lines, loaded):
+            step, kind, fields = reference_parse_line(line)
+            assert (ev.step, ev.kind) == (step, kind)
+            assert typed(ev.fields) == typed(fields)
+            assert typed(parse_line(line).fields) == typed(fields)
+        first = [value for _, value in parse_line(lines[0]).fields]
+        assert first[:4] == [7, 7, -3, 1000.0] and type(first[3]) is float
+        assert math.isnan(first[4]) and first[5:] == ["00ab", None, "x=y"]
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError):
+            EventLog().append(0, "Bogus", pid=1)
+        with pytest.raises(ValueError):
+            parse_line("step=0 kind=Bogus pid=1")
+
+
+class TestFormat:
+
+    def test_to_line_matches_the_reference(self):
+        fields = (("i", 7), ("neg", -3), ("t", True), ("f", 0.1 + 0.2), ("big", 1e21),
+                  ("b", b"\x00\xab"), ("empty", b""), ("none", None), ("s", "Data"))
+        assert Event(3, "Inject", fields).to_line() == reference_to_line(3, "Inject", fields)
+        assert Event(0, "Step", ()).to_line() == "step=0 kind=Step"
