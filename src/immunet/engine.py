@@ -109,7 +109,7 @@ class World:
                     self.seeds.stream("worm-entry").randrange(len(self.network.nodes))]
                 self.health[entry].vulnerable = True  # the hole the worm gets in through
             else:
-                entry = int(config.worm.entry)
+                entry = config.worm.entry
                 if not self.network.has_node(entry):
                     raise UnknownNode(entry)
             self.worm_entry = (config.worm.entry_step, config.worm.attack_id, entry)

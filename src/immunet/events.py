@@ -7,6 +7,8 @@ the log alone so every run is replayable from its persisted log.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 # Closed set of event kinds; the line format is a stable external interface.
 KINDS = (
     "Step",
@@ -29,25 +31,27 @@ _KIND_TOKENS = {f"kind={kind}": kind for kind in KINDS}  # parsed events share t
 
 
 class Event:
-    """One logged fact: its step, its kind and its ordered `(key, value)` fields.
-    Slotted, because a run builds, keeps and reads hundreds of thousands."""
+    """One logged fact: its step, its kind and its fields, a `key -> value`
+    dict in the order the line writes them. Slotted, because a run builds,
+    keeps and reads hundreds of thousands. Field values are ints, bools,
+    floats, strings, bytes or None, and a dict that holds only such values
+    is never tracked by the cyclic garbage collector, so a kept event is one
+    tracked object."""
 
     __slots__ = ("step", "kind", "fields")
 
-    def __init__(self, step: int, kind: str, fields: tuple[tuple[str, object], ...]):
+    def __init__(self, step: int, kind: str, fields: dict[str, object]):
         self.step = step
         self.kind = kind
         self.fields = fields
 
     def get(self, key: str, default=None):
-        for k, v in self.fields:
-            if k == key:
-                return v
-        return default
+        return self.fields.get(key, default)
 
     def to_line(self) -> str:
         return f"step={self.step} kind={self.kind}" + "".join(
-            [f" {k}={v}" if type(v) in _VERBATIM else f" {k}={_fmt(v)}" for k, v in self.fields])
+            [f" {k}={v}" if type(v) in _VERBATIM else f" {k}=-" if v is None else f" {k}={_fmt(v)}"
+             for k, v in self.fields.items()])
 
 
 _VERBATIM = frozenset({int, str})  # types whose log text is plain str(value)
@@ -58,8 +62,6 @@ def _fmt(value: object) -> str:
         return format(value, ".6g")
     if isinstance(value, bytes):
         return value.hex() or "-"
-    if value is None:
-        return "-"
     return str(value)
 
 
@@ -72,7 +74,7 @@ class EventLog:
     def append(self, step: int, kind: str, **fields) -> Event:
         if kind not in _KIND_SET:
             raise ValueError(f"unknown event kind: {kind}")
-        ev = Event(step, kind, tuple(fields.items()))
+        ev = Event(step, kind, fields)  # the call's own keyword dict, in call order
         self.events.append(ev)
         return ev
 
@@ -100,19 +102,39 @@ class _FieldTable(dict):
         return field
 
 
-def _parse(line: str, table: _FieldTable) -> Event:
-    tokens = line.split()
-    if len(tokens) < 2 or not tokens[0].startswith("step=") or not tokens[1].startswith("kind="):
-        raise ValueError(f"malformed event line: {line.strip()!r}")
-    kind = _KIND_TOKENS.get(tokens[1])
-    if kind is None:
-        raise ValueError(f"unknown event kind in line: {line.strip()!r}")
-    return Event(int(tokens[0][5:]), kind, tuple(map(table.__getitem__, tokens[2:])))
+class _StepTable(dict):
+    """`step=<int>` token -> its step, parsed on first sight: a log repeats
+    each step's token on every event of that step."""
+
+    def __missing__(self, token: str) -> int:
+        if not token.startswith("step="):
+            raise ValueError(f"malformed step token: {token!r}")
+        step = self[token] = int(token[5:])
+        return step
+
+
+def _parse(lines) -> Iterator[Event]:
+    """Parse `step=<int> kind=<enum> key=value ...` records, skipping blank
+    lines; one field table and one step table serve every line."""
+    field, steps = _FieldTable().__getitem__, _StepTable()
+    for line in lines:
+        tokens = line.split()
+        if not tokens:
+            continue
+        kind = _KIND_TOKENS.get(tokens[1]) if len(tokens) > 1 else None
+        if kind is None:
+            raise ValueError(f"malformed line or unknown event kind: {line.strip()!r}")
+        fields = dict(map(field, tokens[2:]))
+        if len(fields) < len(tokens) - 2:
+            raise ValueError(f"repeated field key in line: {line.strip()!r}")
+        yield Event(steps[tokens[0]], kind, fields)
 
 
 def parse_line(line: str) -> Event:
     """Parse one `step=<int> kind=<enum> key=value ...` record."""
-    return _parse(line, _FieldTable())
+    for ev in _parse((line,)):
+        return ev
+    raise ValueError(f"malformed event line: {line.strip()!r}")
 
 
 def _parse_value(raw: str):
@@ -130,7 +152,6 @@ def _parse_value(raw: str):
 
 
 def load_log(path) -> list[Event]:
-    """Parse a saved log; one field table serves every line of the file."""
-    table = _FieldTable()
+    """Parse a saved log."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [_parse(line, table) for line in fh if not line.isspace()]
+        return list(_parse(fh))

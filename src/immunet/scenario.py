@@ -295,7 +295,10 @@ def validate(config: ScenarioConfig) -> None:
             raise ValidationError("worm.attack_id", "undeclared attack")
         if config.worm.entry_step < 0:
             raise ValidationError("worm.entry_step", "must be >= 0")
-        if _is_int(config.worm.entry) and config.worm.entry not in node_ids:
+        entry = config.worm.entry
+        if entry != "random" and not _is_int(entry):
+            raise ValidationError("worm.entry", 'must be a node id or "random"')
+        if entry != "random" and entry not in node_ids:
             raise ValidationError("worm.entry", "not a node of the topology")
     if not 0.0 <= config.vulnerability.probability <= 1.0:
         raise ValidationError("vulnerability.probability", "must be in [0, 1]")

@@ -105,6 +105,10 @@ class TransportState:
         self.clock = 0
         self.log = log if log is not None else EventLog()
         self.queues: dict[int, NodeQueue] = {n: NodeQueue(capacity) for n in network.nodes}
+        # node -> {neighbour: link bandwidth}; each step forwards within a copy
+        self.bandwidth_template: dict[int, dict[int, int]] = {
+            n: {nbr: network.link_bandwidth(n, nbr) for nbr in network.neighbors(n)}
+            for n in network.nodes}
         self._next_pid = 0
         self._staged_injections: list[tuple[int, Packet]] = []
         self.strict_checks = False
@@ -177,8 +181,7 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
         q = state.queues[node]
         if not q.immune and not q.data:
             continue
-        budgets = {nbr: state.network.link_bandwidth(node, nbr)
-                   for nbr in state.network.neighbors(node)}
+        budgets = state.bandwidth_template[node].copy()
         immune_blocked = False
         last_seq = -1
         while q.immune:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -60,7 +61,42 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: stations.placement:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("entry", ["foo", "999"])
+    def test_string_worm_entry(self, tmp_path, capsys, command, entry):
+        path = scenario_file(tmp_path, "worm", entry=entry)
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: worm.entry:") and err.count("\n") == 1
+
     def test_admin_node_inside_topology(self, tmp_path, capsys, command):
         path = scenario_file(tmp_path, "stations", admin_node=49)
         assert invoke(command, path) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestRunCheck:
+
+    def check_run(self, tmp_path):
+        argv = ["run", "--scenario", scenario_file(tmp_path), "--seed", "1", "--steps", "20",
+                "--check", "--out", str(tmp_path / "out")]
+        return cli.main(argv)
+
+    def test_faithful_replay_passes(self, tmp_path, capsys):
+        assert self.check_run(tmp_path) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_differing_replayed_metrics_exit_2(self, tmp_path, capsys, monkeypatch):
+        real = cli.compute_metrics
+
+        def skewed(events):
+            metrics = real(events)
+            return dataclasses.replace(metrics, dropped_total=metrics.dropped_total + 1)
+        monkeypatch.setattr(cli, "compute_metrics", skewed)
+        assert self.check_run(tmp_path) == 2
+        assert capsys.readouterr().err == "check failed: replayed metrics differ\n"
+
+    def test_differing_persisted_log_exits_2(self, tmp_path, capsys, monkeypatch):
+        real = cli.load_log
+        monkeypatch.setattr(cli, "load_log", lambda path: real(path)[:-1])
+        assert self.check_run(tmp_path) == 2
+        assert capsys.readouterr().err == "check failed: persisted log does not reproduce metrics\n"

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -52,7 +53,7 @@ def reference_to_line(step, kind, fields) -> str:
 
 def typed(fields):
     """Fields with each value's type; repr makes nan comparable to nan."""
-    return [(key, type(value), repr(value)) for key, value in fields]
+    return [(key, type(value), repr(value)) for key, value in fields.items()]
 
 
 class TestReplay:
@@ -69,7 +70,8 @@ class TestReplay:
         assert compute_metrics(loaded) == compute_metrics(result.log.events)
 
     def test_repeated_tokens_parse_as_the_reference_does(self, tmp_path):
-        tokens = ["a=007", "a=7", "a=-3", "a=1e3", "a=nan", "a=00ab", "a=-", "a=x=y"]
+        raws = ["007", "7", "-3", "1e3", "nan", "00ab", "-", "x=y"]
+        tokens = [f"k{i}={raw}" for i, raw in enumerate(raws)]
         lines = [f"step={i} kind=Inject " + " ".join(tokens[i:] + tokens[:i])
                  for i in range(len(tokens))] * 2
         path = tmp_path / "hand.log"
@@ -79,11 +81,20 @@ class TestReplay:
         for line, ev in zip(lines, loaded):
             step, kind, fields = reference_parse_line(line)
             assert (ev.step, ev.kind) == (step, kind)
-            assert typed(ev.fields) == typed(fields)
-            assert typed(parse_line(line).fields) == typed(fields)
-        first = [value for _, value in parse_line(lines[0]).fields]
+            assert typed(ev.fields) == typed(dict(fields))
+            assert typed(parse_line(line).fields) == typed(dict(fields))
+        first = list(parse_line(lines[0]).fields.values())
         assert first[:4] == [7, 7, -3, 1000.0] and type(first[3]) is float
         assert math.isnan(first[4]) and first[5:] == ["00ab", None, "x=y"]
+
+    def test_repeated_key_is_rejected(self, tmp_path):
+        line = "step=0 kind=Inject a=1 a=2"
+        with pytest.raises(ValueError, match="repeated field key"):
+            parse_line(line)
+        path = tmp_path / "repeated.log"
+        path.write_text("step=0 kind=Inject a=1 b=2\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="repeated field key"):
+            load_log(path)
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError):
@@ -97,5 +108,27 @@ class TestFormat:
     def test_to_line_matches_the_reference(self):
         fields = (("i", 7), ("neg", -3), ("t", True), ("f", 0.1 + 0.2), ("big", 1e21),
                   ("b", b"\x00\xab"), ("empty", b""), ("none", None), ("s", "Data"))
-        assert Event(3, "Inject", fields).to_line() == reference_to_line(3, "Inject", fields)
-        assert Event(0, "Step", ()).to_line() == "step=0 kind=Step"
+        assert Event(3, "Inject", dict(fields)).to_line() == reference_to_line(3, "Inject", fields)
+        assert Event(0, "Step", {}).to_line() == "step=0 kind=Step"
+
+
+def line_keys(line: str) -> list[str]:
+    return [token.partition("=")[0] for token in line.split()[2:]]
+
+
+class TestFieldStorage:
+
+    def test_fields_are_untracked_dicts_in_line_order(self, tmp_path):
+        """Each event adds one object the cyclic collector tracks, the Event
+        itself: its fields dict holds only untracked values, in or out of a
+        replay, and keeps the key order of its line."""
+        result = World(worm_config(horizon=200), 6).run()
+        path = tmp_path / "run.log"
+        result.log.save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        loaded = load_log(path)
+        assert len(lines) == len(loaded) == len(result.log.events) > 0
+        for line, ran, replayed in zip(lines, result.log.events, loaded):
+            for ev in (ran, replayed):
+                assert type(ev.fields) is dict and not gc.is_tracked(ev.fields)
+                assert list(ev.fields) == line_keys(line)

@@ -1,0 +1,23 @@
+import copy
+
+from immunet import harness
+from immunet.engine import run
+
+from conftest import worm_config
+
+
+class TestSweep:
+
+    def test_rows_equal_independent_runs(self):
+        config = worm_config(horizon=60)
+        thresholds = [1.0, 6.0]
+        rows = harness.sweep(config, {"pheromone.threshold": thresholds}, [6])
+        assert config.pheromone.threshold == 3.0  # the sweep works on copies
+        expected = []
+        for threshold in thresholds:
+            point = copy.deepcopy(config)
+            point.pheromone.threshold = threshold
+            metrics = run(point, 6).metrics.as_dict()
+            expected.append({"pheromone.threshold": threshold, "seed": 6, **metrics})
+        assert rows == expected
+        assert expected[0] != {**expected[1], "pheromone.threshold": 1.0}  # the knob matters
