@@ -184,10 +184,7 @@ class InjectionGate:
     bandwidth; excess packets wait in a FIFO and are never silently lost."""
 
     def __init__(self, network: Network):
-        self._budget_cap = {
-            n: sum(network.link_bandwidth(n, m) for m in network.neighbors(n))
-            for n in network.nodes
-        }
+        self._budget_cap = {n: sum(network.bandwidth[n].values()) for n in network.nodes}
         self._deferred: dict[int, deque[Packet]] = {n: deque() for n in network.nodes}
         self._budget: dict[int, int] = {}
 

@@ -29,7 +29,6 @@ class ArtificialCell:
     rng: Random
     born_at: int
     alive: bool = True
-    in_transit: bool = False
     pending_move: bool = False  # move packet queued but not yet forwarded
 
 

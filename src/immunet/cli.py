@@ -54,7 +54,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_scenario(args.scenario)
     with open(args.grid, "r", encoding="utf-8") as fh:
-        grid = json.load(fh)
+        try:
+            grid = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{args.grid}: {exc.msg}", exc.lineno) from None
     rows = harness.sweep(config, grid, _parse_seeds(args.seeds))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -113,7 +116,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, harness.UnknownKnob) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

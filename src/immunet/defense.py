@@ -112,14 +112,6 @@ class DetectorComponent:
         return MALICIOUS if verdict else CLEAN
 
 
-@dataclass
-class CheckOutcome:
-    destroyed: bool
-    by: int | None = None  # component id
-    by_kind: str | None = None
-    by_cell: int | None = None
-
-
 class DefenseStack:
     def __init__(self, network):
         # each node's components, kept in ascending component id
@@ -153,10 +145,11 @@ class DefenseStack:
     def location_of(self, component_id: int) -> int | None:
         return self._home.get(component_id)
 
-    def check_all(self, node: int, pkt: Packet) -> CheckOutcome:
-        """Consult every component in id order; first malicious verdict wins."""
+    def check_all(self, node: int, pkt: Packet):
+        """Consult every component in id order; the first to return a
+        malicious verdict destroys the packet and is returned. None means
+        the packet passed every check."""
         for component in self._components(node):
             if component.check(pkt) == MALICIOUS:
-                return CheckOutcome(True, component.component_id, component.kind,
-                                    component.cell_id)
-        return CheckOutcome(False)
+                return component
+        return None

@@ -74,8 +74,7 @@ class RunResult:
 class World:
     """All mutable state for one simulation run."""
 
-    def __init__(self, config: ScenarioConfig, seed: int,
-                 drop_stations: tuple[int, ...] = (), strict_checks: bool = False):
+    def __init__(self, config: ScenarioConfig, seed: int, strict_checks: bool = False):
         self.config = config
         self.seed = seed
         self.seeds = SeedTree(seed)
@@ -135,11 +134,10 @@ class World:
         self._component_seq = 0
         self._substance_seq = 0
         self._last_identify: dict[int, int] = {}
-        self._cell_rng_cache: dict[int, Random] = {}
 
         self._setup_filters()
         self._setup_static_ids()
-        self._setup_stations(drop_stations)
+        self._setup_stations()
         self._setup_cells()
 
     # ------------------------------------------------------------- setup
@@ -175,7 +173,7 @@ class World:
             self.defense.register(node, defense.StaticIDS(self._next_component_id(),
                                                           self.signature_set))
 
-    def _setup_stations(self, drop_stations) -> None:
+    def _setup_stations(self) -> None:
         cfg = self.config.stations
         want = cfg.lymph + cfg.nurseries + 1  # + admin
         if isinstance(cfg.placement, str):
@@ -192,22 +190,21 @@ class World:
         self.nursery_receptor = receptors.gen_receptor(self.receptor_rng)
         self.admin_receptor = receptors.gen_receptor(self.receptor_rng)
 
-        all_stations: list[Station] = []
+        # station ids ascend in list order: lymph nodes, nurseries, then admin
+        self.stations: list[Station] = []
         sid = 0
         trained = list(self.signature_set) if self.config.detectors.initial_signatures == "all" else []
         for i in range(cfg.lymph):
-            all_stations.append(LymphStation(sid, LYMPH, nodes[i], self.lymph_receptor,
-                                             signature_feed=list(self.signature_set)))
+            self.stations.append(LymphStation(sid, LYMPH, nodes[i], self.lymph_receptor))
             sid += 1
         for i in range(cfg.nurseries):
-            all_stations.append(NurseryStation(sid, NURSERY, nodes[cfg.lymph + i],
-                                               self.nursery_receptor,
-                                               period=cfg.release_period,
-                                               mix=dict(cfg.release_mix),
-                                               trained_signatures=list(trained)))
+            self.stations.append(NurseryStation(sid, NURSERY, nodes[cfg.lymph + i],
+                                                self.nursery_receptor,
+                                                period=cfg.release_period,
+                                                mix=dict(cfg.release_mix),
+                                                trained_signatures=list(trained)))
             sid += 1
-        all_stations.append(AdminStation(sid, ADMIN, nodes[-1], self.admin_receptor))
-        self.stations = [st for st in all_stations if st.station_id not in set(drop_stations)]
+        self.stations.append(AdminStation(sid, ADMIN, nodes[-1], self.admin_receptor))
         self.station_by_id = {st.station_id: st for st in self.stations}
 
         self.substance_ttl = cfg.substance_ttl
@@ -227,13 +224,6 @@ class World:
         pool = self.network.nodes
         return [pool[rng.randrange(len(pool))] for _ in range(count)]
 
-    def _cell_rng(self, cell_id: int) -> Random:
-        rng = self._cell_rng_cache.get(cell_id)
-        if rng is None:
-            rng = self.seeds.stream("cell", cell_id)
-            self._cell_rng_cache[cell_id] = rng
-        return rng
-
     def _setup_cells(self) -> None:
         cfg = self.config
         for node in self._place_cells(cfg.detectors.count, cfg.detectors.placement, "detectors"):
@@ -252,7 +242,7 @@ class World:
         cid = self.population.new_id()
         cell = cls(cell_id=cid, kind=kind, location=node,
                    receptor=receptors.gen_receptor(self.receptor_rng),
-                   rng=self._cell_rng(cid), born_at=self.state.clock, **extra)
+                   rng=self.seeds.stream("cell", cid), born_at=self.state.clock, **extra)
         self.population.add(cell)
         self.log.append(self.state.clock, "Spawn", cell=cid, cellkind=kind, node=node,
                         by=by, replaces=replaces)
@@ -286,20 +276,19 @@ class World:
     def on_forward(self, state: TransportState, pkt, u: int, v: int) -> None:
         cargo = pkt.cargo
         if isinstance(cargo, ArtificialCell):
-            cargo.in_transit = True
             cargo.location = None
             if cargo.kind == DETECTOR and cargo.alive:
                 self.defense.deregister(u, cargo.component.component_id)
 
     def on_arrival(self, state: TransportState, node: int, pkt, from_node: int) -> bool:
-        outcome = self.defense.check_all(node, pkt)
-        if not outcome.destroyed:
+        by = self.defense.check_all(node, pkt)
+        if by is None:
             return False
         state.log.append(state.clock, "Detect", pid=pkt.pid, node=node,
                          src=from_node, psrc=pkt.src, klass=pkt.klass,
-                         attack=pkt.attack, by=outcome.by, bykind=outcome.by_kind,
-                         cell=outcome.by_cell)
-        if outcome.by_kind in ("StaticIDS", "Cell"):
+                         attack=pkt.attack, by=by.component_id, bykind=by.kind,
+                         cell=by.cell_id)
+        if by.kind in ("StaticIDS", "Cell"):
             # signature-layer detection feeds the ant colony
             self.pheromone.deposit((from_node, node), pkt.attack)
         cargo = pkt.cargo
@@ -321,7 +310,6 @@ class World:
 
     def _arrive_cell(self, cell: ArtificialCell, node: int) -> None:
         cell.location = node
-        cell.in_transit = False
         cell.pending_move = False
         if cell.kind == ANT:
             cell.memory.append(node)
@@ -345,9 +333,7 @@ class World:
 
     def cells(self, state: TransportState) -> None:
         for cell in self.population.alive_sorted():
-            if not cell.alive or cell.in_transit or cell.pending_move:
-                continue
-            if cell.location is None:
+            if not cell.alive or cell.location is None or cell.pending_move:
                 continue
             if cell.kind == DETECTOR:
                 if cell.rng.random() < cell.p_move:
@@ -419,7 +405,7 @@ class World:
     def _declaration_pass(self, state: TransportState) -> None:
         ants_present: Counter = Counter()
         for cell in self.population.of_kind(ANT):
-            if cell.location is not None and not cell.in_transit:
+            if cell.location is not None:
                 ants_present[cell.location] += 1
         declared = self.pheromone.declare(ants_present, self.quorum)
         # rate-limit per node so persistent evidence re-reports once per window
@@ -439,7 +425,7 @@ class World:
         self.pheromone.evaporate()
 
     def station_actions(self, state: TransportState) -> None:
-        for st in sorted(self.stations, key=lambda s: s.station_id):
+        for st in self.stations:
             inbox, st.inbox = st.inbox, []
             for sub in inbox:
                 self._station_handle(st, sub)
@@ -491,8 +477,6 @@ class World:
         if attack is None or attack not in self.attacks:
             return
         sig = self.attacks[attack].signature
-        if sig not in st.signature_feed:
-            st.signature_feed.append(sig)
         radius = self.config.stations.immunization_radius
         for cell in self.population.of_kind(DETECTOR):
             if cell.location is None or self.dist[cell.location][around] > radius:
@@ -545,7 +529,7 @@ class World:
                                      flush_period=self.config.monitors.flush_period)
 
     def _retire_cell(self, cell: ArtificialCell) -> None:
-        if cell.kind == DETECTOR and cell.location is not None and not cell.in_transit:
+        if cell.kind == DETECTOR and cell.location is not None:
             self.defense.deregister(cell.location, cell.component.component_id)
         self.population.retire(cell.cell_id)
 
@@ -576,7 +560,7 @@ class World:
         if target.node == src:
             target.inbox.append(sub)
             return
-        pkt = self.state.make_packet(src, target.node, IMMUNE, payload=sub.ciphertext, cargo=sub)
+        pkt = self.state.make_packet(src, target.node, IMMUNE, cargo=sub)
         self.state.log.append(self.state.clock, "Inject", pid=pkt.pid, node=src,
                               src=src, dst=target.node, klass=IMMUNE, attack=None)
         self.state.enqueue(src, pkt)
@@ -611,7 +595,7 @@ def _memory(maxlen: int):
 
 
 def run(config: ScenarioConfig, seed: int, horizon: int | None = None,
-        drop_stations: tuple[int, ...] = (), strict_checks: bool = False) -> RunResult:
+        strict_checks: bool = False) -> RunResult:
     """Execute one full simulation; pure function of its arguments."""
-    world = World(config, seed, drop_stations=drop_stations, strict_checks=strict_checks)
+    world = World(config, seed, strict_checks=strict_checks)
     return world.run(horizon)

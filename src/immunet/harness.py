@@ -2,56 +2,46 @@
 
 from __future__ import annotations
 
-import copy
 import csv
 import itertools
 import json
-from dataclasses import fields, is_dataclass
 
 from .engine import run
 from .metrics import Metrics
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, ValidationError, from_dict
 
 
-class UnknownKnob(KeyError):
-    pass
-
-
-def apply_knob(config: ScenarioConfig, path: str, value) -> None:
-    """Set a dotted config path like 'pheromone.threshold' in place."""
-    target = config
-    parts = path.split(".")
-    for part in parts[:-1]:
-        if not is_dataclass(target) or part not in {f.name for f in fields(target)}:
-            raise UnknownKnob(path)
-        target = getattr(target, part)
-    last = parts[-1]
-    if is_dataclass(target):
-        if last not in {f.name for f in fields(target)}:
-            raise UnknownKnob(path)
-        setattr(target, last, value)
-    elif isinstance(target, dict):
+def _grid_point(config: ScenarioConfig, knobs) -> ScenarioConfig:
+    """A copy of `config` with each (dotted path, value) knob set, such as
+    ('pheromone.threshold', 6.0), built and validated as a scenario file is."""
+    data = config.to_dict()
+    for path, value in knobs:
+        *sections, last = path.split(".")
+        target = data
+        for part in sections:
+            target = target.get(part) if isinstance(target, dict) else None
+        if not isinstance(target, dict):
+            raise ValidationError(path, "not a section of the scenario")
         target[last] = value
-    else:
-        raise UnknownKnob(path)
+    return from_dict(data)
 
 
 def sweep(config: ScenarioConfig, grid: dict[str, list], seeds) -> list[dict]:
     """Cartesian product of grid points x seeds; one row per run.
 
     Row order is deterministic: grid keys sorted, values in given order,
-    seeds in given order. Runs share no state, so any execution order
-    yields the same table.
+    seeds in given order. Every point is built and validated before the
+    first run. Runs share no state, so any execution order yields the
+    same table.
     """
+    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+        raise ValidationError("grid", "must map knob paths to lists of values")
     keys = sorted(grid)
-    for key in keys:
-        apply_knob(copy.deepcopy(config), key, grid[key][0])  # validate early
+    combos = list(itertools.product(*(grid[k] for k in keys)))
+    points = [_grid_point(config, zip(keys, values)) for values in combos]
     rows = []
-    for values in itertools.product(*(grid[k] for k in keys)):
+    for values, point in zip(combos, points):
         for seed in seeds:
-            point = copy.deepcopy(config)
-            for key, value in zip(keys, values):
-                apply_knob(point, key, value)
             result = run(point, seed)
             row = {k: v for k, v in zip(keys, values)}
             row["seed"] = seed

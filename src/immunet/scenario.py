@@ -394,11 +394,6 @@ def load_scenario(path) -> ScenarioConfig:
         return loads(fh.read())
 
 
-def save_scenario(config: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config.to_json())
-
-
 def baseline_scenario() -> ScenarioConfig:
     """The bundled calibration scenario."""
     text = resources.files("immunet").joinpath("scenarios/baseline.scenario").read_text("utf-8")

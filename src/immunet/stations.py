@@ -5,7 +5,7 @@ substance forwards it to the nearest station not yet tried, so anything
 openable somewhere reaches an opener within station-count legs. Lymph
 nodes react to infection reports by spawning disinfectors and pushing
 signatures to nearby detectors; nurseries periodically release fresh
-cells carrying the current signature feed.
+cells carrying their trained signatures.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class Station:
 
 @dataclass
 class LymphStation(Station):
-    signature_feed: list[bytes] = field(default_factory=list)
     # (node, attack) -> last disinfector spawn step, for deduplication
     last_spawn: dict[tuple[int, int | None], int] = field(default_factory=dict)
 

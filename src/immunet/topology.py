@@ -39,16 +39,14 @@ class Network:
     nodes: tuple[int, ...]
     links: tuple[tuple[int, int, int], ...]  # (u, v, bandwidth), u < v
     adjacency: dict[int, tuple[int, ...]] = field(hash=False, compare=False)
-    bandwidth: dict[tuple[int, int], int] = field(hash=False, compare=False)
+    # node -> {neighbour: bandwidth}, each link listed from both ends
+    bandwidth: dict[int, dict[int, int]] = field(hash=False, compare=False)
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         try:
             return self.adjacency[node]
         except KeyError:
             raise UnknownNode(node) from None
-
-    def link_bandwidth(self, u: int, v: int) -> int:
-        return self.bandwidth[(u, v) if u < v else (v, u)]
 
     def has_node(self, node: int) -> bool:
         return node in self.adjacency
@@ -91,17 +89,15 @@ def build_network(nodes, links) -> Network:
         canon.append((key[0], key[1], bw))
     canon.sort()
 
-    adj: dict[int, list[int]] = {n: [] for n in node_list}
-    bw_map: dict[tuple[int, int], int] = {}
+    bw_map: dict[int, dict[int, int]] = {n: {} for n in node_list}
     for u, v, bw in canon:
-        adj[u].append(v)
-        adj[v].append(u)
-        bw_map[(u, v)] = bw
+        bw_map[u][v] = bw
+        bw_map[v][u] = bw
 
     net = Network(
         nodes=tuple(node_list),
         links=tuple(canon),
-        adjacency={n: tuple(sorted(adj[n])) for n in node_list},
+        adjacency={n: tuple(sorted(bw_map[n])) for n in node_list},
         bandwidth=bw_map,
     )
     unreachable = node_set - set(bfs_distances(net, node_list[0]))
@@ -120,8 +116,6 @@ def erdos_renyi(n: int, p: float, rng: Random, bandwidth: int = 1, max_tries: in
                     links.append((u, v, bandwidth))
         try:
             return build_network(range(n), links)
-        except DisconnectedGraph:
-            continue
         except TopologyError:
             continue
     raise TopologyError(f"no connected G({n},{p}) sample in {max_tries} tries")

@@ -40,7 +40,6 @@ class Packet:
     payload: bytes = b""
     attack: int | None = None
     hop_count: int = 0
-    injected_at: int = -1
     cargo: object = None  # in-simulation freight: a cell or a sealed substance
     # store fingerprint -> scan verdict, shared across hops and cells
     scan_cache: dict | None = field(default=None, compare=False, repr=False)
@@ -105,10 +104,6 @@ class TransportState:
         self.clock = 0
         self.log = log if log is not None else EventLog()
         self.queues: dict[int, NodeQueue] = {n: NodeQueue(capacity) for n in network.nodes}
-        # node -> {neighbour: link bandwidth}; each step forwards within a copy
-        self.bandwidth_template: dict[int, dict[int, int]] = {
-            n: {nbr: network.link_bandwidth(n, nbr) for nbr in network.neighbors(n)}
-            for n in network.nodes}
         self._next_pid = 0
         self._staged_injections: list[tuple[int, Packet]] = []
         self.strict_checks = False
@@ -120,8 +115,7 @@ class TransportState:
 
     def make_packet(self, src: int, dst: int, klass: str, payload: bytes = b"",
                     attack: int | None = None, cargo: object = None) -> Packet:
-        return Packet(self.new_pid(), src, dst, klass, payload, attack,
-                      injected_at=self.clock, cargo=cargo)
+        return Packet(self.new_pid(), src, dst, klass, payload, attack, cargo=cargo)
 
     def stage_injection(self, node: int, pkt: Packet) -> None:
         """Log an injection; the packet enters the node's queue at the end of
@@ -177,11 +171,12 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
 
     # phase 2: per-node dequeue, ascending node id, immune lane strictly first
     arrivals: list[tuple[int, int, Packet]] = []
+    bandwidth = state.network.bandwidth
     for node in state.network.nodes:
         q = state.queues[node]
         if not q.immune and not q.data:
             continue
-        budgets = state.bandwidth_template[node].copy()
+        budgets = bandwidth[node].copy()  # forward within this step's link budgets
         immune_blocked = False
         last_seq = -1
         while q.immune:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from immunet import cli
+from immunet import cli, harness
 from immunet.scenario import baseline_scenario
 
 
@@ -100,3 +100,36 @@ class TestRunCheck:
         monkeypatch.setattr(cli, "load_log", lambda path: real(path)[:-1])
         assert self.check_run(tmp_path) == 2
         assert capsys.readouterr().err == "check failed: persisted log does not reproduce metrics\n"
+
+
+class TestSweepValidation:
+    """Every grid point is built and validated as a scenario file is, all
+    of them before the first run."""
+
+    def sweep(self, tmp_path, grid):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(grid if isinstance(grid, str) else json.dumps(grid),
+                             encoding="utf-8")
+        return cli.main(["sweep", "--scenario", scenario_file(tmp_path), "--grid",
+                         str(grid_path), "--seeds", "1", "--out", str(tmp_path / "out")])
+
+    def test_too_few_lymph_stations(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda *args: runs.append(args))
+        assert self.sweep(tmp_path, {"horizon": [1], "stations.lymph": [2, 0]}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stations.lymph:") and err.count("\n") == 1
+        assert runs == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid, where", [
+        ({"topology.nodes": ["50"]}, "topology.nodes"),
+        ({"pheromone.bogus": [1]}, "pheromone.bogus"),
+        ({"horizon.steps": [1]}, "horizon.steps"),
+        ({"horizon": 5}, "grid"),
+        ([1], "grid"),
+        ("{", "line 1"),
+    ])
+    def test_malformed_point(self, tmp_path, capsys, grid, where):
+        assert self.sweep(tmp_path, grid) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}:") and err.count("\n") == 1

@@ -152,27 +152,27 @@ class TestCheckAll:
 
     def test_no_components_pass(self):
         stack = DefenseStack(line_network(3))
-        assert not stack.check_all(1, packet(payload=SIG)).destroyed
+        assert stack.check_all(1, packet(payload=SIG)) is None
 
     def test_filter_destroys_by_src(self):
         stack = DefenseStack(line_network(3))
         stack.register(1, PacketFilter(0, [FilterRule(action="Drop", src=frozenset({9}))]))
-        outcome = stack.check_all(1, packet(src=9))
-        assert outcome.destroyed and outcome.by_kind == "PacketFilter"
+        by = stack.check_all(1, packet(src=9))
+        assert by is not None and by.kind == "PacketFilter"
 
     def test_detector_destroys_worm(self):
         stack = DefenseStack(line_network(3))
         stack.register(1, detector_component())
-        outcome = stack.check_all(1, packet(payload=b"ab" + SIG, attack=1))
-        assert outcome.destroyed and outcome.by_kind == "Cell"
-        assert outcome.by_cell == 0
+        by = stack.check_all(1, packet(payload=b"ab" + SIG, attack=1))
+        assert by is not None and by.kind == "Cell"
+        assert by.cell_id == 0
 
     def test_ascending_id_short_circuit(self):
         stack = DefenseStack(line_network(3))
         stack.register(1, detector_component(component_id=10_005))
         stack.register(1, PacketFilter(0, [FilterRule(action="Drop")]))
-        outcome = stack.check_all(1, packet(payload=SIG))
-        assert outcome.by == 0  # the filter (lower id) fires first
+        by = stack.check_all(1, packet(payload=SIG))
+        assert by.component_id == 0  # the filter (lower id) fires first
 
     def test_clean_packet_passes_everything(self, rng):
         stack = DefenseStack(line_network(3))
@@ -182,4 +182,4 @@ class TestCheckAll:
         payload = rng.randbytes(64)
         while contains_signature([SIG], payload):
             payload = rng.randbytes(64)
-        assert not stack.check_all(1, packet(payload=payload)).destroyed
+        assert stack.check_all(1, packet(payload=payload)) is None

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from immunet import transport
+from immunet.cells import DETECTOR, ArtificialCell
 from immunet.engine import World
 from immunet.scenario import baseline_scenario
 from immunet.stations import ADMIN, LYMPH
@@ -39,6 +41,44 @@ class TestQueueBookkeeping:
             assert set(q._enq_seq) == pids
             queued += len(pids)
         assert queued > 0
+
+
+class TestCellWhereabouts:
+    """A cell is at a node between steps: `location is None` only from its
+    forward to its delivery, which fall in one step since a move is one hop."""
+
+    def test_cells_queues_and_registry_agree_after_every_step(self):
+        world = World(worm_config(horizon=200), 6)
+        hooks = world.hooks()
+        forward = hooks.on_forward
+        forwarded = []
+
+        def on_forward(state, pkt, u, v):
+            forward(state, pkt, u, v)
+            if isinstance(pkt.cargo, ArtificialCell) and pkt.cargo.alive:
+                assert pkt.cargo.location is None
+                forwarded.append(pkt.cargo.cell_id)
+        hooks.on_forward = on_forward
+        queued_moves = 0
+        for _ in range(world.config.horizon):
+            transport.step(world.state, hooks)
+            live = world.population.alive_sorted()
+            assert all(cell.location is not None for cell in live)
+            riding: dict[int, list[int]] = {}  # cell id -> nodes whose queue holds it
+            for node, q in world.state.queues.items():
+                for pkt in (*q.immune, *q.data):
+                    if isinstance(pkt.cargo, ArtificialCell):
+                        riding.setdefault(pkt.cargo.cell_id, []).append(node)
+            for cell in live:
+                assert cell.pending_move == (cell.cell_id in riding)
+                if cell.pending_move:
+                    assert riding[cell.cell_id] == [cell.location]
+                    queued_moves += 1
+            registered = {(node, comp.cell_id) for node in world.network.nodes
+                          for comp in world.defense.components_at(node) if comp.kind == "Cell"}
+            assert registered == {(cell.location, cell.cell_id) for cell in live
+                                  if cell.kind == DETECTOR}
+        assert queued_moves > 0 and forwarded
 
 
 def digest(result) -> str:
