@@ -350,7 +350,7 @@ class World:
                 if cell.location == cell.target:
                     self._disinfect(cell)
                 else:
-                    self._move_cell(cell, self.routing[(cell.location, cell.target)])
+                    self._move_cell(cell, self.routing.rows[cell.target][cell.location])
         self._declaration_pass(state)
 
     def _random_neighbor(self, cell: ArtificialCell) -> int:

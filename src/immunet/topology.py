@@ -3,11 +3,14 @@
 Links are unit cost (hop count). One breadth-first search per node gives
 the all-pairs hop counts `dist[src][dst]`; the routing table and the
 diameter are both read off those counts, with routing ties broken toward
-the smallest next-hop node id so every run is reproducible.
+the smallest next-hop node id so every run is reproducible. Routing is
+stored as one row per destination, `rows[dst][src]` -> next hop; `Routes`
+also reads the rows as a `(src, dst)` mapping.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from random import Random
 
@@ -107,13 +110,13 @@ def build_network(nodes, links) -> Network:
 
 
 def erdos_renyi(n: int, p: float, rng: Random, bandwidth: int = 1, max_tries: int = 1000) -> Network:
-    """Sample G(n, p) repeatedly until connected."""
+    """Sample G(n, p) repeatedly until connected.
+
+    Each try draws one `rng.random()` per pair, `u` ascending then `v`.
+    """
+    draw = rng.random
     for _ in range(max_tries):
-        links = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    links.append((u, v, bandwidth))
+        links = [(u, v, bandwidth) for u in range(n) for v in range(u + 1, n) if draw() < p]
         try:
             return build_network(range(n), links)
         except TopologyError:
@@ -148,26 +151,52 @@ def bfs_distances(net: Network, source: int) -> dict[int, int]:
     return dist
 
 
-def compute_routing(net: Network, dist: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
-    """Next-hop table for every ordered (src, dst) pair, src != dst.
+class Routes(Mapping):
+    """Read-only next-hop table stored per destination: `rows[dst][src]`.
+
+    Each row holds every node but `dst`. As a mapping it reads
+    `routes[(src, dst)]`, over each ordered pair of distinct nodes.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: dict[int, dict[int, int]]):
+        self.rows = rows
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        src, dst = key
+        return self.rows[dst][src]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.rows.values()))
+
+    def __iter__(self):
+        for dst, row in self.rows.items():
+            for src in row:
+                yield src, dst
+
+
+def compute_routing(net: Network, dist: dict[int, dict[int, int]]) -> Routes:
+    """Next hop from every node to every other, one row per destination.
 
     `dist[src][dst]` holds the hop counts of `net`. The chosen next hop lies
     on a minimum-hop path; among equal-length options the smallest neighbor
     id wins.
     """
-    table: dict[tuple[int, int], int] = {}
-    for s in net.nodes:
-        nbrs = net.adjacency[s]
-        for d in net.nodes:
+    adjacency = net.adjacency
+    rows: dict[int, dict[int, int]] = {}
+    for d in net.nodes:
+        to_d = dist[d]  # hop counts are symmetric on an undirected graph
+        row = rows[d] = {}
+        for s in net.nodes:
             if s != d:
-                to_d = dist[d]  # hop counts are symmetric on an undirected graph
                 want = to_d[s] - 1
                 # adjacency is sorted, so the first qualifying neighbor is the tie-break winner
-                for nbr in nbrs:
+                for nbr in adjacency[s]:
                     if to_d[nbr] == want:
-                        table[(s, d)] = nbr
+                        row[s] = nbr
                         break
-    return table
+    return Routes(rows)
 
 
 def diameter(dist: dict[int, dict[int, int]]) -> int:

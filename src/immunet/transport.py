@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .events import Event, EventLog
-from .topology import Network, UnknownNode
+from .topology import Network, Routes, UnknownNode
 
 IMMUNE = "Immune"
 DATA = "Data"
@@ -95,9 +95,12 @@ class StepHooks:
 
 
 class TransportState:
-    """Clock, queues, routing, and event log for one run."""
+    """Clock, queues, routing, and event log for one run.
 
-    def __init__(self, network: Network, routing: dict[tuple[int, int], int],
+    `routing.rows[dst][node]` is the next hop from `node` towards `dst`.
+    """
+
+    def __init__(self, network: Network, routing: Routes,
                  capacity: int, log: EventLog | None = None):
         self.network = network
         self.routing = routing
@@ -172,6 +175,7 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
     # phase 2: per-node dequeue, ascending node id, immune lane strictly first
     arrivals: list[tuple[int, int, Packet]] = []
     bandwidth = state.network.bandwidth
+    next_hops = state.routing.rows
     for node in state.network.nodes:
         q = state.queues[node]
         if not q.immune and not q.data:
@@ -181,7 +185,7 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
         last_seq = -1
         while q.immune:
             pkt = q.immune[0]
-            nh = state.routing[(node, pkt.dst)]
+            nh = next_hops[pkt.dst][node]
             if budgets[nh] <= 0:
                 immune_blocked = True
                 break
@@ -198,7 +202,7 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
         last_seq = -1
         while q.data:
             pkt = q.data[0]
-            nh = state.routing[(node, pkt.dst)]
+            nh = next_hops[pkt.dst][node]
             if budgets[nh] <= 0:
                 break
             budgets[nh] -= 1

@@ -1,0 +1,64 @@
+"""Property tests over small random explicit topologies with sparse node ids."""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+nx = pytest.importorskip("networkx")
+from hypothesis import given, settings, strategies as st
+
+from immunet.engine import World
+from immunet.scenario import TrafficConfig
+
+from conftest import quiet_config
+
+STEPS = 40
+
+
+@st.composite
+def sparse_topologies(draw):
+    """Connected graphs on 2-8 distinct ids below 200: a random spanning
+    tree over the ids in drawn order, plus any extra links."""
+    ids = draw(st.lists(st.integers(0, 199), min_size=2, max_size=8, unique=True))
+    links = {tuple(sorted((ids[i], ids[draw(st.integers(0, i - 1))])))
+             for i in range(1, len(ids))}
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(ids)))
+    links |= {tuple(sorted(pair)) for pair in extra}
+    return ids, sorted(links)
+
+
+def config_for(ids, links):
+    cfg = quiet_config(nodes=len(ids), links=[list(link) for link in links],
+                       capacity=4, bandwidth=1, horizon=STEPS)
+    cfg.traffic = TrafficConfig(background_rate=3.0, distribution="poisson", payload_len=16)
+    cfg.stations.placement = [ids[0]]
+    return cfg
+
+
+def saved_bytes(result) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.log"
+        result.log.save(path)
+        return path.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(topology=sparse_topologies(), seed=st.integers(0, 2**16))
+def test_strict_run_is_conserved_repeatable_and_shortest_path(topology, seed):
+    ids, links = topology
+    cfg = config_for(ids, links)
+    # World.run ends with the conservation audit, which raises on a violation
+    first = World(cfg, seed, strict_checks=True).run()
+    second = World(cfg, seed, strict_checks=True).run()
+    assert saved_bytes(first) == saved_bytes(second)
+
+    graph = nx.Graph(links)
+    source = {ev.get("pid"): ev.get("src") for ev in first.log.events if ev.kind == "Inject"}
+    delivered = [ev for ev in first.log.events if ev.kind == "Deliver"]
+    assert delivered
+    for ev in delivered:
+        want = nx.shortest_path_length(graph, source[ev.get("pid")], ev.get("node"))
+        assert ev.get("hops") == want

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from immunet.topology import (DisconnectedGraph, DuplicateLink, SelfLoop,
+from immunet.topology import (DisconnectedGraph, DuplicateLink, Routes, SelfLoop,
                               TopologyError, UnknownNode, betweenness,
                               build_network, compute_routing, diameter,
                               erdos_renyi, line_network, ring_network,
@@ -58,6 +58,23 @@ def random_connected(rng, max_nodes=8):
             continue
 
 
+def erdos_renyi_reference(n, p, rng, bandwidth=1):
+    """G(n, p) drawn pair by pair in a double loop, `u` then `v`, retried
+    until connected; returns the links and the number of tries."""
+    tries = 0
+    while True:
+        tries += 1
+        links = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    links.append((u, v, bandwidth))
+        try:
+            return build_network(range(n), links).links, tries
+        except TopologyError:
+            continue
+
+
 class TestBuild:
 
     def test_line_graph(self):
@@ -95,6 +112,17 @@ class TestBuild:
         net = erdos_renyi(50, 0.08, random.Random(99))
         assert len(net) == 50
         assert bfs_reachable(net.adjacency, 0) == set(net.nodes)
+
+    def test_erdos_renyi_draws_as_the_double_loop(self):
+        """Same links, tries and draws consumed as the reference loop; 99 and 11 retry."""
+        tries = []
+        for n, p, seed in [(12, 0.2, 5), (30, 0.1, 1), (50, 0.08, 99), (60, 0.05, 11)]:
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            links, used = erdos_renyi_reference(n, p, ref_rng)
+            assert erdos_renyi(n, p, rng).links == links
+            assert rng.random() == ref_rng.random()
+            tries.append(used)
+        assert max(tries) > 1
 
     def test_generators(self):
         assert len(line_network(5).links) == 4
@@ -142,6 +170,34 @@ class TestRouting:
             oracle_s = bellman_ford(net.nodes, net.links, s)
             oracle_nh = bellman_ford(net.nodes, net.links, nh)
             assert oracle_nh[d] == oracle_s[d] - 1
+
+
+def check_routes(routes, nodes):
+    """The (src, dst) view of `routes` reads its per-destination rows."""
+    assert isinstance(routes, Routes)
+    n = len(nodes)
+    assert len(routes) == n * (n - 1)
+    pairs = list(routes)
+    assert sorted(pairs) == sorted((s, d) for s in nodes for d in nodes if s != d)
+    for s, d in pairs:
+        assert routes[(s, d)] == routes.rows[d][s]
+    for d in nodes:
+        assert d not in routes.rows[d]
+    assert {**routes} == dict(routes.items())
+
+
+class TestRoutes:
+
+    def test_sparse_ids(self):
+        net = build_network([3, 10, 42, 7], [[3, 10], [10, 42], [42, 7], [7, 3], [10, 7]])
+        routes = compute_routing(net, hop_counts(net))
+        check_routes(routes, net.nodes)
+        assert routes[(3, 42)] == 7  # 7 and 10 are both one hop from 42; the smaller wins
+        assert routes.rows[42] == {3: 7, 7: 42, 10: 42}
+
+    def test_networkx_graphs(self):
+        for _nx, net, _graph in networkx_graphs(count=10):
+            check_routes(compute_routing(net, hop_counts(net)), net.nodes)
 
 
 class TestGraphStats:
