@@ -58,11 +58,15 @@ class DisinfectorCell(ArtificialCell):
 
 class CellPopulation:
     """Registry supporting spawn and retirement without invalidating an
-    in-progress iteration pass (iterate over a sorted snapshot)."""
+    in-progress iteration pass (iterate over a sorted snapshot).
+
+    Cells are added in ascending id, so the registry's insertion order is
+    id order."""
 
     def __init__(self):
         self._cells: dict[int, ArtificialCell] = {}
         self._next_id = 0
+        self._last_id = -1  # the highest id added so far
 
     def new_id(self) -> int:
         cid = self._next_id
@@ -70,9 +74,10 @@ class CellPopulation:
         return cid
 
     def add(self, cell: ArtificialCell) -> None:
-        if cell.cell_id in self._cells:
-            raise ValueError(f"cell id {cell.cell_id} already present")
+        if cell.cell_id <= self._last_id:
+            raise ValueError(f"cell id {cell.cell_id} added after id {self._last_id}")
         self._cells[cell.cell_id] = cell
+        self._last_id = cell.cell_id
 
     def retire(self, cell_id: int) -> None:
         cell = self._cells.pop(cell_id, None)
@@ -80,7 +85,7 @@ class CellPopulation:
             cell.alive = False
 
     def alive_sorted(self) -> list[ArtificialCell]:
-        return [self._cells[cid] for cid in sorted(self._cells)]
+        return list(self._cells.values())
 
     def of_kind(self, kind: str) -> list[ArtificialCell]:
         return [c for c in self.alive_sorted() if c.kind == kind]

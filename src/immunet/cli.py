@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 scenario validation/parse error, 2 check
-failure under `run --check`.
+Exit codes: 0 success, 1 a scenario, grid or log that cannot be read,
+parsed or validated, 2 check failure under `run --check`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 from . import harness
 from .engine import run
-from .events import load_log
+from .events import LogFormatError, load_log
 from .metrics import compute_metrics
 from .scenario import ParseError, ValidationError, load_scenario
 
@@ -116,10 +116,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, LogFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a named file or directory that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,12 +114,13 @@ class DetectorComponent:
 
 class DefenseStack:
     def __init__(self, network):
-        # each node's components, kept in ascending component id
-        self._at: dict[int, list] = {n: [] for n in network.nodes}
+        # each node's components, kept in ascending component id; callers
+        # may read a node's list but change it only through register/deregister
+        self.at: dict[int, list] = {n: [] for n in network.nodes}
         self._home: dict[int, int] = {}  # component id -> node
 
     def _components(self, node: int) -> list:
-        at = self._at.get(node)
+        at = self.at.get(node)
         if at is None:
             raise UnknownNode(node)
         return at

@@ -39,7 +39,7 @@ class SeedTree:
         self.master = int(master)
 
     def derive_seed(self, *labels) -> int:
-        text = f"{self.master}|" + "|".join(str(x) for x in labels)
+        text = f"{self.master}|" + "|".join(map(str, labels))
         return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
     def stream(self, *labels) -> Random:
@@ -121,6 +121,8 @@ class World:
                         for e in config.traffic.attack_mix],
         )
         self.background_rng = self.seeds.stream("background")
+        # reseeded per (node, step) in `emit`: the stream of `seeds.stream("worm", ...)`
+        self.worm_rng = Random()
         self.gate = InjectionGate(self.network)
 
         self.defense = defense.DefenseStack(self.network)
@@ -281,6 +283,8 @@ class World:
                 self.defense.deregister(u, cargo.component.component_id)
 
     def on_arrival(self, state: TransportState, node: int, pkt, from_node: int) -> bool:
+        if not self.defense.at[node]:
+            return False
         by = self.defense.check_all(node, pkt)
         if by is None:
             return False
@@ -319,6 +323,7 @@ class World:
                         cellkind=cell.kind, node=node)
 
     def emit(self, state: TransportState) -> None:
+        rng = self.worm_rng
         for node in self.network.nodes:
             h = self.health[node]
             if not h.infected:
@@ -326,7 +331,7 @@ class World:
             attack = self.attacks.get(h.infected_by)
             if attack is None or attack.fanout <= 0:
                 continue
-            rng = self.seeds.stream("worm", node, state.clock)
+            rng.seed(self.seeds.derive_seed("worm", node, state.clock))
             packets = adversary.worm_emit(state, self.health, node, attack, rng,
                                           self.traffic.payload_len)
             self.gate.offer(state, node, packets)

@@ -92,12 +92,24 @@ class EventLog:
             fh.write(self.to_text())
 
 
+class LogFormatError(ValueError):
+    """A log line that is not `step=<int> kind=<enum> key=value ...`;
+    `load_log` prefixes the message with the file and the line's number."""
+
+    def __init__(self, reason: str, line: str, where: str = ""):
+        super().__init__(f"{where}{reason}: {line.strip()!r}")
+        self.reason = reason
+        self.line = line
+
+
 class _FieldTable(dict):
     """Raw `key=value` token -> its parsed `(key, value)` field, each distinct
     token parsed on first sight. A log repeats few distinct tokens many times."""
 
     def __missing__(self, token: str) -> tuple[str, object]:
-        key, _, raw = token.partition("=")
+        key, eq, raw = token.partition("=")
+        if not eq:
+            raise ValueError(f"field token without '=': {token!r}")
         field = self[token] = (key, _parse_value(raw))
         return field
 
@@ -115,26 +127,31 @@ class _StepTable(dict):
 
 def _parse(lines) -> Iterator[Event]:
     """Parse `step=<int> kind=<enum> key=value ...` records, skipping blank
-    lines; one field table and one step table serve every line."""
+    lines; one field table and one step table serve every line. A bad line
+    raises `LogFormatError`."""
     field, steps = _FieldTable().__getitem__, _StepTable()
     for line in lines:
         tokens = line.split()
         if not tokens:
             continue
-        kind = _KIND_TOKENS.get(tokens[1]) if len(tokens) > 1 else None
-        if kind is None:
-            raise ValueError(f"malformed line or unknown event kind: {line.strip()!r}")
-        fields = dict(map(field, tokens[2:]))
-        if len(fields) < len(tokens) - 2:
-            raise ValueError(f"repeated field key in line: {line.strip()!r}")
-        yield Event(steps[tokens[0]], kind, fields)
+        try:
+            kind = _KIND_TOKENS.get(tokens[1]) if len(tokens) > 1 else None
+            if kind is None:
+                raise ValueError("malformed line or unknown event kind")
+            fields = dict(map(field, tokens[2:]))
+            if len(fields) < len(tokens) - 2:
+                raise ValueError("repeated field key in line")
+            step = steps[tokens[0]]
+        except ValueError as exc:
+            raise LogFormatError(str(exc), line) from None
+        yield Event(step, kind, fields)
 
 
 def parse_line(line: str) -> Event:
     """Parse one `step=<int> kind=<enum> key=value ...` record."""
     for ev in _parse((line,)):
         return ev
-    raise ValueError(f"malformed event line: {line.strip()!r}")
+    raise LogFormatError("malformed event line", line)
 
 
 def _parse_value(raw: str):
@@ -152,6 +169,14 @@ def _parse_value(raw: str):
 
 
 def load_log(path) -> list[Event]:
-    """Parse a saved log."""
+    """Parse a saved log; a bad line raises `LogFormatError` naming the
+    file and the line's number."""
     with open(path, "r", encoding="utf-8") as fh:
-        return list(_parse(fh))
+        try:
+            return list(_parse(fh))
+        except LogFormatError as exc:
+            # a line parses the same wherever it stands, so the first line
+            # with the failing text is the one that failed
+            fh.seek(0)
+            number = next(n for n, text in enumerate(fh, 1) if text == exc.line)
+            raise LogFormatError(exc.reason, exc.line, f"{path}:{number}: ") from None

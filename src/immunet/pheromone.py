@@ -4,6 +4,13 @@ Detections deposit on the edge the malicious packet arrived on, marking
 where bad traffic came from; evaporation decays every level each step;
 a node whose outgoing pheromone mass crosses the declare threshold while
 enough ants sit on it is declared infected.
+
+`level` and `attack_tally` are keyed by edge. A per-node index of live
+out-edges and of tally Counters, each in the order the edge entered
+`level` or `attack_tally`, lets one node's mass or tally be read without
+scanning every edge. Masses are summed with `+=` in that order, so a
+one-node read equals a scan of `level` bit for bit; `sum()` would not
+(from Python 3.12 it compensates rounding error).
 """
 
 from __future__ import annotations
@@ -27,11 +34,20 @@ class PheromoneMap:
         self.declare_threshold = declare_threshold
         self.level: dict[tuple[int, int], float] = {}
         self.attack_tally: dict[tuple[int, int], Counter] = {}
+        # node -> its live out-edges (an ordered set), and its out-edges' tallies
+        self._out: dict[int, dict[tuple[int, int], None]] = {}
+        self._tallies: dict[int, list[Counter]] = {}
 
     def deposit(self, edge: tuple[int, int], attack: int | None = None) -> None:
+        if edge not in self.level:
+            self._out.setdefault(edge[0], {})[edge] = None
         self.level[edge] = self.level.get(edge, 0.0) + self.deposit_quantum
         if attack is not None:
-            self.attack_tally.setdefault(edge, Counter())[attack] += 1
+            tally = self.attack_tally.get(edge)
+            if tally is None:
+                tally = self.attack_tally[edge] = Counter()
+                self._tallies.setdefault(edge[0], []).append(tally)
+            tally[attack] += 1
 
     def evaporate(self) -> None:
         keep = 1.0 - self.evaporation_rate
@@ -44,6 +60,10 @@ class PheromoneMap:
                 self.level[edge] = lvl
         for edge in dead:
             del self.level[edge]
+            out = self._out[edge[0]]
+            del out[edge]
+            if not out:
+                del self._out[edge[0]]
 
     def edge_level(self, edge: tuple[int, int]) -> float:
         return self.level.get(edge, 0.0)
@@ -52,18 +72,15 @@ class PheromoneMap:
         return sum(self.level.values())
 
     def out_mass(self) -> dict[int, float]:
-        """Outgoing pheromone mass per node."""
-        mass: dict[int, float] = {}
-        for (u, _v), lvl in self.level.items():
-            mass[u] = mass.get(u, 0.0) + lvl
-        return mass
+        """Outgoing pheromone mass per node that has a live out-edge."""
+        return {node: self.node_mass(node) for node in self._out}
 
     def node_mass(self, node: int) -> float:
-        """One node's entry of `out_mass`, summed in the same order."""
+        """A node's outgoing mass, summed in `level`'s order."""
+        level = self.level
         mass = 0.0
-        for (u, _v), lvl in self.level.items():
-            if u == node:
-                mass += lvl
+        for edge in self._out.get(node, ()):
+            mass += level[edge]
         return mass
 
     def declare(self, ants_present: dict[int, int], quorum: int) -> list[int]:
@@ -75,9 +92,8 @@ class PheromoneMap:
     def dominant_attack(self, node: int) -> int | None:
         """Most frequently tallied attack on edges out of a node."""
         combined: Counter = Counter()
-        for (u, _v), tally in self.attack_tally.items():
-            if u == node:
-                combined.update(tally)
+        for tally in self._tallies.get(node, ()):
+            combined.update(tally)
         if not combined:
             return None
         return min(combined, key=lambda a: (-combined[a], a))
@@ -88,7 +104,8 @@ def transition_weights(pheromone: PheromoneMap, here: int, neighbors,
     """Ant walk weights: pheromone pointing back toward traffic origins,
     discounted for recently visited nodes, with an exploration floor."""
     recent = set(memory)
-    return [(epsilon + pheromone.edge_level((nbr, here)))
+    level = pheromone.level.get
+    return [(epsilon + level((nbr, here), 0.0))
             * (MEMORY_NOVELTY if nbr in recent else 1.0)
             for nbr in neighbors]
 

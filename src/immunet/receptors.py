@@ -68,13 +68,18 @@ def _keystream(key: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
+def _xor(data: bytes, key: bytes) -> bytes:
+    """`data` XOR an equally long `key`, as one big-integer XOR in C."""
+    return (int.from_bytes(data, "big") ^ int.from_bytes(key, "big")).to_bytes(len(data), "big")
+
+
 def seal(payload: bytes, required, hop_ttl: int, origin: int) -> Substance:
     """Seal a payload against a set of public receptor tokens."""
     required = frozenset(bytes(t) for t in required)
     if not required:
         raise EmptyReceptorSet("substance needs at least one receptor")
     key = _stream_key(required)
-    ciphertext = bytes(a ^ b for a, b in zip(payload, _keystream(key, len(payload))))
+    ciphertext = _xor(payload, _keystream(key, len(payload)))
     tag = hashlib.sha256(key + b"|tag|" + ciphertext).digest()[:TAG_BYTES]
     return Substance(required=required, ciphertext=ciphertext, tag=tag,
                      hop_ttl=hop_ttl, origin=origin)
@@ -93,4 +98,4 @@ def try_open(sub: Substance, held) -> bytes | None:
     expected = hashlib.sha256(key + b"|tag|" + sub.ciphertext).digest()[:TAG_BYTES]
     if expected != sub.tag:
         return None
-    return bytes(a ^ b for a, b in zip(sub.ciphertext, _keystream(key, len(sub.ciphertext))))
+    return _xor(sub.ciphertext, _keystream(key, len(sub.ciphertext)))

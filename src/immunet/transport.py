@@ -31,7 +31,7 @@ class ConservationViolation(AssertionError):
         self.reason = reason
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     pid: int
     src: int
@@ -63,17 +63,6 @@ class NodeQueue:
 
     def occupancy(self) -> int:
         return len(self.immune) + len(self.data)
-
-    def lane(self, klass: str) -> deque[Packet]:
-        return self.immune if klass == IMMUNE else self.data
-
-    def mark_enqueued(self, pkt: Packet) -> None:
-        self._enq_seq[pkt.pid] = self._seq
-        self._seq += 1
-
-    def release(self, pkt: Packet) -> int:
-        """Forget a packet that leaves the queue; returns its enqueue order."""
-        return self._enq_seq.pop(pkt.pid, -1)
 
 
 @dataclass
@@ -123,7 +112,7 @@ class TransportState:
     def stage_injection(self, node: int, pkt: Packet) -> None:
         """Log an injection; the packet enters the node's queue at the end of
         the current dequeue phase and becomes forwardable next step."""
-        if not self.network.has_node(node):
+        if node not in self.queues:
             raise UnknownNode(node)
         self.log.append(self.clock, "Inject", pid=pkt.pid, node=node, src=pkt.src,
                         dst=pkt.dst, klass=pkt.klass, attack=pkt.attack)
@@ -135,30 +124,27 @@ class TransportState:
         A full queue drops the newcomer, except that an immune packet
         evicts the newest queued data packet when one exists.
         """
-        if not self.network.has_node(node):
+        q = self.queues.get(node)
+        if q is None:
             raise UnknownNode(node)
-        q = self.queues[node]
-        if q.occupancy() < q.capacity:
-            q.lane(pkt.klass).append(pkt)
-            q.mark_enqueued(pkt)
-            self._check_capacity(q)
-            return ACCEPTED
-        if pkt.klass == IMMUNE and q.data:
-            victim = q.data.pop()
-            q.release(victim)
+        immune, data = q.immune, q.data
+        if len(immune) + len(data) < q.capacity:
+            (immune if pkt.klass == IMMUNE else data).append(pkt)
+        elif pkt.klass == IMMUNE and data:
+            victim = data.pop()
+            q._enq_seq.pop(victim.pid, None)
             self.log.append(self.clock, "Evict", pid=victim.pid, node=node,
                             klass=victim.klass, attack=victim.attack, by=pkt.pid)
-            q.immune.append(pkt)
-            q.mark_enqueued(pkt)
-            self._check_capacity(q)
-            return ACCEPTED
-        self.log.append(self.clock, "Drop", pid=pkt.pid, node=node,
-                        klass=pkt.klass, attack=pkt.attack, reason="overflow")
-        return DROPPED
-
-    def _check_capacity(self, q: NodeQueue) -> None:
+            immune.append(pkt)
+        else:
+            self.log.append(self.clock, "Drop", pid=pkt.pid, node=node,
+                            klass=pkt.klass, attack=pkt.attack, reason="overflow")
+            return DROPPED
+        q._enq_seq[pkt.pid] = q._seq
+        q._seq += 1
         if self.strict_checks:
-            assert q.occupancy() <= q.capacity, "queue over capacity"
+            assert len(immune) + len(data) <= q.capacity, "queue over capacity"
+        return ACCEPTED
 
     def in_flight(self) -> int:
         return sum(q.occupancy() for q in self.queues.values()) + len(self._staged_injections)
@@ -172,62 +158,76 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
     # phase 1: injection (staged; admitted after the dequeue sweep)
     hooks.inject(state)
 
+    # bound once per step: the sweep below runs once per forwarded packet
+    append = state.log.append
+    on_forward = hooks.on_forward
+    next_hops = state.routing.rows
+    queues = state.queues
+    strict = state.strict_checks
+
     # phase 2: per-node dequeue, ascending node id, immune lane strictly first
     arrivals: list[tuple[int, int, Packet]] = []
     bandwidth = state.network.bandwidth
-    next_hops = state.routing.rows
     for node in state.network.nodes:
-        q = state.queues[node]
-        if not q.immune and not q.data:
+        q = queues[node]
+        immune, data = q.immune, q.data
+        if not immune and not data:
             continue
         budgets = bandwidth[node].copy()  # forward within this step's link budgets
+        release = q._enq_seq.pop  # forget a leaving packet; returns its enqueue order
         immune_blocked = False
         last_seq = -1
-        while q.immune:
-            pkt = q.immune[0]
+        while immune:
+            pkt = immune[0]
             nh = next_hops[pkt.dst][node]
             if budgets[nh] <= 0:
                 immune_blocked = True
                 break
             budgets[nh] -= 1
-            q.immune.popleft()
-            seq = q.release(pkt)
-            if state.strict_checks:
+            immune.popleft()
+            seq = release(pkt.pid, -1)
+            if strict:
                 assert seq > last_seq, "immune lane FIFO violated"
                 last_seq = seq
-            _forward(state, hooks, pkt, node, nh)
+            pkt.hop_count += 1
+            append(now, "Forward", pid=pkt.pid, src=node, dst=nh,
+                   klass=pkt.klass, attack=pkt.attack)
+            on_forward(state, pkt, node, nh)
             arrivals.append((node, nh, pkt))
-        if immune_blocked or q.immune:
+        if immune_blocked or immune:
             continue  # strict priority: data waits while immune packets remain
         last_seq = -1
-        while q.data:
-            pkt = q.data[0]
+        while data:
+            pkt = data[0]
             nh = next_hops[pkt.dst][node]
             if budgets[nh] <= 0:
                 break
             budgets[nh] -= 1
-            q.data.popleft()
-            seq = q.release(pkt)
-            if state.strict_checks:
-                assert not q.immune, "data forwarded while immune queued"
+            data.popleft()
+            seq = release(pkt.pid, -1)
+            if strict:
+                assert not immune, "data forwarded while immune queued"
                 assert seq > last_seq, "data lane FIFO violated"
                 last_seq = seq
-            _forward(state, hooks, pkt, node, nh)
+            pkt.hop_count += 1
+            append(now, "Forward", pid=pkt.pid, src=node, dst=nh,
+                   klass=pkt.klass, attack=pkt.attack)
+            on_forward(state, pkt, node, nh)
             arrivals.append((node, nh, pkt))
 
     # phase 3: arrivals are checked, then delivered or admitted
+    on_arrival, on_deliver, enqueue = hooks.on_arrival, hooks.on_deliver, state.enqueue
     for from_node, node, pkt in arrivals:
-        destroyed = hooks.on_arrival(state, node, pkt, from_node)
-        if destroyed:
-            continue
+        if on_arrival(state, node, pkt, from_node):
+            continue  # destroyed
         if node == pkt.dst:
-            state.log.append(now, "Deliver", pid=pkt.pid, node=node,
-                             klass=pkt.klass, attack=pkt.attack, hops=pkt.hop_count)
-            hooks.on_deliver(state, pkt, node)
+            append(now, "Deliver", pid=pkt.pid, node=node,
+                   klass=pkt.klass, attack=pkt.attack, hops=pkt.hop_count)
+            on_deliver(state, pkt, node)
         else:
-            state.enqueue(node, pkt)
+            enqueue(node, pkt)
     for node, pkt in state._staged_injections:
-        state.enqueue(node, pkt)
+        enqueue(node, pkt)
     state._staged_injections.clear()
 
     # phases 4-7
@@ -236,15 +236,8 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
     hooks.evaporate(state)
     hooks.stations(state)
 
-    state.log.append(now, "Step")
+    append(now, "Step")
     state.clock += 1
-
-
-def _forward(state: TransportState, hooks: StepHooks, pkt: Packet, node: int, nh: int) -> None:
-    pkt.hop_count += 1
-    state.log.append(state.clock, "Forward", pid=pkt.pid, src=node, dst=nh,
-                     klass=pkt.klass, attack=pkt.attack)
-    hooks.on_forward(state, pkt, node, nh)
 
 
 @dataclass

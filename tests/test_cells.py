@@ -1,5 +1,8 @@
 import json
+import random
 from collections import Counter
+
+import pytest
 
 from immunet.cells import CellPopulation, DetectorCell
 from immunet.engine import World
@@ -29,6 +32,33 @@ class TestPopulation:
                                      location=0, receptor=None, rng=None, born_at=9))
         assert seen == [0, 1, 2, 3, 4]
         assert [c.cell_id for c in pop.alive_sorted()] == [0, 1, 2, 4, 5]
+
+    def test_alive_sorted_is_id_order_after_spawns_and_retirements(self):
+        rng = random.Random(17)
+        pop = CellPopulation()
+        alive = set()
+        for born in range(400):
+            if alive and rng.random() < 0.45:
+                victim = rng.choice(sorted(alive))
+                pop.retire(victim)
+                alive.discard(victim)
+            else:
+                cid = pop.new_id()
+                pop.add(DetectorCell(cell_id=cid, kind="Detector", location=0,
+                                     receptor=None, rng=None, born_at=born))
+                alive.add(cid)
+            assert [c.cell_id for c in pop.alive_sorted()] == sorted(alive)
+
+    @pytest.mark.parametrize("cid", [0, 1, 2])
+    def test_add_rejects_an_id_not_above_the_last(self, cid):
+        pop = CellPopulation()
+        for i in range(3):
+            pop.add(DetectorCell(cell_id=pop.new_id(), kind="Detector", location=0,
+                                 receptor=None, rng=None, born_at=i))
+        pop.retire(2)
+        with pytest.raises(ValueError):
+            pop.add(DetectorCell(cell_id=cid, kind="Detector", location=0,
+                                 receptor=None, rng=None, born_at=9))
 
     def test_oldest_by_birth_then_id(self):
         pop = CellPopulation()

@@ -133,3 +133,50 @@ class TestSweepValidation:
         assert self.sweep(tmp_path, grid) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}:") and err.count("\n") == 1
+
+
+class TestReplayErrors:
+    """A log that cannot be read or parsed exits 1 with one `error:` line
+    naming the file and, for a bad line, the line's number."""
+
+    GOOD = "step=0 kind=Inject pid=0 node=0 src=0 dst=1 klass=Data attack=-\n"
+
+    def replay(self, path):
+        return cli.main(["replay", "--log", str(path)])
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("step=0 kind=Bogus pid=1", "malformed line or unknown event kind"),
+        ("step=0 kind=Step pid=1 pid=2", "repeated field key"),
+        ("step=0 kind=Step pid", "field token without '='"),
+        ("0 kind=Step", "malformed step token"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys, bad, reason):
+        path = tmp_path / "bad.log"
+        path.write_text(self.GOOD + "\n" + bad + "\n" + self.GOOD, encoding="utf-8")
+        assert self.replay(path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: {reason}") and err.count("\n") == 1
+
+    def test_line_number_of_the_first_bad_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.log"
+        bad = "step=2 kind=Nope\n"
+        path.write_text(self.GOOD * 4 + bad + self.GOOD + bad, encoding="utf-8")
+        assert self.replay(path) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:5: ")
+
+    def test_directory(self, tmp_path, capsys):
+        assert self.replay(tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.log"
+        assert self.replay(path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+    def test_good_log(self, tmp_path, capsys):
+        path = tmp_path / "good.log"
+        path.write_text(self.GOOD + "\nstep=0 kind=Step\n", encoding="utf-8")
+        assert self.replay(path) == 0
+        assert capsys.readouterr().err == ""

@@ -31,6 +31,61 @@ class TestNodeMass:
         assert pm.node_mass(6) == 0.0
 
 
+def scan_node_mass(level, node):
+    """The scan `node_mass` made before the per-node index: every edge, in order."""
+    mass = 0.0
+    for (u, _v), lvl in level.items():
+        if u == node:
+            mass += lvl
+    return mass
+
+
+def scan_out_mass(level):
+    mass = {}
+    for (u, _v), lvl in level.items():
+        mass[u] = mass.get(u, 0.0) + lvl
+    return mass
+
+
+def scan_dominant_attack(attack_tally, node):
+    combined = Counter()
+    for (u, _v), tally in attack_tally.items():
+        if u == node:
+            combined.update(tally)
+    if not combined:
+        return None
+    return min(combined, key=lambda a: (-combined[a], a))
+
+
+class TestPerNodeIndex:
+    """One-node reads equal scans of `level` and `attack_tally`, bit for bit,
+    while edges die below CLAMP_FLOOR and are deposited again."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reads_equal_full_scans(self, seed):
+        rng = random.Random(seed)
+        # a small quantum and fast decay: an edge dies after ~13 passes untouched
+        pm = PheromoneMap(deposit_quantum=1e-3 * (1 + rng.random()), evaporation_rate=0.4)
+        died = revived = 0
+        ever = set()
+        for _ in range(3000):
+            if rng.random() < 0.6:
+                edge = (rng.randrange(7), rng.randrange(7))
+                if edge in ever and edge not in pm.level:
+                    revived += 1
+                ever.add(edge)
+                pm.deposit(edge, rng.choice((None, 1, 2, 3)))
+            else:
+                before = len(pm.level)
+                pm.evaporate()
+                died += before - len(pm.level)
+            assert pm.out_mass() == scan_out_mass(pm.level)
+            for node in range(8):
+                assert pm.node_mass(node) == scan_node_mass(pm.level, node)
+                assert pm.dominant_attack(node) == scan_dominant_attack(pm.attack_tally, node)
+        assert died > 50 and revived > 50
+
+
 class TestDeposit:
 
     def test_single_deposit(self):

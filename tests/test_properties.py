@@ -10,18 +10,18 @@ nx = pytest.importorskip("networkx")
 from hypothesis import given, settings, strategies as st
 
 from immunet.engine import World
-from immunet.scenario import TrafficConfig
+from immunet.scenario import TopologySpec, TrafficConfig, WormConfig
 
-from conftest import quiet_config
+from conftest import quiet_config, worm_config
 
 STEPS = 40
 
 
 @st.composite
-def sparse_topologies(draw):
-    """Connected graphs on 2-8 distinct ids below 200: a random spanning
-    tree over the ids in drawn order, plus any extra links."""
-    ids = draw(st.lists(st.integers(0, 199), min_size=2, max_size=8, unique=True))
+def sparse_topologies(draw, min_nodes=2):
+    """Connected graphs on `min_nodes`-8 distinct ids below 200: a random
+    spanning tree over the ids in drawn order, plus any extra links."""
+    ids = draw(st.lists(st.integers(0, 199), min_size=min_nodes, max_size=8, unique=True))
     links = {tuple(sorted((ids[i], ids[draw(st.integers(0, i - 1))])))
              for i in range(1, len(ids))}
     pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
@@ -62,3 +62,36 @@ def test_strict_run_is_conserved_repeatable_and_shortest_path(topology, seed):
     for ev in delivered:
         want = nx.shortest_path_length(graph, source[ev.get("pid")], ev.get("node"))
         assert ev.get("hops") == want
+
+
+def worm_config_for(ids, links):
+    """`worm_config`'s worm, detectors, ants, monitor and 2 + 2 stations on a
+    sparse-id topology, the five stations on the first five ids."""
+    cfg = worm_config(horizon=STEPS + 20)
+    cfg.topology = TopologySpec(kind="explicit", nodes=len(ids),
+                                links=[list(link) for link in links])
+    cfg.worm = WormConfig(enabled=True, attack_id=1, entry_step=3, entry="random")
+    cfg.detectors.count, cfg.ants.count = 3, 3
+    cfg.stations.placement = list(ids[:5])
+    cfg.stations.release_period = 20
+    return cfg
+
+
+@settings(max_examples=25, deadline=None)
+@given(topology=sparse_topologies(min_nodes=5), seed=st.integers(0, 2**16))
+def test_strict_defended_run_is_conserved_repeatable_and_cures_only_the_infected(topology, seed):
+    cfg = worm_config_for(*topology)
+    # World.run ends with the conservation audit, which raises on a violation
+    first = World(cfg, seed, strict_checks=True).run()
+    second = World(cfg, seed, strict_checks=True).run()
+    assert saved_bytes(first) == saved_bytes(second)
+
+    infected = set()
+    for ev in first.log.events:
+        node = ev.get("node")
+        if ev.kind == "Infect" and ev.get("ok") == 1:
+            infected.add(node)
+        elif ev.kind == "Disinfect":
+            assert (node in infected) == (ev.get("ok") == 1), ev.to_line()
+            infected.discard(node)
+    assert any(ev.kind == "Infect" for ev in first.log.events)

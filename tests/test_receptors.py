@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from immunet import receptors
 from immunet.receptors import (EmptyReceptorSet, derive_public, gen_receptor,
                                match, seal, try_open)
 
@@ -98,3 +99,21 @@ class TestSubstances:
             assert (opened == b"m") == should_open
             if not should_open:
                 assert opened is None  # never partial plaintext
+
+
+class TestXor:
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 200])
+    def test_seal_equals_bytewise_xor(self, rng, length):
+        """Ciphertexts equal the per-byte XOR that `seal` made before, for
+        payloads with leading and trailing zero bytes too."""
+        recipient = gen_receptor(rng)
+        noise = bytes(rng.randrange(256) for _ in range(length))
+        for payload in (bytes(length), b"\xff" * length, noise,
+                        b"\x00" + noise[1:] if length else b""):
+            sub = seal(payload, {recipient.public}, hop_ttl=3, origin=0)
+            key = receptors._stream_key(sub.required)
+            stream = receptors._keystream(key, length)
+            assert sub.ciphertext == bytes(a ^ b for a, b in zip(payload, stream))
+            assert len(sub.ciphertext) == length
+            assert try_open(sub, {recipient.private}) == payload
