@@ -100,24 +100,27 @@ def attack_payload(rng: Random, attack: AttackDef, length: int) -> bytes:
     return filler[:offset] + sig + filler[offset:]
 
 
+def _endpoints(rng: Random, nodes) -> tuple[int, int]:
+    """A uniform source and a uniform destination other than it."""
+    src = nodes[rng.randrange(len(nodes))]
+    dst = src
+    while dst == src:
+        dst = nodes[rng.randrange(len(nodes))]
+    return src, dst
+
+
 def inject_background(state: TransportState, model: TrafficModel, rng: Random,
                       forbidden=()) -> list[Packet]:
     """Build this step's benign data packets (uniform distinct src != dst)."""
     nodes = state.network.nodes
     packets = []
     for _ in range(draw_count(rng, model.background_rate, model.distribution)):
-        src = nodes[rng.randrange(len(nodes))]
-        dst = src
-        while dst == src:
-            dst = nodes[rng.randrange(len(nodes))]
+        src, dst = _endpoints(rng, nodes)
         packets.append(state.make_packet(src, dst, DATA,
                                          payload=benign_payload(rng, model.payload_len, forbidden)))
     for attack, rate in model.attack_mix:
         for _ in range(draw_count(rng, rate, model.distribution)):
-            src = nodes[rng.randrange(len(nodes))]
-            dst = src
-            while dst == src:
-                dst = nodes[rng.randrange(len(nodes))]
+            src, dst = _endpoints(rng, nodes)
             packets.append(state.make_packet(src, dst, DATA,
                                              payload=attack_payload(rng, attack, model.payload_len),
                                              attack=attack.attack_id))
@@ -190,8 +193,7 @@ class InjectionGate:
 
     def begin_step(self, state: TransportState) -> None:
         self._budget = dict(self._budget_cap)
-        for node in sorted(self._deferred):
-            queue = self._deferred[node]
+        for node, queue in self._deferred.items():  # built in ascending node id
             while queue and self._budget[node] > 0:
                 state.stage_injection(node, queue.popleft())
                 self._budget[node] -= 1
@@ -204,10 +206,5 @@ class InjectionGate:
             else:
                 self._deferred[node].append(pkt)
 
-    def clear_deferred(self, node: int) -> int:
-        count = len(self._deferred[node])
+    def clear_deferred(self, node: int) -> None:
         self._deferred[node].clear()
-        return count
-
-    def pending(self, node: int) -> int:
-        return len(self._deferred[node])

@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 a scenario, grid or log that cannot be read,
-parsed or validated, 2 check failure under `run --check`.
+Exit codes: 0 success, 1 a scenario, grid, log or argument that cannot
+be read, parsed or validated, 2 check failure under `run --check`.
 """
 
 from __future__ import annotations
@@ -19,14 +19,35 @@ from .scenario import ParseError, ValidationError, load_scenario
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ValidationError("--seeds", "expected a..b or a comma list of integers") from None
+
+
+def _read(load, path):
+    """`load(path)`, with a file that is not UTF-8 text reported by name."""
+    try:
+        return load(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _load_grid(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc.msg}", exc.lineno) from None
 
 
 def cmd_run(args) -> int:
-    config = load_scenario(args.scenario)
+    if args.steps is not None and args.steps < 0:
+        raise ValidationError("--steps", "must be >= 0")
+    config = _read(load_scenario, args.scenario)
     result = run(config, args.seed, horizon=args.steps)
     metrics = result.metrics
     if args.out:
@@ -52,13 +73,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = load_scenario(args.scenario)
-    with open(args.grid, "r", encoding="utf-8") as fh:
-        try:
-            grid = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.grid}: {exc.msg}", exc.lineno) from None
-    rows = harness.sweep(config, grid, _parse_seeds(args.seeds))
+    config = _read(load_scenario, args.scenario)
+    rows = harness.sweep(config, _read(_load_grid, args.grid), _parse_seeds(args.seeds))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"{config.name}-sweep.{args.format}")
@@ -68,13 +84,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = load_scenario(args.scenario)
+    config = _read(load_scenario, args.scenario)
     print(f"ok: {config.name} ({config.topology.kind}, horizon {config.horizon})")
     return 0
 
 
 def cmd_replay(args) -> int:
-    metrics = compute_metrics(load_log(args.log))
+    metrics = compute_metrics(_read(load_log, args.log))
     print(json.dumps(metrics.as_dict(), indent=2, sort_keys=True))
     return 0
 

@@ -140,12 +140,6 @@ class DefenseStack:
         del at[bisect_left(at, component_id, key=_component_id)]
         del self._home[component_id]
 
-    def components_at(self, node: int) -> list:
-        return list(self._components(node))
-
-    def location_of(self, component_id: int) -> int | None:
-        return self._home.get(component_id)
-
     def check_all(self, node: int, pkt: Packet):
         """Consult every component in id order; the first to return a
         malicious verdict destroys the packet and is returned. None means

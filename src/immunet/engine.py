@@ -10,8 +10,9 @@ toggled.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from random import Random
 
@@ -133,8 +134,8 @@ class World:
 
         self.receptor_rng = self.seeds.stream("receptors")
         self.population = CellPopulation()
-        self._component_seq = 0
-        self._substance_seq = 0
+        self._component_ids = itertools.count()
+        self._substance_ids = itertools.count()
         self._last_identify: dict[int, int] = {}
 
         self._setup_filters()
@@ -143,11 +144,6 @@ class World:
         self._setup_cells()
 
     # ------------------------------------------------------------- setup
-
-    def _next_component_id(self) -> int:
-        cid = self._component_seq
-        self._component_seq += 1
-        return cid
 
     def _setup_filters(self) -> None:
         by_node: dict[int, list[defense.FilterRule]] = {}
@@ -160,7 +156,7 @@ class World:
             )
             by_node.setdefault(rule.node, []).append(fr)
         for node in sorted(by_node):
-            self.defense.register(node, defense.PacketFilter(self._next_component_id(),
+            self.defense.register(node, defense.PacketFilter(next(self._component_ids),
                                                              by_node[node]))
 
     def _setup_static_ids(self) -> None:
@@ -172,7 +168,7 @@ class World:
         else:
             nodes = list(cfg.placement)[:cfg.count]
         for node in nodes:
-            self.defense.register(node, defense.StaticIDS(self._next_component_id(),
+            self.defense.register(node, defense.StaticIDS(next(self._component_ids),
                                                           self.signature_set))
 
     def _setup_stations(self) -> None:
@@ -227,20 +223,32 @@ class World:
         return [pool[rng.randrange(len(pool))] for _ in range(count)]
 
     def _setup_cells(self) -> None:
-        cfg = self.config
-        for node in self._place_cells(cfg.detectors.count, cfg.detectors.placement, "detectors"):
-            self._spawn_detector(node, self.signature_set
-                                 if cfg.detectors.initial_signatures == "all" else [],
-                                 by="init")
-        for node in self._place_cells(cfg.ants.count, "random", "ants"):
-            self._spawn_cell(AntCell, ANT, node, by="init",
-                             memory=_memory(cfg.ants.memory), epsilon=cfg.ants.epsilon)
-        for node in self._place_cells(cfg.monitors.count, "random", "monitors"):
-            self._spawn_cell(MonitorCell, MONITOR, node, by="init",
-                             flush_period=cfg.monitors.flush_period)
+        signatures = self.signature_set \
+            if self.config.detectors.initial_signatures == "all" else ()
+        for kind in (DETECTOR, ANT, MONITOR):
+            label = kind.lower() + "s"  # the scenario section and the placement stream
+            section = getattr(self.config, label)
+            for node in self._place_cells(section.count,
+                                          getattr(section, "placement", "random"), label):
+                self._spawn(kind, node, by="init", signatures=signatures)
 
-    def _spawn_cell(self, cls, kind: str, node: int, by, replaces: int | None = None,
-                    **extra) -> ArtificialCell:
+    def _spawn(self, kind: str, node: int, by, replaces: int | None = None,
+               signatures=(), target: int = -1) -> ArtificialCell:
+        """Release a cell of `kind` at `node` with its kind's scenario
+        parameters. A detector carries a store of `signatures` and joins the
+        node's defence stack; a disinfector heads for `target`."""
+        if kind == DETECTOR:
+            # the store draws no randomness, so building it first keeps the draws in order
+            db = CompressedSignatureDb(signatures, self.config.detectors.target_fpr) \
+                if signatures else None
+            cls, extra = DetectorCell, {"db": db, "p_move": self.config.detectors.p_move}
+        elif kind == ANT:
+            cls, extra = AntCell, {"memory": deque(maxlen=max(1, self.config.ants.memory)),
+                                   "epsilon": self.config.ants.epsilon}
+        elif kind == MONITOR:
+            cls, extra = MonitorCell, {"flush_period": self.config.monitors.flush_period}
+        else:
+            cls, extra = DisinfectorCell, {"target": target}
         cid = self.population.new_id()
         cell = cls(cell_id=cid, kind=kind, location=node,
                    receptor=receptors.gen_receptor(self.receptor_rng),
@@ -248,20 +256,10 @@ class World:
         self.population.add(cell)
         self.log.append(self.state.clock, "Spawn", cell=cid, cellkind=kind, node=node,
                         by=by, replaces=replaces)
+        if kind == DETECTOR:
+            cell.component = defense.DetectorComponent(10_000 + cid, cell)
+            self.defense.register(node, cell.component)
         return cell
-
-    def _spawn_detector(self, node: int, signatures, by, replaces: int | None = None) -> DetectorCell:
-        db = CompressedSignatureDb(signatures, self.config.detectors.target_fpr) \
-            if signatures else None
-        cell = self._spawn_cell(DetectorCell, DETECTOR, node, by, replaces,
-                                db=db, p_move=self.config.detectors.p_move)
-        component = defense.DetectorComponent(10_000 + cell.cell_id, cell)
-        cell.component = component
-        self.defense.register(node, component)
-        return cell
-
-    def _spawn_disinfector(self, node: int, target: int, by) -> DisinfectorCell:
-        return self._spawn_cell(DisinfectorCell, DISINFECTOR, node, by, target=target)
 
     # ------------------------------------------------------------- phases
 
@@ -472,7 +470,7 @@ class World:
         if last is not None and self.state.clock - last < self.config.stations.dedup_window:
             return
         st.last_spawn[key] = self.state.clock
-        self._spawn_disinfector(st.node, node, by=st.station_id)
+        self._spawn(DISINFECTOR, st.node, by=st.station_id, target=node)
         self._immunize(st, node, attack)
 
     def _immunize(self, st: LymphStation, around: int, attack: int | None) -> None:
@@ -486,52 +484,46 @@ class World:
         for cell in self.population.of_kind(DETECTOR):
             if cell.location is None or self.dist[cell.location][around] > radius:
                 continue
-            sub = self._make_substance(st.node, sig, {cell.receptor.public})
-            self.log.append(self.state.clock, "SubstanceSend", sid=sub.sid,
-                            src=st.node, dst=cell.location, what="immunize",
-                            cell=cell.cell_id)
-            opened = receptors.try_open(sub, {cell.receptor.private})
-            if opened is not None:
-                self.log.append(self.state.clock, "SubstanceOpen", sid=sub.sid,
-                                station=None, node=cell.location, cell=cell.cell_id)
-                if cell.db is None:
-                    cell.db = CompressedSignatureDb([opened], self.config.detectors.target_fpr)
-                else:
-                    cell.db.add(opened)
+            opened = self._push(st, sig, cell.receptor, cell.location, cell=cell.cell_id)
+            if opened is None:
+                continue
+            if cell.db is None:
+                cell.db = CompressedSignatureDb([opened], self.config.detectors.target_fpr)
+            else:
+                cell.db.add(opened)
         for other in self.stations:
             if isinstance(other, NurseryStation) and sig not in other.trained_signatures:
-                sub = self._make_substance(st.node, sig, {other.receptor.public})
-                self.log.append(self.state.clock, "SubstanceSend", sid=sub.sid,
-                                src=st.node, dst=other.node, what="immunize",
-                                station=other.station_id)
-                if receptors.try_open(sub, {other.receptor.private}) is not None:
-                    self.log.append(self.state.clock, "SubstanceOpen", sid=sub.sid,
-                                    station=other.station_id, node=other.node)
+                if self._push(st, sig, other.receptor, other.node,
+                              station=other.station_id) is not None:
                     other.trained_signatures.append(sig)
 
+    def _push(self, st: Station, payload: bytes, receptor: receptors.Receptor, node: int,
+              station: int | None = None, cell: int | None = None) -> bytes | None:
+        """Seal `payload` for the holder of `receptor` at `node`, a station or
+        a cell, log the send and open it there in the same step. Returns
+        the opened payload, or None when it does not open."""
+        sub = self._make_substance(st.node, payload, {receptor.public})
+        # an open names the station (`-` for a cell), then the cell if any
+        holder = {"station": station} if cell is None else {"cell": cell}
+        self.log.append(self.state.clock, "SubstanceSend", sid=sub.sid, src=st.node,
+                        dst=node, what="immunize", **holder)
+        opened = receptors.try_open(sub, {receptor.private})
+        if opened is not None:
+            self.log.append(self.state.clock, "SubstanceOpen", sid=sub.sid,
+                            station=station, node=node, **({} if cell is None else holder))
+        return opened
+
     def _nursery_release(self, st: NurseryStation) -> None:
-        kind_names = {"Detector": DETECTOR, "Ant": ANT, "Monitor": MONITOR}
-        for kind_key in sorted(st.mix):
-            kind = kind_names[kind_key]
+        for kind in sorted(st.mix):
             cap = self.caps.get(kind, 0)
-            for _ in range(st.mix[kind_key]):
+            for _ in range(st.mix[kind]):
                 replaces = None
                 if cap and self.population.count(kind) >= cap:
                     victim = self.population.oldest(kind, 1)[0]
                     self._retire_cell(victim)
                     replaces = victim.cell_id
-                if kind == DETECTOR:
-                    self._spawn_detector(st.node, list(st.trained_signatures),
-                                         by=st.station_id, replaces=replaces)
-                elif kind == ANT:
-                    self._spawn_cell(AntCell, ANT, st.node, by=st.station_id,
-                                     replaces=replaces,
-                                     memory=_memory(self.config.ants.memory),
-                                     epsilon=self.config.ants.epsilon)
-                else:
-                    self._spawn_cell(MonitorCell, MONITOR, st.node, by=st.station_id,
-                                     replaces=replaces,
-                                     flush_period=self.config.monitors.flush_period)
+                self._spawn(kind, st.node, by=st.station_id, replaces=replaces,
+                            signatures=st.trained_signatures)
 
     def _retire_cell(self, cell: ArtificialCell) -> None:
         if cell.kind == DETECTOR and cell.location is not None:
@@ -542,15 +534,12 @@ class World:
 
     def _make_substance(self, origin: int, payload: bytes, required) -> receptors.Substance:
         sub = receptors.seal(payload, required, self.substance_ttl, origin)
-        sub.sid = self._substance_seq
-        self._substance_seq += 1
+        sub.sid = next(self._substance_ids)
         return sub
 
     def _send_substance(self, origin: int, payload: bytes, required,
                         what: str) -> None:
         """Seal and hand off to the nearest station."""
-        if not self.stations:
-            return
         sub = self._make_substance(origin, payload, required)
         self._transmit_substance(origin, nearest_station(self.stations, origin, self.dist),
                                  sub, what)
@@ -592,11 +581,6 @@ class World:
         audit = transport.conservation_audit(self.log.events)
         metrics = compute_metrics(self.log.events)
         return RunResult(self.config, self.seed, self.log, metrics, audit)
-
-
-def _memory(maxlen: int):
-    from collections import deque
-    return deque(maxlen=max(1, maxlen))
 
 
 def run(config: ScenarioConfig, seed: int, horizon: int | None = None,

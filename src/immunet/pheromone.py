@@ -65,12 +65,6 @@ class PheromoneMap:
             if not out:
                 del self._out[edge[0]]
 
-    def edge_level(self, edge: tuple[int, int]) -> float:
-        return self.level.get(edge, 0.0)
-
-    def total(self) -> float:
-        return sum(self.level.values())
-
     def out_mass(self) -> dict[int, float]:
         """Outgoing pheromone mass per node that has a live out-edge."""
         return {node: self.node_mass(node) for node in self._out}

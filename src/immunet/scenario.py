@@ -164,9 +164,6 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
 
 def _build_section(cls, data, path: str):
     """Build dataclass `cls` from a JSON object. Each value must fit its

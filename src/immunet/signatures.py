@@ -98,10 +98,6 @@ class CompressedSignatureDb:
         if sig not in self._members:
             self._rebuild(self._members | {sig})
 
-    @property
-    def signature_count(self) -> int:
-        return len(self._members)
-
     def contains(self, key: bytes) -> bool:
         bits = self._bits
         return not self._probe_mask(key, bits) & ~bits

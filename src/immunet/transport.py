@@ -5,7 +5,9 @@ dequeue and forwarding within per-link bandwidth budgets, (3) arrival
 checking and admission, (4) infected-node emission, (5) cell actions,
 (6) pheromone evaporation, (7) station actions. Packets injected
 during a step become forwardable the next step, so a packet needs
-exactly one step per hop.
+exactly one step per hop. One dequeue loop serves both lanes in
+priority order: the immune lane, then the data lane only once the
+immune lane is empty.
 """
 
 from __future__ import annotations
@@ -175,45 +177,27 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
             continue
         budgets = bandwidth[node].copy()  # forward within this step's link budgets
         release = q._enq_seq.pop  # forget a leaving packet; returns its enqueue order
-        immune_blocked = False
-        last_seq = -1
-        while immune:
-            pkt = immune[0]
-            nh = next_hops[pkt.dst][node]
-            if budgets[nh] <= 0:
-                immune_blocked = True
-                break
-            budgets[nh] -= 1
-            immune.popleft()
-            seq = release(pkt.pid, -1)
-            if strict:
-                assert seq > last_seq, "immune lane FIFO violated"
-                last_seq = seq
-            pkt.hop_count += 1
-            append(now, "Forward", pid=pkt.pid, src=node, dst=nh,
-                   klass=pkt.klass, attack=pkt.attack)
-            on_forward(state, pkt, node, nh)
-            arrivals.append((node, nh, pkt))
-        if immune_blocked or immune:
-            continue  # strict priority: data waits while immune packets remain
-        last_seq = -1
-        while data:
-            pkt = data[0]
-            nh = next_hops[pkt.dst][node]
-            if budgets[nh] <= 0:
-                break
-            budgets[nh] -= 1
-            data.popleft()
-            seq = release(pkt.pid, -1)
-            if strict:
-                assert not immune, "data forwarded while immune queued"
-                assert seq > last_seq, "data lane FIFO violated"
-                last_seq = seq
-            pkt.hop_count += 1
-            append(now, "Forward", pid=pkt.pid, src=node, dst=nh,
-                   klass=pkt.klass, attack=pkt.attack)
-            on_forward(state, pkt, node, nh)
-            arrivals.append((node, nh, pkt))
+        for lane in (immune, data):
+            last_seq = -1
+            while lane:
+                pkt = lane[0]
+                nh = next_hops[pkt.dst][node]
+                if budgets[nh] <= 0:
+                    break
+                budgets[nh] -= 1
+                lane.popleft()
+                seq = release(pkt.pid, -1)
+                if strict:
+                    assert lane is immune or not immune, "data forwarded while immune queued"
+                    assert seq > last_seq, f"{pkt.klass} lane FIFO violated"
+                    last_seq = seq
+                pkt.hop_count += 1
+                append(now, "Forward", pid=pkt.pid, src=node, dst=nh,
+                       klass=pkt.klass, attack=pkt.attack)
+                on_forward(state, pkt, node, nh)
+                arrivals.append((node, nh, pkt))
+            if lane:
+                break  # strict priority: data waits while immune packets remain
 
     # phase 3: arrivals are checked, then delivered or admitted
     on_arrival, on_deliver, enqueue = hooks.on_arrival, hooks.on_deliver, state.enqueue
@@ -248,9 +232,6 @@ class AuditReport:
     evicted: Counter = field(default_factory=Counter)
     destroyed: Counter = field(default_factory=Counter)
     in_flight: Counter = field(default_factory=Counter)
-
-    def total(self, counter_name: str) -> int:
-        return sum(getattr(self, counter_name).values())
 
 
 _TERMINAL = {"Deliver": "delivered", "Drop": "dropped", "Evict": "dropped", "Detect": "destroyed"}

@@ -173,12 +173,12 @@ class TestInjectionGate:
         packets = [state.make_packet(0, 1, DATA) for _ in range(10)]
         gate.offer(state, 0, packets)
         assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 4
-        assert gate.pending(0) == 6
+        assert len(gate._deferred[0]) == 6
         gate.begin_step(state)  # next step drains more
         assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 8
         gate.begin_step(state)
         assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 10
-        assert gate.pending(0) == 0
+        assert len(gate._deferred[0]) == 0
 
     def test_clear_deferred(self):
         net = build_network([0, 1], [(0, 1, 2)])
@@ -186,6 +186,6 @@ class TestInjectionGate:
         gate = InjectionGate(net)
         gate.begin_step(state)
         gate.offer(state, 0, [state.make_packet(0, 1, DATA) for _ in range(5)])
-        assert gate.pending(0) == 3
-        assert gate.clear_deferred(0) == 3
-        assert gate.pending(0) == 0
+        assert len(gate._deferred[0]) == 3
+        gate.clear_deferred(0)
+        assert len(gate._deferred[0]) == 0

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from immunet.cells import CellPopulation, DetectorCell
+from immunet.cells import DISINFECTOR, CellPopulation, DetectorCell
 from immunet.engine import World
 from immunet.scenario import (AntConfig, AttackConfig, DetectorConfig,
                               MonitorConfig, StationConfig)
@@ -119,7 +119,7 @@ class TestDisinfector:
         world.health[3].vulnerable = True
         world.health[3].infected_by = 9  # attack id with no emitter registered
         world.health[3].infected_at = 0
-        world._spawn_disinfector(0, 3, by="test")
+        world._spawn(DISINFECTOR, 0, by="test", target=3)
         result = world.run()
         disinfects = [ev for ev in result.log.events if ev.kind == "Disinfect"]
         assert len(disinfects) == 1
@@ -130,7 +130,7 @@ class TestDisinfector:
     def test_clean_target_logs_false_disinfection(self):
         cfg = quiet_config(nodes=3, horizon=8)
         world = World(cfg, seed=2)
-        world._spawn_disinfector(0, 2, by="test")
+        world._spawn(DISINFECTOR, 0, by="test", target=2)
         result = world.run()
         disinfects = [ev for ev in result.log.events if ev.kind == "Disinfect"]
         assert len(disinfects) == 1 and disinfects[0].get("ok") == 0
@@ -166,7 +166,7 @@ class TestDisinfector:
         world.health[3].vulnerable = True
         world.health[3].infected_by = 1
         world.health[3].infected_at = 0
-        world._spawn_disinfector(0, 3, by="test")
+        world._spawn(DISINFECTOR, 0, by="test", target=3)
         result = world.run()
         disinfects = [ev for ev in result.log.events if ev.kind == "Disinfect"]
         assert len(disinfects) == 1 and disinfects[0].get("ok") == 1

@@ -74,6 +74,21 @@ class TestValidationExitCodes:
         assert capsys.readouterr().err == ""
 
 
+class TestRunArguments:
+
+    @pytest.mark.parametrize("steps", ["-3", "-1"])
+    def test_negative_steps(self, tmp_path, capsys, steps):
+        argv = ["run", "--scenario", scenario_file(tmp_path), "--seed", "1", "--steps", steps]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --steps: must be >= 0\n"
+
+    def test_zero_steps(self, tmp_path, capsys):
+        argv = ["run", "--scenario", scenario_file(tmp_path), "--seed", "1", "--steps", "0"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["steps"] == 0
+
+
 class TestRunCheck:
 
     def check_run(self, tmp_path):
@@ -106,12 +121,12 @@ class TestSweepValidation:
     """Every grid point is built and validated as a scenario file is, all
     of them before the first run."""
 
-    def sweep(self, tmp_path, grid):
+    def sweep(self, tmp_path, grid, seeds="1"):
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(grid if isinstance(grid, str) else json.dumps(grid),
                              encoding="utf-8")
         return cli.main(["sweep", "--scenario", scenario_file(tmp_path), "--grid",
-                         str(grid_path), "--seeds", "1", "--out", str(tmp_path / "out")])
+                         str(grid_path), "--seeds", seeds, "--out", str(tmp_path / "out")])
 
     def test_too_few_lymph_stations(self, tmp_path, capsys, monkeypatch):
         runs = []
@@ -133,6 +148,15 @@ class TestSweepValidation:
         assert self.sweep(tmp_path, grid) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seeds", ["1..x", "x..3", "1,two", "1.5", "1..2..3"])
+    def test_malformed_seeds(self, tmp_path, capsys, monkeypatch, seeds):
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda *args: runs.append(args))
+        assert self.sweep(tmp_path, {"horizon": [1]}, seeds) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seeds:") and err.count("\n") == 1
+        assert runs == [] and not (tmp_path / "out").exists()
 
 
 class TestReplayErrors:
@@ -180,3 +204,34 @@ class TestReplayErrors:
         path.write_text(self.GOOD + "\nstep=0 kind=Step\n", encoding="utf-8")
         assert self.replay(path) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestNotUtf8:
+    """A scenario, grid or log holding the byte 0xff exits 1 with one
+    `error:` line naming the file."""
+
+    @pytest.mark.parametrize("command, bad", [
+        ("validate", "scenario"),
+        ("run", "scenario"),
+        ("sweep", "scenario"),
+        ("sweep", "grid"),
+        ("replay", "log"),
+    ])
+    def test_byte_0xff(self, tmp_path, capsys, command, bad):
+        files = {"scenario": scenario_file(tmp_path),
+                 "grid": str(tmp_path / "grid.json"), "log": str(tmp_path / "run.log")}
+        (tmp_path / "grid.json").write_text(json.dumps({"horizon": [1]}), encoding="utf-8")
+        (tmp_path / "run.log").write_text(TestReplayErrors.GOOD, encoding="utf-8")
+        files[bad] = str(tmp_path / f"bad.{bad}")
+        with open(files[bad], "wb") as fh:
+            fh.write(b'{"horizon": 5}\n' if bad != "log" else TestReplayErrors.GOOD.encode())
+            fh.write(b"\xff\xfe\n")
+        argv = {"validate": ["validate", "--scenario", files["scenario"]],
+                "run": ["run", "--scenario", files["scenario"], "--seed", "1", "--steps", "1"],
+                "sweep": ["sweep", "--scenario", files["scenario"], "--grid", files["grid"],
+                          "--seeds", "1", "--out", str(tmp_path / "out")],
+                "replay": ["replay", "--log", files["log"]]}[command]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[bad]}: not UTF-8 text") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()

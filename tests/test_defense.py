@@ -118,8 +118,8 @@ class TestRegistry:
         stack = DefenseStack(line_network(3))
         comp = detector_component()
         stack.register(1, comp)
-        assert stack.components_at(1) == [comp]
-        assert stack.location_of(comp.component_id) == 1
+        assert stack.at[1] == [comp]
+        assert stack._home[comp.component_id] == 1
 
     def test_register_unknown_node(self):
         stack = DefenseStack(line_network(3))
@@ -144,8 +144,8 @@ class TestRegistry:
         stack.register(0, comp)
         stack.deregister(0, comp.component_id)
         stack.register(1, comp)
-        assert stack.components_at(0) == []
-        assert stack.components_at(1) == [comp]
+        assert stack.at[0] == []
+        assert stack.at[1] == [comp]
 
 
 class TestCheckAll:

@@ -57,7 +57,7 @@ class TestMembership:
         for s in sigs[3:]:
             db.add(s)
         assert all(db.contains(s) for s in sigs)
-        assert db.signature_count == 10
+        assert len(db._members) == 10
         assert db.size_bits <= 2 * math.ceil(1.44 * 10 * math.log2(100.0))
 
 
@@ -181,7 +181,7 @@ class TestProbeEquivalence:
         db = CompressedSignatureDb(sigs[:1], 1e-4)
         for i, sig in enumerate(sigs[1:], start=2):
             db.add(sig)
-            assert db.signature_count == i
+            assert len(db._members) == i
             assert all(db.contains(s) for s in sigs[:i])
             assert db._bits == eager_bits(sigs[:i], db.num_probes, db.size_bits)
             assert db.window_lengths == tuple(sorted({len(s) for s in sigs[:i]}))

@@ -6,7 +6,7 @@ import pytest
 from immunet import transport
 from immunet.cells import DETECTOR, ArtificialCell
 from immunet.engine import World
-from immunet.scenario import baseline_scenario
+from immunet.scenario import DetectorConfig, IdsConfig, baseline_scenario
 from immunet.stations import ADMIN, LYMPH
 
 from conftest import worm_config
@@ -75,7 +75,7 @@ class TestCellWhereabouts:
                     assert riding[cell.cell_id] == [cell.location]
                     queued_moves += 1
             registered = {(node, comp.cell_id) for node in world.network.nodes
-                          for comp in world.defense.components_at(node) if comp.kind == "Cell"}
+                          for comp in world.defense.at[node] if comp.kind == "Cell"}
             assert registered == {(cell.location, cell.cell_id) for cell in live
                                   if cell.kind == DETECTOR}
         assert queued_moves > 0 and forwarded
@@ -110,6 +110,19 @@ PINNED = {
          "prevention_rate": None, "steps": 100, "unidentified_episodes": 0,
          "worm_entries": 0},
     ),
+    # no detector starts trained, so lymph stations push signatures to both
+    # detector cells and nurseries, and nursery releases replace capped cells
+    "untrained worm seed 2": (
+        "a8bc53669d1359bce6851e64bbffb7d426fea5f4d45a7a832effdc743f48cde2",
+        {"delivered_attack": 488, "destroyed_attack": 1692,
+         "disinfection_latency_median": 3.0, "dropped_total": 135,
+         "false_disinfections": 0, "false_positive_detections": 0,
+         "identification_latency_median": 22.0, "identified_episodes": 42,
+         "infections_per_event": 4.0, "infections_total": 4, "injected_attack": 2552,
+         "injected_total": 5443, "overhead": 0.3863751906456533,
+         "prevention_rate": 0.6630094043887147, "steps": 300,
+         "unidentified_episodes": 4, "worm_entries": 1},
+    ),
 }
 
 
@@ -122,3 +135,16 @@ class TestDeterminismGuard:
     def test_baseline_scenario_seed_42_100_steps(self):
         result = World(baseline_scenario(), 42).run(100)
         assert (digest(result), result.metrics.as_dict()) == PINNED["baseline seed 42"]
+
+    def test_untrained_worm_config_seed_2(self):
+        cfg = worm_config(horizon=300,
+                          detectors=DetectorConfig(count=4, p_move=0.5, initial_signatures="none"),
+                          static_ids=IdsConfig(count=2))
+        result = World(cfg, 2).run()
+        sends = [ev for ev in result.log.events
+                 if ev.kind == "SubstanceSend" and ev.get("what") == "immunize"]
+        assert sum(ev.get("station") is not None for ev in sends) == 2
+        assert sum(ev.get("cell") is not None for ev in sends) == 145
+        assert sum(ev.kind == "Spawn" and ev.get("replaces") is not None
+                   for ev in result.log.events) == 36
+        assert (digest(result), result.metrics.as_dict()) == PINNED["untrained worm seed 2"]
