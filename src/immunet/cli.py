@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 a scenario, grid, log or argument that cannot
-be read, parsed or validated, 2 check failure under `run --check`.
+be read, parsed or validated, or a random topology that never connects,
+2 check failure under `run --check`.
 """
 
 from __future__ import annotations
@@ -16,24 +17,32 @@ from .engine import run
 from .events import LogFormatError, load_log
 from .metrics import compute_metrics
 from .scenario import ParseError, ValidationError, load_scenario
+from .topology import TopologyError
 
 
 def _parse_seeds(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in text.split(",") if tok]
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise ValidationError("--seeds", "expected a..b or a comma list of integers") from None
+    if not seeds:
+        raise ValidationError("--seeds", "names no seed")
+    return seeds
 
 
 def _read(load, path):
-    """`load(path)`, with a file that is not UTF-8 text reported by name."""
+    """`load(path)`, with a file that is not UTF-8 text or not JSON reported
+    by name."""
     try:
         return load(path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _load_grid(path) -> dict:
@@ -41,7 +50,7 @@ def _load_grid(path) -> dict:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc.msg}", exc.lineno) from None
+            raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
 
 
 def cmd_run(args) -> int:
@@ -132,10 +141,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, LogFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a named file or directory that cannot be opened
+    # OSError: a named file or directory that cannot be opened
+    except (ParseError, ValidationError, LogFormatError, TopologyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -57,9 +57,7 @@ def build_topology(spec: TopologySpec, rng: Random, bandwidth: int) -> Network:
     if spec.kind == "star":
         return star_network(spec.nodes, bandwidth)
     if spec.kind == "explicit":
-        links = [tuple(link) if len(link) == 3 else (link[0], link[1], bandwidth)
-                 for link in spec.links]
-        return build_network(spec.node_ids(), links)
+        return build_network(spec.node_ids(), spec.links, bandwidth)
     raise ValueError(f"unknown topology kind {spec.kind!r}")
 
 

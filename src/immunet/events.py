@@ -147,13 +147,6 @@ def _parse(lines) -> Iterator[Event]:
         yield Event(step, kind, fields)
 
 
-def parse_line(line: str) -> Event:
-    """Parse one `step=<int> kind=<enum> key=value ...` record."""
-    for ev in _parse((line,)):
-        return ev
-    raise LogFormatError("malformed event line", line)
-
-
 def _parse_value(raw: str):
     if raw == "-":
         return None

@@ -58,12 +58,12 @@ class Network:
         return len(self.nodes)
 
 
-def build_network(nodes, links) -> Network:
+def build_network(nodes, links, bandwidth: int = 1) -> Network:
     """Validate nodes/links and assemble a Network.
 
-    links: iterable of (u, v) or (u, v, bandwidth); bandwidth defaults to 1.
-    Rejects self-loops, duplicate links, unknown endpoints, bandwidth < 1,
-    and disconnected graphs.
+    links: iterable of (u, v) or (u, v, bandwidth); bandwidth defaults to
+    `bandwidth`. Rejects links of any other length, self-loops, duplicate
+    links, unknown endpoints, bandwidth < 1, and disconnected graphs.
     """
     node_list = sorted(set(int(n) for n in nodes))
     if len(node_list) < 2:
@@ -73,11 +73,9 @@ def build_network(nodes, links) -> Network:
     seen: set[tuple[int, int]] = set()
     canon: list[tuple[int, int, int]] = []
     for link in links:
-        if len(link) == 2:
-            u, v = link
-            bw = 1
-        else:
-            u, v, bw = link
+        if len(link) not in (2, 3):
+            raise TopologyError(f"link {list(link)} is not [u, v] or [u, v, bandwidth]")
+        u, v, bw = link if len(link) == 3 else (*link, bandwidth)
         u, v, bw = int(u), int(v), int(bw)
         if u == v:
             raise SelfLoop(f"self-loop at node {u}")

@@ -68,6 +68,34 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: worm.entry:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("nodes, extra", [
+        (6, [[2, 2]]),
+        (6, [[1, 0]]),
+        (7, []),
+        (6, [[0, 2, 0]]),
+        (6, [[0]]),
+    ], ids=["self-loop", "duplicate", "disconnected", "bandwidth-0", "one-node-link"])
+    def test_explicit_topology_that_does_not_build(self, tmp_path, capsys, command, nodes, extra):
+        links = [[i, i + 1] for i in range(5)] + extra
+        path = scenario_file(tmp_path, "topology", kind="explicit", nodes=nodes, links=links)
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: topology.links:") and err.count("\n") == 1
+
+    def test_worm_attack_that_does_not_infect(self, tmp_path, capsys, command):
+        attack = dict(baseline_scenario().to_dict()["attacks"][0], infects=False)
+        path = scenario_file(tmp_path, attacks=[attack])
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: worm.attack_id:") and err.count("\n") == 1
+
+    def test_not_json_names_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "cut.scenario"
+        path.write_text('{"horizon": ', encoding="utf-8")
+        assert invoke(command, str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 1: ") and err.count("\n") == 1
+
     def test_admin_node_inside_topology(self, tmp_path, capsys, command):
         path = scenario_file(tmp_path, "stations", admin_node=49)
         assert invoke(command, path) == 0
@@ -87,6 +115,14 @@ class TestRunArguments:
         argv = ["run", "--scenario", scenario_file(tmp_path), "--seed", "1", "--steps", "0"]
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["steps"] == 0
+
+    def test_random_topology_that_never_connects(self, tmp_path, capsys):
+        path = scenario_file(tmp_path, "topology", nodes=10, edge_prob=0.001)
+        assert cli.main(["validate", "--scenario", path]) == 0
+        capsys.readouterr()
+        assert invoke("run", path) == 1
+        err = capsys.readouterr().err
+        assert err == "error: no connected G(10,0.001) sample in 1000 tries\n"
 
 
 class TestRunCheck:
@@ -142,12 +178,21 @@ class TestSweepValidation:
         ({"horizon.steps": [1]}, "horizon.steps"),
         ({"horizon": 5}, "grid"),
         ([1], "grid"),
-        ("{", "line 1"),
+        pytest.param("{", "{grid}: line 1", id="{-line 1"),
     ])
     def test_malformed_point(self, tmp_path, capsys, grid, where):
         assert self.sweep(tmp_path, grid) == 1
         err = capsys.readouterr().err
+        where = where.format(grid=tmp_path / "grid.json")
         assert err.startswith(f"error: {where}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seeds", ["5..1", ",", ""])
+    def test_seeds_that_name_no_seed(self, tmp_path, capsys, monkeypatch, seeds):
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda *args: runs.append(args))
+        assert self.sweep(tmp_path, {"horizon": [1]}, seeds) == 1
+        assert capsys.readouterr().err == "error: --seeds: names no seed\n"
+        assert runs == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seeds", ["1..x", "x..3", "1,two", "1.5", "1..2..3"])
     def test_malformed_seeds(self, tmp_path, capsys, monkeypatch, seeds):

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from immunet.engine import World
-from immunet.events import Event, EventLog, load_log, parse_line
+from immunet.events import Event, EventLog, load_log
 from immunet.metrics import compute_metrics
 
 from conftest import worm_config
@@ -82,25 +82,28 @@ class TestReplay:
             step, kind, fields = reference_parse_line(line)
             assert (ev.step, ev.kind) == (step, kind)
             assert typed(ev.fields) == typed(dict(fields))
-            assert typed(parse_line(line).fields) == typed(dict(fields))
-        first = list(parse_line(lines[0]).fields.values())
+        first = list(loaded[0].fields.values())
         assert first[:4] == [7, 7, -3, 1000.0] and type(first[3]) is float
         assert math.isnan(first[4]) and first[5:] == ["00ab", None, "x=y"]
 
     def test_repeated_key_is_rejected(self, tmp_path):
         line = "step=0 kind=Inject a=1 a=2"
+        path = tmp_path / "alone.log"
+        path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="repeated field key"):
-            parse_line(line)
+            load_log(path)
         path = tmp_path / "repeated.log"
         path.write_text("step=0 kind=Inject a=1 b=2\n" + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="repeated field key"):
             load_log(path)
 
-    def test_unknown_kind_is_rejected(self):
+    def test_unknown_kind_is_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             EventLog().append(0, "Bogus", pid=1)
+        path = tmp_path / "bogus.log"
+        path.write_text("step=0 kind=Bogus pid=1\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            parse_line("step=0 kind=Bogus pid=1")
+            load_log(path)
 
 
 class TestFormat:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from immunet.engine import World
-from immunet.events import EventLog, parse_line
+from immunet.events import EventLog, load_log
 from immunet.topology import UnknownNode, build_network, line_network
 from immunet.transport import (ACCEPTED, DATA, DROPPED, IMMUNE,
                                ConservationViolation, StepHooks, TransportState,
@@ -196,10 +196,14 @@ class TestDeterminism:
         b = World(cfg, seed=12).run()
         assert a.log.to_text() != b.log.to_text()
 
-    def test_log_lines_round_trip(self):
+    def test_log_lines_round_trip(self, tmp_path):
         cfg = quiet_config(nodes=5, horizon=30)
         cfg.traffic.background_rate = 4.0
         result = World(cfg, seed=2).run()
-        for line in result.log.to_text().splitlines():
-            ev = parse_line(line)
+        path = tmp_path / "run.log"
+        result.log.save(path)
+        lines = result.log.to_text().splitlines()
+        loaded = load_log(path)
+        assert len(loaded) == len(lines)
+        for line, ev in zip(lines, loaded):
             assert ev.to_line() == line
