@@ -5,18 +5,17 @@ attacks; infected nodes keep emitting attack packets until disinfected.
 Disinfection clears the infection and drops the node's deferred worm
 packets but leaves it vulnerable, so attack packets already in flight can
 reinfect it (SIS rather than SIR; the paper's abstract does not settle this).
-Injection respects the source node's total link bandwidth per step, with
-the excess deferred, so the only packet loss is queue loss.
+Packets are built here and admitted by `TransportState.offer`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp
 from random import Random
 
-from .topology import Network, UnknownNode
+from .scenario import TrafficConfig
+from .topology import UnknownNode
 from .transport import DATA, Packet, TransportState
 
 
@@ -38,27 +37,10 @@ class AttackDef:
 class NodeHealth:
     vulnerable: bool
     infected_by: int | None = None
-    infected_at: int | None = None
 
     @property
     def infected(self) -> bool:
         return self.infected_by is not None
-
-
-@dataclass
-class TrafficModel:
-    background_rate: float
-    distribution: str = "poisson"  # or "fixed"
-    payload_len: int = 64
-    attack_mix: list[tuple[AttackDef, float]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.background_rate < 0:
-            raise ValueError("background_rate must be >= 0")
-        if self.distribution not in ("poisson", "fixed"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if any(rate < 0 for _a, rate in self.attack_mix):
-            raise ValueError("attack rates must be >= 0")
 
 
 def poisson(rng: Random, lam: float) -> int:
@@ -109,20 +91,23 @@ def _endpoints(rng: Random, nodes) -> tuple[int, int]:
     return src, dst
 
 
-def inject_background(state: TransportState, model: TrafficModel, rng: Random,
-                      forbidden=()) -> list[Packet]:
-    """Build this step's benign data packets (uniform distinct src != dst)."""
+def inject_background(state: TransportState, traffic: TrafficConfig,
+                      attacks: dict[int, AttackDef], rng: Random, forbidden=()) -> list[Packet]:
+    """Build this step's benign data packets (uniform distinct src != dst),
+    then each `attack_mix` entry's attack packets."""
     nodes = state.network.nodes
+    length = traffic.payload_len
     packets = []
-    for _ in range(draw_count(rng, model.background_rate, model.distribution)):
+    for _ in range(draw_count(rng, traffic.background_rate, traffic.distribution)):
         src, dst = _endpoints(rng, nodes)
         packets.append(state.make_packet(src, dst, DATA,
-                                         payload=benign_payload(rng, model.payload_len, forbidden)))
-    for attack, rate in model.attack_mix:
-        for _ in range(draw_count(rng, rate, model.distribution)):
+                                         payload=benign_payload(rng, length, forbidden)))
+    for entry in traffic.attack_mix:
+        attack = attacks[entry["attack_id"]]
+        for _ in range(draw_count(rng, entry["rate"], traffic.distribution)):
             src, dst = _endpoints(rng, nodes)
             packets.append(state.make_packet(src, dst, DATA,
-                                             payload=attack_payload(rng, attack, model.payload_len),
+                                             payload=attack_payload(rng, attack, length),
                                              attack=attack.attack_id))
     return packets
 
@@ -142,7 +127,6 @@ def spawn_worm(state: TransportState, health: dict[int, NodeHealth],
                          ok=0, via="entry")
         return False
     h.infected_by = attack.attack_id
-    h.infected_at = state.clock
     state.log.append(state.clock, "Infect", node=entry, attack=attack.attack_id,
                      ok=1, via="entry")
     return True
@@ -177,34 +161,6 @@ def on_attack_delivery(state: TransportState, health: dict[int, NodeHealth],
     if not h.vulnerable or h.infected:
         return  # absorbed harmlessly / already owned
     h.infected_by = attack.attack_id
-    h.infected_at = state.clock
     state.log.append(state.clock, "Infect", node=node, attack=attack.attack_id,
                      ok=1, via="delivery", pid=pkt.pid)
 
-
-class InjectionGate:
-    """Per-node, per-step injection budget equal to the node's total link
-    bandwidth; excess packets wait in a FIFO and are never silently lost."""
-
-    def __init__(self, network: Network):
-        self._budget_cap = {n: sum(network.bandwidth[n].values()) for n in network.nodes}
-        self._deferred: dict[int, deque[Packet]] = {n: deque() for n in network.nodes}
-        self._budget: dict[int, int] = {}
-
-    def begin_step(self, state: TransportState) -> None:
-        self._budget = dict(self._budget_cap)
-        for node, queue in self._deferred.items():  # built in ascending node id
-            while queue and self._budget[node] > 0:
-                state.stage_injection(node, queue.popleft())
-                self._budget[node] -= 1
-
-    def offer(self, state: TransportState, node: int, packets) -> None:
-        for pkt in packets:
-            if self._budget.get(node, 0) > 0:
-                state.stage_injection(node, pkt)
-                self._budget[node] -= 1
-            else:
-                self._deferred[node].append(pkt)
-
-    def clear_deferred(self, node: int) -> None:
-        self._deferred[node].clear()

@@ -93,9 +93,9 @@ class CellPopulation:
     def count(self, kind: str) -> int:
         return sum(1 for c in self._cells.values() if c.kind == kind)
 
-    def oldest(self, kind: str, count: int) -> list[ArtificialCell]:
-        ranked = sorted(self.of_kind(kind), key=lambda c: (c.born_at, c.cell_id))
-        return ranked[:count]
+    def oldest(self, kind: str) -> ArtificialCell | None:
+        """The first live cell of `kind`: ids rise with the spawn step."""
+        return next((c for c in self._cells.values() if c.kind == kind), None)
 
     def __len__(self) -> int:
         return len(self._cells)

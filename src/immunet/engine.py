@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from random import Random
 
 from . import adversary, defense, receptors, stations, transport
-from .adversary import AttackDef, InjectionGate, NodeHealth, TrafficModel
+from .adversary import AttackDef, NodeHealth
 from .cells import (ANT, DETECTOR, DISINFECTOR, MONITOR, AntCell, ArtificialCell,
                     CellPopulation, DetectorCell, DisinfectorCell, MonitorCell)
 from .events import EventLog
@@ -30,7 +30,7 @@ from .stations import (ADMIN, LYMPH, NURSERY, AdminStation, LymphStation,
 from .topology import (Network, UnknownNode, bfs_distances, build_network,
                        compute_routing, diameter, erdos_renyi, line_network,
                        ring_network, star_network, top_betweenness)
-from .transport import IMMUNE, StepHooks, TransportState
+from .transport import StepHooks, TransportState
 
 
 class SeedTree:
@@ -112,17 +112,9 @@ class World:
                     raise UnknownNode(entry)
             self.worm_entry = (config.worm.entry_step, config.worm.attack_id, entry)
 
-        self.traffic = TrafficModel(
-            background_rate=config.traffic.background_rate,
-            distribution=config.traffic.distribution,
-            payload_len=config.traffic.payload_len,
-            attack_mix=[(self.attacks[e["attack_id"]], e["rate"])
-                        for e in config.traffic.attack_mix],
-        )
         self.background_rng = self.seeds.stream("background")
         # reseeded per (node, step) in `emit`: the stream of `seeds.stream("worm", ...)`
         self.worm_rng = Random()
-        self.gate = InjectionGate(self.network)
 
         self.defense = defense.DefenseStack(self.network)
         self.pheromone = PheromoneMap(config.pheromone.evaporation,
@@ -262,14 +254,13 @@ class World:
     # ------------------------------------------------------------- phases
 
     def inject(self, state: TransportState) -> None:
-        self.gate.begin_step(state)
         if self.worm_entry and state.clock == self.worm_entry[0]:
             _step, attack_id, entry = self.worm_entry
             adversary.spawn_worm(state, self.health, self.attacks[attack_id], entry)
-        packets = adversary.inject_background(state, self.traffic, self.background_rng,
-                                              forbidden=self.signature_set)
+        packets = adversary.inject_background(state, self.config.traffic, self.attacks,
+                                              self.background_rng, forbidden=self.signature_set)
         for pkt in packets:
-            self.gate.offer(state, pkt.src, [pkt])
+            state.offer(pkt.src, (pkt,))
 
     def on_forward(self, state: TransportState, pkt, u: int, v: int) -> None:
         cargo = pkt.cargo
@@ -329,8 +320,8 @@ class World:
                 continue
             rng.seed(self.seeds.derive_seed("worm", node, state.clock))
             packets = adversary.worm_emit(state, self.health, node, attack, rng,
-                                          self.traffic.payload_len)
-            self.gate.offer(state, node, packets)
+                                          self.config.traffic.payload_len)
+            state.offer(node, packets)
 
     def cells(self, state: TransportState) -> None:
         for cell in self.population.alive_sorted():
@@ -359,10 +350,7 @@ class World:
         return nbrs[cell.rng.randrange(len(nbrs))]
 
     def _move_cell(self, cell: ArtificialCell, to: int) -> None:
-        pkt = self.state.make_packet(cell.location, to, IMMUNE, cargo=cell)
-        self.state.log.append(self.state.clock, "Inject", pid=pkt.pid, node=cell.location,
-                              src=pkt.src, dst=pkt.dst, klass=pkt.klass, attack=None)
-        if self.state.enqueue(cell.location, pkt) == transport.ACCEPTED:
+        if self.state.send(cell.location, to, cell) == transport.ACCEPTED:
             cell.pending_move = True
         # on Drop the cell simply stays put and retries next step
 
@@ -394,8 +382,7 @@ class World:
         if h.infected:
             attack = h.infected_by
             h.infected_by = None
-            h.infected_at = None
-            self.gate.clear_deferred(cell.target)
+            self.state.clear_deferred(cell.target)
             self.log.append(self.state.clock, "Disinfect", node=cell.target, ok=1,
                             attack=attack, cell=cell.cell_id)
         else:
@@ -500,7 +487,7 @@ class World:
         """Seal `payload` for the holder of `receptor` at `node`, a station or
         a cell, log the send and open it there in the same step. Returns
         the opened payload, or None when it does not open."""
-        sub = self._make_substance(st.node, payload, {receptor.public})
+        sub = self._make_substance(payload, {receptor.public})
         # an open names the station (`-` for a cell), then the cell if any
         holder = {"station": station} if cell is None else {"cell": cell}
         self.log.append(self.state.clock, "SubstanceSend", sid=sub.sid, src=st.node,
@@ -517,7 +504,7 @@ class World:
             for _ in range(st.mix[kind]):
                 replaces = None
                 if cap and self.population.count(kind) >= cap:
-                    victim = self.population.oldest(kind, 1)[0]
+                    victim = self.population.oldest(kind)
                     self._retire_cell(victim)
                     replaces = victim.cell_id
                 self._spawn(kind, st.node, by=st.station_id, replaces=replaces,
@@ -530,15 +517,15 @@ class World:
 
     # --------------------------------------------------------- substances
 
-    def _make_substance(self, origin: int, payload: bytes, required) -> receptors.Substance:
-        sub = receptors.seal(payload, required, self.substance_ttl, origin)
+    def _make_substance(self, payload: bytes, required) -> receptors.Substance:
+        sub = receptors.seal(payload, required, self.substance_ttl)
         sub.sid = next(self._substance_ids)
         return sub
 
     def _send_substance(self, origin: int, payload: bytes, required,
                         what: str) -> None:
         """Seal and hand off to the nearest station."""
-        sub = self._make_substance(origin, payload, required)
+        sub = self._make_substance(payload, required)
         self._transmit_substance(origin, nearest_station(self.stations, origin, self.dist),
                                  sub, what)
 
@@ -552,10 +539,7 @@ class World:
         if target.node == src:
             target.inbox.append(sub)
             return
-        pkt = self.state.make_packet(src, target.node, IMMUNE, cargo=sub)
-        self.state.log.append(self.state.clock, "Inject", pid=pkt.pid, node=src,
-                              src=src, dst=target.node, klass=IMMUNE, attack=None)
-        self.state.enqueue(src, pkt)
+        self.state.send(src, target.node, sub)
 
     # -------------------------------------------------------------- run
 

@@ -36,17 +36,12 @@ def gen_receptor(rng: Random) -> Receptor:
     return Receptor(public=derive_public(private), private=private)
 
 
-def match(public: bytes, private: bytes) -> bool:
-    return derive_public(private) == public
-
-
 @dataclass
 class Substance:
     required: frozenset[bytes]
     ciphertext: bytes
     tag: bytes
     hop_ttl: int
-    origin: int
     sid: int = -1
     visited: set[int] = field(default_factory=set)  # station ids already tried
     dest: int = -1  # id of the station the substance is addressed to
@@ -73,7 +68,7 @@ def _xor(data: bytes, key: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ int.from_bytes(key, "big")).to_bytes(len(data), "big")
 
 
-def seal(payload: bytes, required, hop_ttl: int, origin: int) -> Substance:
+def seal(payload: bytes, required, hop_ttl: int) -> Substance:
     """Seal a payload against a set of public receptor tokens."""
     required = frozenset(bytes(t) for t in required)
     if not required:
@@ -81,8 +76,7 @@ def seal(payload: bytes, required, hop_ttl: int, origin: int) -> Substance:
     key = _stream_key(required)
     ciphertext = _xor(payload, _keystream(key, len(payload)))
     tag = hashlib.sha256(key + b"|tag|" + ciphertext).digest()[:TAG_BYTES]
-    return Substance(required=required, ciphertext=ciphertext, tag=tag,
-                     hop_ttl=hop_ttl, origin=origin)
+    return Substance(required=required, ciphertext=ciphertext, tag=tag, hop_ttl=hop_ttl)
 
 
 def try_open(sub: Substance, held) -> bytes | None:

@@ -39,6 +39,7 @@ CLOSED_UNIT = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 REDUNDANT = (lambda v: v >= 2, "redundancy requires >= 2")
 
 CellKind = Literal["Detector", "Ant", "Monitor"]
+CellCounts = dict[CellKind, Annotated[int, AT_LEAST_0]]
 
 
 @dataclass
@@ -134,8 +135,8 @@ class StationConfig:
     placement: Literal["random"] | list[int] = "random"
     admin_node: int | None = None  # None = random
     release_period: Annotated[int, AT_LEAST_1] = 100
-    release_mix: dict[CellKind, int] = field(default_factory=lambda: {"Detector": 2, "Ant": 1})
-    caps: dict[CellKind, int] = field(default_factory=dict)  # default: initial counts
+    release_mix: CellCounts = field(default_factory=lambda: {"Detector": 2, "Ant": 1})
+    caps: CellCounts = field(default_factory=dict)  # default: initial counts
     immunization_radius: Annotated[int, AT_LEAST_0] = 2
     dedup_window: Annotated[int, AT_LEAST_1] = 50
     substance_ttl: Annotated[int | None, AT_LEAST_1] = None  # None = 4 * network diameter
@@ -210,6 +211,11 @@ def _build_value(hint, value, path: str):
         return value
     if is_dataclass(hint):
         return _build_section(hint, value, path)
+    if get_origin(hint) is dict:  # the keys must fit; each value is built as a field
+        key, item = get_args(hint)
+        if not isinstance(value, dict) or not all(_fits(k, key) for k in value):
+            raise ValidationError(path, f"expected {_name(hint)}")
+        return {k: _build_value(item, v, f"{path}.{k}") for k, v in value.items()}
     item = get_args(hint)[0] if get_origin(hint) is list else None
     if is_dataclass(item):
         if not isinstance(value, list):
@@ -231,9 +237,6 @@ def _fits(value, hint) -> bool:
         return value in args
     if origin is list:
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(_fits(k, args[0]) and _fits(v, args[1])
-                                               for k, v in value.items())
     if hint is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if hint is int:
@@ -244,6 +247,8 @@ def _fits(value, hint) -> bool:
 def _name(hint) -> str:
     """An annotation as an error message names it: `list[int]`, `'poisson' or 'fixed'`."""
     origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        return _name(args[0])
     if origin in (Literal, Union, UnionType):
         return " or ".join(map(_name, args))
     if origin is not None:

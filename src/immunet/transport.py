@@ -8,10 +8,23 @@ during a step become forwardable the next step, so a packet needs
 exactly one step per hop. One dequeue loop serves both lanes in
 priority order: the immune lane, then the data lane only once the
 immune lane is empty.
+
+Every packet gets onto the wire through `TransportState`, which writes
+its `Inject` line. Data packets are offered at their source node, and a
+node stages at most as many per step as the sum of its link bandwidths.
+The excess waits in the node's FIFO and is logged only when staged. At
+the start of each step, before the inject hook, every budget is renewed
+and each node's waiting packets take it first, in ascending node id.
+Staged packets join their queue after the step's arrivals (phase 3), so
+a data packet offered in phase 4 joins its queue after the next step's
+arrivals. A cure drops the node's waiting packets, which were never
+logged. Immune cargo, a cell or a sealed substance, is sent outside the
+budget and enqueued at once.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -86,39 +99,63 @@ class StepHooks:
 
 
 class TransportState:
-    """Clock, queues, routing, and event log for one run.
+    """Clock, queues, routing, injection budgets and event log for one run.
 
     `routing.rows[dst][node]` is the next hop from `node` towards `dst`.
     """
 
-    def __init__(self, network: Network, routing: Routes,
-                 capacity: int, log: EventLog | None = None):
+    def __init__(self, network: Network, routing: Routes, capacity: int):
         self.network = network
         self.routing = routing
         self.clock = 0
-        self.log = log if log is not None else EventLog()
+        self.log = EventLog()
         self.queues: dict[int, NodeQueue] = {n: NodeQueue(capacity) for n in network.nodes}
-        self._next_pid = 0
-        self._staged_injections: list[tuple[int, Packet]] = []
+        self._pids = itertools.count()
+        self._budget_cap = {n: sum(network.bandwidth[n].values()) for n in network.nodes}
+        self._budget = dict(self._budget_cap)  # injections each node may still stage this step
+        self._deferred: dict[int, deque[Packet]] = {n: deque() for n in network.nodes}
+        self._staged: list[tuple[int, Packet]] = []  # enqueued after this step's arrivals
         self.strict_checks = False
-
-    def new_pid(self) -> int:
-        pid = self._next_pid
-        self._next_pid += 1
-        return pid
 
     def make_packet(self, src: int, dst: int, klass: str, payload: bytes = b"",
                     attack: int | None = None, cargo: object = None) -> Packet:
-        return Packet(self.new_pid(), src, dst, klass, payload, attack, cargo=cargo)
+        return Packet(next(self._pids), src, dst, klass, payload, attack, cargo=cargo)
 
-    def stage_injection(self, node: int, pkt: Packet) -> None:
-        """Log an injection; the packet enters the node's queue at the end of
-        the current dequeue phase and becomes forwardable next step."""
-        if node not in self.queues:
-            raise UnknownNode(node)
+    def _log_inject(self, node: int, pkt: Packet) -> None:
         self.log.append(self.clock, "Inject", pid=pkt.pid, node=node, src=pkt.src,
                         dst=pkt.dst, klass=pkt.klass, attack=pkt.attack)
-        self._staged_injections.append((node, pkt))
+
+    def offer(self, node: int, packets) -> None:
+        """Stage data packets at `node` within its budget; the rest wait."""
+        budget = self._budget.get(node)
+        if budget is None:
+            raise UnknownNode(node)
+        for pkt in packets:
+            if budget > 0:
+                self._log_inject(node, pkt)
+                self._staged.append((node, pkt))
+                budget -= 1
+            else:
+                self._deferred[node].append(pkt)
+        self._budget[node] = budget
+
+    def _release_deferred(self) -> None:
+        """Renew every budget and offer each node's waiting packets again first."""
+        self._budget = dict(self._budget_cap)
+        for node, waiting in self._deferred.items():  # built in ascending node id
+            if waiting:
+                self._deferred[node] = deque()
+                self.offer(node, waiting)
+
+    def clear_deferred(self, node: int) -> None:
+        self._deferred[node].clear()
+
+    def send(self, src: int, dst: int, cargo: object) -> str:
+        """Inject an immune packet carrying `cargo` into `src`'s queue now;
+        returns Accepted or Dropped."""
+        pkt = self.make_packet(src, dst, IMMUNE, cargo=cargo)
+        self._log_inject(src, pkt)
+        return self.enqueue(src, pkt)
 
     def enqueue(self, node: int, pkt: Packet) -> str:
         """Admit a packet to a node queue; returns Accepted or Dropped.
@@ -149,7 +186,7 @@ class TransportState:
         return ACCEPTED
 
     def in_flight(self) -> int:
-        return sum(q.occupancy() for q in self.queues.values()) + len(self._staged_injections)
+        return sum(q.occupancy() for q in self.queues.values()) + len(self._staged)
 
 
 def step(state: TransportState, hooks: StepHooks | None = None) -> None:
@@ -158,6 +195,7 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
     now = state.clock
 
     # phase 1: injection (staged; admitted after the dequeue sweep)
+    state._release_deferred()
     hooks.inject(state)
 
     # bound once per step: the sweep below runs once per forwarded packet
@@ -210,9 +248,9 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
             on_deliver(state, pkt, node)
         else:
             enqueue(node, pkt)
-    for node, pkt in state._staged_injections:
+    for node, pkt in state._staged:
         enqueue(node, pkt)
-    state._staged_injections.clear()
+    state._staged.clear()
 
     # phases 4-7
     hooks.emit(state)

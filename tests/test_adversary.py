@@ -4,11 +4,11 @@ from collections import Counter
 
 import pytest
 
-from immunet.adversary import (AttackDef, InjectionGate, NodeHealth,
-                               TrafficModel, attack_payload, benign_payload,
+from immunet.adversary import (AttackDef, NodeHealth, attack_payload, benign_payload,
                                inject_background, on_attack_delivery, poisson,
                                spawn_worm, worm_emit)
-from immunet.topology import UnknownNode, build_network, erdos_renyi
+from immunet.scenario import TrafficConfig
+from immunet.topology import UnknownNode, erdos_renyi
 from immunet.transport import DATA, TransportState
 
 from conftest import routing_table
@@ -33,13 +33,13 @@ class TestBackground:
 
     def test_rate_zero(self, rng):
         state = fresh_state()
-        model = TrafficModel(background_rate=0.0, distribution="fixed")
-        assert inject_background(state, model, rng) == []
+        traffic = TrafficConfig(background_rate=0.0, distribution="fixed")
+        assert inject_background(state, traffic, {}, rng) == []
 
     def test_fixed_rate_exact_count(self, rng):
         state = fresh_state()
-        model = TrafficModel(background_rate=5.0, distribution="fixed")
-        total = sum(len(inject_background(state, model, rng)) for _ in range(100))
+        traffic = TrafficConfig(background_rate=5.0, distribution="fixed")
+        total = sum(len(inject_background(state, traffic, {}, rng)) for _ in range(100))
         assert total == 500
 
     def test_poisson_mean_within_3_se(self):
@@ -51,8 +51,8 @@ class TestBackground:
 
     def test_src_dst_distinct(self, rng):
         state = fresh_state()
-        model = TrafficModel(background_rate=50.0, distribution="fixed")
-        for pkt in inject_background(state, model, rng):
+        traffic = TrafficConfig(background_rate=50.0, distribution="fixed")
+        for pkt in inject_background(state, traffic, {}, rng):
             assert pkt.src != pkt.dst
             assert pkt.klass == DATA
 
@@ -63,15 +63,11 @@ class TestBackground:
 
     def test_attack_mix_injects_marked_packets(self, rng):
         state = fresh_state()
-        model = TrafficModel(background_rate=0.0, distribution="fixed",
-                             attack_mix=[(ATTACK, 4.0)])
-        packets = inject_background(state, model, rng)
+        traffic = TrafficConfig(background_rate=0.0, distribution="fixed",
+                                attack_mix=[{"attack_id": 1, "rate": 4.0}])
+        packets = inject_background(state, traffic, {1: ATTACK}, rng)
         assert len(packets) == 4
         assert all(p.attack == 1 and SIG in p.payload for p in packets)
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            TrafficModel(background_rate=-1.0)
 
 
 class TestWorm:
@@ -81,9 +77,9 @@ class TestWorm:
         health = all_healthy(state)
         assert spawn_worm(state, health, ATTACK, 7)
         assert health[7].infected_by == 1
-        assert health[7].infected_at == 0
         infects = [ev for ev in state.log.events if ev.kind == "Infect"]
         assert len(infects) == 1 and infects[0].get("ok") == 1
+        assert infects[0].step == 0
 
     def test_spawn_on_patched_fails(self):
         state = fresh_state()
@@ -162,30 +158,3 @@ class TestWorm:
         on_attack_delivery(state, health, 5, pkt, {1: ATTACK})
         assert sum(1 for ev in state.log.events if ev.kind == "Infect") == 1
 
-
-class TestInjectionGate:
-
-    def test_excess_deferred_not_lost(self):
-        net = build_network([0, 1], [(0, 1, 4)])
-        state = TransportState(net, routing_table(net), 32)
-        gate = InjectionGate(net)
-        gate.begin_step(state)
-        packets = [state.make_packet(0, 1, DATA) for _ in range(10)]
-        gate.offer(state, 0, packets)
-        assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 4
-        assert len(gate._deferred[0]) == 6
-        gate.begin_step(state)  # next step drains more
-        assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 8
-        gate.begin_step(state)
-        assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 10
-        assert len(gate._deferred[0]) == 0
-
-    def test_clear_deferred(self):
-        net = build_network([0, 1], [(0, 1, 2)])
-        state = TransportState(net, routing_table(net), 32)
-        gate = InjectionGate(net)
-        gate.begin_step(state)
-        gate.offer(state, 0, [state.make_packet(0, 1, DATA) for _ in range(5)])
-        assert len(gate._deferred[0]) == 3
-        gate.clear_deferred(0)
-        assert len(gate._deferred[0]) == 0

@@ -60,12 +60,15 @@ class TestPopulation:
             pop.add(DetectorCell(cell_id=cid, kind="Detector", location=0,
                                  receptor=None, rng=None, born_at=9))
 
-    def test_oldest_by_birth_then_id(self):
+    def test_oldest_is_the_first_live_cell_of_the_kind(self):
         pop = CellPopulation()
-        for born in (3, 1, 1):
-            pop.add(DetectorCell(cell_id=pop.new_id(), kind="Detector", location=0,
+        for born, kind in enumerate(("Ant", "Detector", "Detector", "Detector")):
+            pop.add(DetectorCell(cell_id=pop.new_id(), kind=kind, location=0,
                                  receptor=None, rng=None, born_at=born))
-        assert [c.cell_id for c in pop.oldest("Detector", 2)] == [1, 2]
+        assert pop.oldest("Detector").cell_id == 1
+        pop.retire(1)
+        assert pop.oldest("Detector").cell_id == 2
+        assert pop.oldest("Monitor") is None
 
 
 class TestDetectors:
@@ -118,7 +121,6 @@ class TestDisinfector:
         world = World(cfg, seed=2)
         world.health[3].vulnerable = True
         world.health[3].infected_by = 9  # attack id with no emitter registered
-        world.health[3].infected_at = 0
         world._spawn(DISINFECTOR, 0, by="test", target=3)
         result = world.run()
         disinfects = [ev for ev in result.log.events if ev.kind == "Disinfect"]
@@ -162,10 +164,9 @@ class TestDisinfector:
         cfg.attacks = [AttackConfig(attack_id=1, signature=SIG_HEX, infects=True, fanout=4)]
         world = World(cfg, seed=2)
         # every other node stays invulnerable, so node 3 cannot be reinfected;
-        # its injection budget is 2, so the gate holds deferred packets
+        # its injection budget is 2, so the node holds deferred packets
         world.health[3].vulnerable = True
         world.health[3].infected_by = 1
-        world.health[3].infected_at = 0
         world._spawn(DISINFECTOR, 0, by="test", target=3)
         result = world.run()
         disinfects = [ev for ev in result.log.events if ev.kind == "Disinfect"]

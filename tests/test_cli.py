@@ -49,6 +49,12 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: traffic.attack_mix[0].rate:") and err.count("\n") == 1
 
+    def test_negative_station_cap(self, tmp_path, capsys, command):
+        path = scenario_file(tmp_path, "stations", caps={"Monitor": -1})
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stations.caps") and err.count("\n") == 1
+
     def test_detectors_outside_topology(self, tmp_path, capsys, command):
         path = scenario_file(tmp_path, "detectors", placement=[999] * 30)
         assert invoke(command, path) == 1

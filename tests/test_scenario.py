@@ -77,6 +77,8 @@ BOUNDS = [
     ("stations.lymph", 1, "redundancy requires >= 2"),
     ("stations.nurseries", 0, "redundancy requires >= 2"),
     ("stations.release_period", 0, "must be >= 1"),
+    ("stations.release_mix.Monitor", -1, "must be >= 0"),
+    ("stations.caps.Monitor", -1, "must be >= 0"),
     ("stations.immunization_radius", -1, "must be >= 0"),
     ("stations.dedup_window", 0, "must be >= 1"),
     ("stations.substance_ttl", 0, "must be >= 1"),

@@ -87,7 +87,7 @@ class TestStep:
             if st.clock == 0:
                 pkt = st.make_packet(0, 2, DATA)
                 injected_at[pkt.pid] = st.clock
-                st.stage_injection(0, pkt)
+                st.offer(0, [pkt])
 
         hooks = StepHooks(inject=inject)
         for _ in range(5):
@@ -142,6 +142,30 @@ class TestStep:
             state.enqueue(0, state.make_packet(0, 2, DATA))
         step(state)
         assert sum(1 for ev in state.log.events if ev.kind == "Forward") == 2
+
+
+class TestAdmission:
+
+    def test_excess_deferred_not_lost(self):
+        net = build_network([0, 1], [(0, 1, 4)])
+        state = TransportState(net, routing_table(net), 32)
+        state.offer(0, [state.make_packet(0, 1, DATA) for _ in range(10)])
+        assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 4
+        assert len(state._deferred[0]) == 6
+        assert state.in_flight() == 4  # staged packets count, deferred ones do not
+        step(state)  # the next step releases more
+        assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 8
+        step(state)
+        assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 10
+        assert len(state._deferred[0]) == 0
+
+    def test_clear_deferred(self):
+        net = build_network([0, 1], [(0, 1, 2)])
+        state = TransportState(net, routing_table(net), 32)
+        state.offer(0, [state.make_packet(0, 1, DATA) for _ in range(5)])
+        assert len(state._deferred[0]) == 3
+        state.clear_deferred(0)
+        assert len(state._deferred[0]) == 0
 
 
 class TestConservation:
