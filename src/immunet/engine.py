@@ -500,10 +500,12 @@ class World:
 
     def _nursery_release(self, st: NurseryStation) -> None:
         for kind in sorted(st.mix):
-            cap = self.caps.get(kind, 0)
+            cap = self.caps[kind]
+            if not cap:
+                continue  # a cap of 0 releases none of the kind
             for _ in range(st.mix[kind]):
                 replaces = None
-                if cap and self.population.count(kind) >= cap:
+                if self.population.count(kind) >= cap:
                     victim = self.population.oldest(kind)
                     self._retire_cell(victim)
                     replaces = victim.cell_id

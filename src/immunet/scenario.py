@@ -136,7 +136,7 @@ class StationConfig:
     admin_node: int | None = None  # None = random
     release_period: Annotated[int, AT_LEAST_1] = 100
     release_mix: CellCounts = field(default_factory=lambda: {"Detector": 2, "Ant": 1})
-    caps: CellCounts = field(default_factory=dict)  # default: initial counts
+    caps: CellCounts = field(default_factory=dict)  # default: initial counts; 0 releases none
     immunization_radius: Annotated[int, AT_LEAST_0] = 2
     dedup_window: Annotated[int, AT_LEAST_1] = 50
     substance_ttl: Annotated[int | None, AT_LEAST_1] = None  # None = 4 * network diameter

@@ -6,6 +6,11 @@ false-positive. Payload scanning slides windows of each registered
 signature length across the payload. Sized at twice the classic
 1.44*n*log2(1/p) bit bound, which buys an empirical false-positive rate
 well under the configured target even after windowed scanning.
+
+`_probe_mask` defines the probe walk, and inserts and `contains` use it.
+`scan`, the hot path of detector cells, inlines the same walk per window;
+tests/test_signatures.py pins its verdicts equal to `contains` on every
+window.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ class EmptySignatureSet(ValueError):
 
 _SALT = b"sigdb-probe-v1"
 _WORDS = struct.Struct(">16I")  # one 64-byte digest as 16 probe words
+_EACH_WORD = struct.Struct(">I").iter_unpack  # a digest's probe words, one at a time
 
 
 @functools.cache
@@ -112,12 +118,43 @@ class CompressedSignatureDb:
         return self._fingerprint
 
     def scan(self, payload: bytes) -> bool:
-        """True when any payload window of a registered length tests positive."""
-        contains = self.contains
+        """True when any payload window of a registered length tests positive.
+
+        The verdict of `contains` on every window, with the walk that
+        `_probe_mask` defines inlined: a digest's words are read one at a
+        time, and a block past 0 is hashed only when the walk reaches it.
+        The bit is tested before distinctness; a repeated probe was already
+        found set, so an unset bit ends the walk either way.
+        """
+        bits = self._bits
+        size = self.size_bits
+        probes = self.num_probes
+        copy0 = _block_state(0).copy
+        each_word = _EACH_WORD
         for length in self.window_lengths:
             for off in range(len(payload) - length + 1):
-                if contains(payload[off:off + length]):
-                    return True
+                key = payload[off:off + length]
+                state = copy0()
+                state.update(key)
+                block = 0
+                left = probes
+                seen = 0
+                while True:
+                    for (word,) in each_word(state.digest()):
+                        mask = 1 << word % size
+                        if not bits & mask:
+                            break
+                        if not seen & mask:
+                            seen |= mask
+                            left -= 1
+                            if not left:
+                                return True
+                    else:  # no word of this block ended the walk: hash the next
+                        block += 1
+                        state = _block_state(block).copy()
+                        state.update(key)
+                        continue
+                    break
         return False
 
 

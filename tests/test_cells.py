@@ -7,7 +7,7 @@ import pytest
 from immunet.cells import DISINFECTOR, CellPopulation, DetectorCell
 from immunet.engine import World
 from immunet.scenario import (AntConfig, AttackConfig, DetectorConfig,
-                              MonitorConfig, StationConfig)
+                              MonitorConfig, StationConfig, baseline_scenario)
 
 from conftest import SIG_HEX, quiet_config, worm_config
 
@@ -305,6 +305,33 @@ class TestRetirement:
                 continue
             if cid in retired_at:
                 assert ev.step <= retired_at[cid], f"{ev.to_line()} after retirement"
+
+
+class TestNurseryCaps:
+    """Nurseries release a kind only up to its cap, and a cap of 0 releases
+    none of it: the bundled scenario with one Ant released every 5 steps."""
+
+    def ant_run(self, count, caps):
+        cfg = baseline_scenario()
+        cfg.ants.count = count
+        cfg.stations.release_period = 5
+        cfg.stations.release_mix = {"Ant": 1}
+        cfg.stations.caps = caps
+        world = World(cfg, seed=42)
+        world.run(200)
+        return world, spawn_events(world.log, "Ant")
+
+    @pytest.mark.parametrize("count, caps", [(0, {}), (0, {"Ant": 0}), (20, {"Ant": 0})])
+    def test_cap_of_zero_releases_none(self, count, caps):
+        world, spawns = self.ant_run(count, caps)
+        assert [ev.get("by") for ev in spawns] == ["init"] * count
+        assert world.population.count("Ant") <= count
+
+    def test_positive_cap_replaces_the_oldest(self):
+        world, spawns = self.ant_run(0, {"Ant": 3})
+        assert len(spawns) == 2 * 200 // 5  # both nurseries release every period
+        assert world.population.count("Ant") == 3
+        assert sum(ev.get("replaces") is not None for ev in spawns) == len(spawns) - 3
 
 
 class TestCoverage:

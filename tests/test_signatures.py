@@ -185,3 +185,61 @@ class TestProbeEquivalence:
             assert all(db.contains(s) for s in sigs[:i])
             assert db._bits == eager_bits(sigs[:i], db.num_probes, db.size_bits)
             assert db.window_lengths == tuple(sorted({len(s) for s in sigs[:i]}))
+
+
+def windows_contain(db: CompressedSignatureDb, payload: bytes) -> bool:
+    """Reference for `scan`: `contains` on every window of every length."""
+    return any(db.contains(payload[off:off + length])
+               for length in db.window_lengths
+               for off in range(len(payload) - length + 1))
+
+
+def scan_payloads(rng: random.Random, sigs) -> list[bytes]:
+    """Empty, shorter than every window, random, and with a member planted."""
+    payloads = [b"", rng.randbytes(min(len(s) for s in sigs) - 1)]
+    payloads += [rng.randbytes(rng.randrange(65)) for _ in range(60)]
+    for sig in rng.sample(sigs, min(len(sigs), 5)):
+        pad = rng.randbytes(rng.randrange(40))
+        cut = rng.randrange(len(pad) + 1)
+        payloads.append(pad[:cut] + sig + pad[cut:])
+    return payloads
+
+
+class TestScanEquivalence:
+    """`scan` inlines the probe walk that `_probe_mask` defines; its verdict
+    is `contains` on any window of any registered length."""
+
+    @pytest.mark.parametrize("lengths", [(16,), (8,), (4, 8, 16)])
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    @pytest.mark.parametrize("fpr", [0.7, 0.2, 0.01, 1e-4])
+    def test_seeded_stores(self, fpr, n, lengths):
+        """fpr 0.7 gives a single probe; at 1e-4 member walks pass block 0."""
+        rng = random.Random(f"{fpr}-{n}-{lengths}")
+        sigs = [rng.randbytes(lengths[i % len(lengths)]) for i in range(n)]
+        db = CompressedSignatureDb(sigs, fpr)
+        assert db.window_lengths == tuple(sorted({len(s) for s in sigs}))
+        assert (db.num_probes == 1) == (fpr == 0.7)
+        assert (db.num_probes > 16) == (fpr == 1e-4)
+        verdicts = []
+        for payload in scan_payloads(rng, sigs):
+            verdicts.append(db.scan(payload))
+            assert verdicts[-1] == windows_contain(db, payload), payload.hex()
+        assert any(verdicts) and not all(verdicts)
+
+    def test_walks_past_the_first_hash_block(self):
+        """At fpr 1e-4 a two-signature store walks more probes than one
+        digest has words; on dense random arrays a non-member's walk often
+        ends in a later block, so both verdicts come from blocks past 0."""
+        rng = random.Random(6)
+        sigs = [rng.randbytes(16), rng.randbytes(8)]
+        db = CompressedSignatureDb(sigs, 1e-4)
+        assert db.num_probes > 16
+        full = (1 << db.size_bits) - 1
+        verdicts = []
+        for _ in range(150):
+            db._bits = full & ~(rng.getrandbits(db.size_bits) & rng.getrandbits(db.size_bits)
+                                & rng.getrandbits(db.size_bits) & rng.getrandbits(db.size_bits))
+            payload = rng.randbytes(rng.randrange(8, 20))
+            verdicts.append(db.scan(payload))
+            assert verdicts[-1] == windows_contain(db, payload), payload.hex()
+        assert any(verdicts) and not all(verdicts)
