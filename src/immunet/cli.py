@@ -45,6 +45,12 @@ def _read(load, path):
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _replay(path):
+    """Metrics of a saved log, folded as `load_log` streams it: the file's
+    errors surface here, so callers go through `_read`."""
+    return compute_metrics(load_log(path))
+
+
 def _load_grid(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -73,7 +79,7 @@ def cmd_run(args) -> int:
             print("check failed: replayed metrics differ", file=sys.stderr)
             return 2
         if args.out:
-            replayed = compute_metrics(load_log(log_path))
+            replayed = _read(_replay, log_path)
             if replayed != metrics:
                 print("check failed: persisted log does not reproduce metrics",
                       file=sys.stderr)
@@ -99,7 +105,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    metrics = compute_metrics(_read(load_log, args.log))
+    metrics = _read(_replay, args.log)
     print(json.dumps(metrics.as_dict(), indent=2, sort_keys=True))
     return 0
 

@@ -102,6 +102,12 @@ class LogFormatError(ValueError):
         self.line = line
 
 
+# A parse table holds at most this many tokens: it is cleared when full, so a
+# streamed replay of any horizon holds a bounded table (a log adds a `pid=`
+# token per packet). The seed-42 benchmark logs have at most 45,320.
+_TABLE_LIMIT = 1 << 16
+
+
 class _FieldTable(dict):
     """Raw `key=value` token -> its parsed `(key, value)` field, each distinct
     token parsed on first sight. A log repeats few distinct tokens many times."""
@@ -110,6 +116,8 @@ class _FieldTable(dict):
         key, eq, raw = token.partition("=")
         if not eq:
             raise ValueError(f"field token without '=': {token!r}")
+        if len(self) >= _TABLE_LIMIT:
+            self.clear()
         field = self[token] = (key, _parse_value(raw))
         return field
 
@@ -121,6 +129,8 @@ class _StepTable(dict):
     def __missing__(self, token: str) -> int:
         if not token.startswith("step="):
             raise ValueError(f"malformed step token: {token!r}")
+        if len(self) >= _TABLE_LIMIT:
+            self.clear()
         step = self[token] = int(token[5:])
         return step
 
@@ -161,12 +171,18 @@ def _parse_value(raw: str):
     return raw
 
 
-def load_log(path) -> list[Event]:
-    """Parse a saved log; a bad line raises `LogFormatError` naming the
-    file and the line's number."""
+def load_log(path) -> Iterator[Event]:
+    """Stream a saved log: a generator that opens the file on its first
+    `next()`, yields each event as its line is parsed and closes the file
+    when the stream ends, fails or is closed. It holds one event at a time;
+    `list(load_log(path))` holds them all. Errors surface while the stream
+    is consumed, not at the call: `OSError` for a file that cannot be
+    opened, `UnicodeDecodeError` for text that is not UTF-8, and
+    `LogFormatError` naming the file and the line's number for a bad line,
+    after the events of the lines before it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return list(_parse(fh))
+            yield from _parse(fh)
         except LogFormatError as exc:
             # a line parses the same wherever it stands, so the first line
             # with the failing text is the one that failed

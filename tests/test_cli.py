@@ -154,7 +154,7 @@ class TestRunCheck:
 
     def test_differing_persisted_log_exits_2(self, tmp_path, capsys, monkeypatch):
         real = cli.load_log
-        monkeypatch.setattr(cli, "load_log", lambda path: real(path)[:-1])
+        monkeypatch.setattr(cli, "load_log", lambda path: list(real(path))[:-1])
         assert self.check_run(tmp_path) == 2
         assert capsys.readouterr().err == "check failed: persisted log does not reproduce metrics\n"
 

@@ -1,10 +1,14 @@
 import gc
 import math
+import re
+import tracemalloc
+from collections.abc import Iterator
 
 import pytest
 
+from immunet import events
 from immunet.engine import World
-from immunet.events import Event, EventLog, load_log
+from immunet.events import Event, EventLog, LogFormatError, load_log
 from immunet.metrics import compute_metrics
 
 from conftest import worm_config
@@ -62,7 +66,7 @@ class TestReplay:
         result = World(worm_config(horizon=200), 6).run()
         path = tmp_path / "run.log"
         result.log.save(path)
-        loaded = load_log(path)
+        loaded = list(load_log(path))
         assert len(loaded) == len(result.log.events) > 0
         for ran, replayed in zip(result.log.events, loaded):
             assert (replayed.step, replayed.kind) == (ran.step, ran.kind)
@@ -76,7 +80,7 @@ class TestReplay:
                  for i in range(len(tokens))] * 2
         path = tmp_path / "hand.log"
         path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
-        loaded = load_log(path)
+        loaded = list(load_log(path))
         assert len(loaded) == len(lines)
         for line, ev in zip(lines, loaded):
             step, kind, fields = reference_parse_line(line)
@@ -91,11 +95,11 @@ class TestReplay:
         path = tmp_path / "alone.log"
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="repeated field key"):
-            load_log(path)
+            list(load_log(path))
         path = tmp_path / "repeated.log"
         path.write_text("step=0 kind=Inject a=1 b=2\n" + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="repeated field key"):
-            load_log(path)
+            list(load_log(path))
 
     def test_unknown_kind_is_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -103,7 +107,68 @@ class TestReplay:
         path = tmp_path / "bogus.log"
         path.write_text("step=0 kind=Bogus pid=1\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            load_log(path)
+            list(load_log(path))
+
+
+class TestStreaming:
+    """`load_log` yields each event as its line is parsed, from a file it
+    opens on the first `next()` and closes when the stream ends or closes."""
+
+    LINE = "step={step} kind=Inject pid={pid} node=0 src=0 dst=1 klass=Data attack=-\n"
+
+    def test_load_log_streams(self, tmp_path, monkeypatch):
+        opened = []
+
+        def spy(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+        monkeypatch.setattr(events, "open", spy, raising=False)
+        path = tmp_path / "bad.log"
+        good = [self.LINE.format(step=0, pid=pid) for pid in range(3)]
+        path.write_text("".join(good) + "step=1 kind=Bogus\n" + good[0], encoding="utf-8")
+        stream = load_log(path)
+        assert isinstance(stream, Iterator) and iter(stream) is stream
+        assert opened == []
+        assert [next(stream).get("pid") for _ in good] == [0, 1, 2]
+        with pytest.raises(LogFormatError, match=re.escape(f"{path}:4: ")):
+            next(stream)
+        assert opened[0].closed
+
+        path = tmp_path / "good.log"
+        path.write_text("".join(good), encoding="utf-8")
+        assert [ev.get("pid") for ev in load_log(path)] == [0, 1, 2]
+        assert opened[1].closed
+
+        stream = load_log(path)
+        assert next(stream).get("pid") == 0 and not opened[2].closed
+        stream.close()
+        assert opened[2].closed
+
+    def test_parse_tables_stay_bounded(self, tmp_path, monkeypatch):
+        """Each line brings a new `pid=` token and every other line a new
+        step token, at least 14 times as many of each as a table may hold
+        (the limit is lowered to 2**10 to keep the log small): the events
+        still equal the reference parse, and the replay's peak holds no
+        more than about one full table of each."""
+        limit = 1 << 10
+        monkeypatch.setattr(events, "_TABLE_LIMIT", limit)
+        lines = [self.LINE.format(step=i // 2, pid=i) for i in range(28 * limit)]
+        path = tmp_path / "pids.log"
+        path.write_text("".join(lines), encoding="utf-8")
+        for line, ev in zip(lines, load_log(path), strict=True):
+            step, kind, fields = reference_parse_line(line)
+            assert (ev.step, ev.kind) == (step, kind)
+            assert typed(ev.fields) == typed(dict(fields))
+
+        tracemalloc.start()
+        try:
+            metrics = compute_metrics(load_log(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert metrics.injected_total == len(lines)
+        # about 0.35 MB with the tables bounded; 8 MB when they keep every token
+        assert peak < 1.5e6, peak
 
 
 class TestFormat:
@@ -129,7 +194,7 @@ class TestFieldStorage:
         path = tmp_path / "run.log"
         result.log.save(path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        loaded = load_log(path)
+        loaded = list(load_log(path))
         assert len(lines) == len(loaded) == len(result.log.events) > 0
         for line, ran, replayed in zip(lines, result.log.events, loaded):
             for ev in (ran, replayed):

@@ -227,7 +227,7 @@ class TestDeterminism:
         path = tmp_path / "run.log"
         result.log.save(path)
         lines = result.log.to_text().splitlines()
-        loaded = load_log(path)
+        loaded = list(load_log(path))
         assert len(loaded) == len(lines)
         for line, ev in zip(lines, loaded):
             assert ev.to_line() == line
