@@ -100,15 +100,15 @@ class DetectorComponent:
         db: CompressedSignatureDb | None = self.cell.db
         if db is None or pkt.klass != DATA or not pkt.payload:
             return CLEAN
-        fp = db.fingerprint()
-        # identical stores share one scan per packet across hops and cells
+        # cells holding one signature set hold one immutable store, so the
+        # store itself keys one scan per packet across hops and cells
         cache = pkt.scan_cache
         if cache is None:
             cache = pkt.scan_cache = {}
-        verdict = cache.get(fp)
+        verdict = cache.get(db)
         if verdict is None:
             verdict = db.scan(pkt.payload)
-            cache[fp] = verdict
+            cache[db] = verdict
         return MALICIOUS if verdict else CLEAN
 
 

@@ -94,6 +94,7 @@ class World:
             self.attacks[a.attack_id] = AttackDef(a.attack_id, a.signature_bytes(),
                                                   a.infects, a.fanout)
         self.signature_set = [a.signature for a in self.attacks.values()]
+        self._stores: dict[frozenset[bytes], CompressedSignatureDb | None] = {frozenset(): None}
 
         vuln_rng = self.seeds.stream("vulnerability")
         prob = config.vulnerability.probability
@@ -128,10 +129,12 @@ class World:
         self._substance_ids = itertools.count()
         self._last_identify: dict[int, int] = {}
 
+        initial = self._store(self.signature_set
+                              if config.detectors.initial_signatures == "all" else ())
         self._setup_filters()
         self._setup_static_ids()
-        self._setup_stations()
-        self._setup_cells()
+        self._setup_stations(initial)
+        self._setup_cells(initial)
 
     # ------------------------------------------------------------- setup
 
@@ -161,7 +164,7 @@ class World:
             self.defense.register(node, defense.StaticIDS(next(self._component_ids),
                                                           self.signature_set))
 
-    def _setup_stations(self) -> None:
+    def _setup_stations(self, trained: CompressedSignatureDb | None) -> None:
         cfg = self.config.stations
         want = cfg.lymph + cfg.nurseries + 1  # + admin
         if isinstance(cfg.placement, str):
@@ -181,7 +184,6 @@ class World:
         # station ids ascend in list order: lymph nodes, nurseries, then admin
         self.stations: list[Station] = []
         sid = 0
-        trained = list(self.signature_set) if self.config.detectors.initial_signatures == "all" else []
         for i in range(cfg.lymph):
             self.stations.append(LymphStation(sid, LYMPH, nodes[i], self.lymph_receptor))
             sid += 1
@@ -190,7 +192,7 @@ class World:
                                                 self.nursery_receptor,
                                                 period=cfg.release_period,
                                                 mix=dict(cfg.release_mix),
-                                                trained_signatures=list(trained)))
+                                                store=trained))
             sid += 1
         self.stations.append(AdminStation(sid, ADMIN, nodes[-1], self.admin_receptor))
         self.station_by_id = {st.station_id: st for st in self.stations}
@@ -212,26 +214,29 @@ class World:
         pool = self.network.nodes
         return [pool[rng.randrange(len(pool))] for _ in range(count)]
 
-    def _setup_cells(self) -> None:
-        signatures = self.signature_set \
-            if self.config.detectors.initial_signatures == "all" else ()
+    def _setup_cells(self, store: CompressedSignatureDb | None) -> None:
         for kind in (DETECTOR, ANT, MONITOR):
             label = kind.lower() + "s"  # the scenario section and the placement stream
             section = getattr(self.config, label)
             for node in self._place_cells(section.count,
                                           getattr(section, "placement", "random"), label):
-                self._spawn(kind, node, by="init", signatures=signatures)
+                self._spawn(kind, node, by="init", store=store)
+
+    def _store(self, signatures) -> CompressedSignatureDb | None:
+        """The run's one store of `signatures`, built when the set is first
+        needed; None for the empty set."""
+        key = frozenset(signatures)
+        if key not in self._stores:
+            self._stores[key] = CompressedSignatureDb(key, self.config.detectors.target_fpr)
+        return self._stores[key]
 
     def _spawn(self, kind: str, node: int, by, replaces: int | None = None,
-               signatures=(), target: int = -1) -> ArtificialCell:
+               store=None, target: int = -1) -> ArtificialCell:
         """Release a cell of `kind` at `node` with its kind's scenario
-        parameters. A detector carries a store of `signatures` and joins the
-        node's defence stack; a disinfector heads for `target`."""
+        parameters. A detector carries `store` and joins the node's defence
+        stack; a disinfector heads for `target`."""
         if kind == DETECTOR:
-            # the store draws no randomness, so building it first keeps the draws in order
-            db = CompressedSignatureDb(signatures, self.config.detectors.target_fpr) \
-                if signatures else None
-            cls, extra = DetectorCell, {"db": db, "p_move": self.config.detectors.p_move}
+            cls, extra = DetectorCell, {"db": store, "p_move": self.config.detectors.p_move}
         elif kind == ANT:
             cls, extra = AntCell, {"memory": deque(maxlen=max(1, self.config.ants.memory)),
                                    "epsilon": self.config.ants.epsilon}
@@ -247,6 +252,9 @@ class World:
         self.log.append(self.state.clock, "Spawn", cell=cid, cellkind=kind, node=node,
                         by=by, replaces=replaces)
         if kind == DETECTOR:
+            # ids from 10,000 stay clear of the static components (filter nodes
+            # plus IDS) while there are fewer than 10,000 of those; with at most
+            # one IDS per node, breaking that takes more than 5,000 nodes
             cell.component = defense.DetectorComponent(10_000 + cid, cell)
             self.defense.register(node, cell.component)
         return cell
@@ -460,8 +468,9 @@ class World:
 
     def _immunize(self, st: LymphStation, around: int, attack: int | None) -> None:
         """Local immunization: push the attack signature to every detector
-        within the configured radius of the reported node, and refresh the
-        nurseries' trained sets. Pushes are sealed/opened same-step."""
+        within the configured radius of the reported node and to the nurseries
+        that lack it; pushes are sealed/opened same-step. An opened push swaps
+        the holder's store for the shared store of its set plus the signature."""
         if attack is None or attack not in self.attacks:
             return
         sig = self.attacks[attack].signature
@@ -472,15 +481,12 @@ class World:
             opened = self._push(st, sig, cell.receptor, cell.location, cell=cell.cell_id)
             if opened is None:
                 continue
-            if cell.db is None:
-                cell.db = CompressedSignatureDb([opened], self.config.detectors.target_fpr)
-            else:
-                cell.db.add(opened)
+            cell.db = self._store(_members(cell.db) | {opened})
         for other in self.stations:
-            if isinstance(other, NurseryStation) and sig not in other.trained_signatures:
+            if isinstance(other, NurseryStation) and sig not in _members(other.store):
                 if self._push(st, sig, other.receptor, other.node,
                               station=other.station_id) is not None:
-                    other.trained_signatures.append(sig)
+                    other.store = self._store(_members(other.store) | {sig})
 
     def _push(self, st: Station, payload: bytes, receptor: receptors.Receptor, node: int,
               station: int | None = None, cell: int | None = None) -> bytes | None:
@@ -510,7 +516,7 @@ class World:
                     self._retire_cell(victim)
                     replaces = victim.cell_id
                 self._spawn(kind, st.node, by=st.station_id, replaces=replaces,
-                            signatures=st.trained_signatures)
+                            store=st.store)
 
     def _retire_cell(self, cell: ArtificialCell) -> None:
         if cell.kind == DETECTOR and cell.location is not None:
@@ -565,6 +571,10 @@ class World:
         audit = transport.conservation_audit(self.log.events)
         metrics = compute_metrics(self.log.events)
         return RunResult(self.config, self.seed, self.log, metrics, audit)
+
+
+def _members(store: CompressedSignatureDb | None) -> frozenset[bytes]:
+    return store.members if store is not None else frozenset()
 
 
 def run(config: ScenarioConfig, seed: int, horizon: int | None = None,

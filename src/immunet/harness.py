@@ -63,8 +63,6 @@ def emit_report(data, fmt: str, path) -> None:
     (stable key order); floats at 6 significant digits."""
     if isinstance(data, Metrics):
         table = [data.as_dict()]
-    elif isinstance(data, dict):
-        table = [data]
     else:
         table = list(data)
     if fmt == "csv":
@@ -84,7 +82,7 @@ def emit_report(data, fmt: str, path) -> None:
                 return float(format(value, ".6g"))
             return value
         payload = [{k: roundtrip(v) for k, v in row.items()} for row in table]
-        if isinstance(data, (Metrics, dict)):
+        if isinstance(data, Metrics):
             payload = payload[0]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

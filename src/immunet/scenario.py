@@ -330,8 +330,13 @@ def validate(config: ScenarioConfig) -> None:
             raise ValidationError("stations.placement", "repeats a node")
     if st.admin_node is not None and st.admin_node not in node_ids:
         raise ValidationError("stations.admin_node", "not a node of the topology")
-    if isinstance(config.static_ids.placement, list):
-        _check_nodes("static_ids.placement", config.static_ids.placement, node_ids)
+    ids = config.static_ids
+    if isinstance(ids.placement, list):
+        if len(ids.placement) < ids.count:
+            raise ValidationError("static_ids.placement", "fewer nodes than count")
+        _check_nodes("static_ids.placement", ids.placement, node_ids)
+        if len(set(ids.placement)) < len(ids.placement):
+            raise ValidationError("static_ids.placement", "repeats a node")
     for i, rule in enumerate(config.filters):
         if rule.node not in node_ids:
             raise ValidationError(f"filters[{i}].node", "not a node of the topology")

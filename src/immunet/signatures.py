@@ -7,10 +7,14 @@ signature length across the payload. Sized at twice the classic
 1.44*n*log2(1/p) bit bound, which buys an empirical false-positive rate
 well under the configured target even after windowed scanning.
 
-`_probe_mask` defines the probe walk, and inserts and `contains` use it.
-`scan`, the hot path of detector cells, inlines the same walk per window;
-tests/test_signatures.py pins its verdicts equal to `contains` on every
-window.
+A store is an immutable value: its bits depend only on its member set
+and target rate, so a run keeps one store per signature set and cells
+holding the same set share it; a wider set is a new store.
+
+`_probe_mask` defines the probe walk, and `__init__` (to set member bits)
+and `contains` use it. `scan`, the hot path of detector cells, inlines
+the same walk per window; tests/test_signatures.py pins its verdicts
+equal to `contains` on every window.
 """
 
 from __future__ import annotations
@@ -38,32 +42,27 @@ def _block_state(block: int):
 
 
 class CompressedSignatureDb:
-    """Approximate-membership structure over signature byte patterns."""
+    """Immutable approximate-membership structure over signature byte patterns."""
 
     def __init__(self, signatures, target_fpr: float):
-        sigs = [bytes(s) for s in signatures]
-        if not sigs:
+        members = frozenset(bytes(s) for s in signatures)
+        if not members:
             raise EmptySignatureSet("need at least one signature")
-        if any(len(s) == 0 for s in sigs):
+        if b"" in members:
             raise EmptySignatureSet("signatures must be non-empty")
         if not 0.0 < target_fpr < 1.0:
             raise ValueError("target_fpr must be in (0, 1)")
         self.target_fpr = target_fpr
-        self._rebuild(set(sigs))
-
-    def _rebuild(self, members: set[bytes]) -> None:
-        """Size the array for exactly `members` and set their probe bits."""
+        self.members = members
         n = len(members)
-        self.size_bits = 2 * math.ceil(1.44 * n * math.log2(1.0 / self.target_fpr))
+        self.size_bits = 2 * math.ceil(1.44 * n * math.log2(1.0 / target_fpr))
         self.num_probes = min(max(1, round(self.size_bits / n * math.log(2))),
                               self.size_bits)
+        self.window_lengths = tuple(sorted({len(s) for s in members}))
         bits = 0
         for sig in members:
             bits |= self._probe_mask(sig, -1)  # -1 has every bit set: walk all probes
         self._bits = bits
-        self._members = members
-        self.window_lengths = tuple(sorted({len(s) for s in members}))
-        self._fingerprint = None
 
     def _probe_mask(self, key: bytes, within: int) -> int:
         """Mask of `key`'s probe bits, walked in order until one is not set
@@ -96,26 +95,9 @@ class CompressedSignatureDb:
                     return seen
             block += 1
 
-    def add(self, sig: bytes) -> None:
-        """Insert one signature, resizing so the fpr target keeps holding."""
-        sig = bytes(sig)
-        if not sig:
-            raise EmptySignatureSet("signatures must be non-empty")
-        if sig not in self._members:
-            self._rebuild(self._members | {sig})
-
     def contains(self, key: bytes) -> bool:
         bits = self._bits
         return not self._probe_mask(key, bits) & ~bits
-
-    def fingerprint(self) -> tuple:
-        # identifies db contents so identical stores can share scan results
-        if self._fingerprint is None:
-            digest = hashlib.blake2b(
-                self._bits.to_bytes((self.size_bits + 7) // 8, "big"),
-                digest_size=8).digest()
-            self._fingerprint = (self.size_bits, self.num_probes, digest)
-        return self._fingerprint
 
     def scan(self, payload: bytes) -> bool:
         """True when any payload window of a registered length tests positive.

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .receptors import Receptor, Substance
+from .signatures import CompressedSignatureDb
 
 LYMPH = "Lymph"
 NURSERY = "Nursery"
@@ -38,7 +39,8 @@ class LymphStation(Station):
 class NurseryStation(Station):
     period: int = 100
     mix: dict[str, int] = field(default_factory=dict)
-    trained_signatures: list[bytes] = field(default_factory=list)
+    # the shared store its released detectors carry; None for no signatures
+    store: CompressedSignatureDb | None = None
 
 
 @dataclass

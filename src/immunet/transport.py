@@ -56,7 +56,7 @@ class Packet:
     attack: int | None = None
     hop_count: int = 0
     cargo: object = None  # in-simulation freight: a cell or a sealed substance
-    # store fingerprint -> scan verdict, shared across hops and cells
+    # signature store -> scan verdict, shared across hops and cells
     scan_cache: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):

@@ -1,9 +1,12 @@
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
 
 from immunet import cli, harness
+from immunet.metrics import Metrics
 from immunet.scenario import baseline_scenario
 
 
@@ -66,6 +69,16 @@ class TestValidationExitCodes:
         assert invoke(command, path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: stations.placement:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("count, placement", [
+        (10_001, [0] * 10_001),
+        (5, [1, 2]),
+    ], ids=["repeats-a-node", "fewer-nodes-than-count"])
+    def test_static_ids_placement(self, tmp_path, capsys, command, count, placement):
+        path = scenario_file(tmp_path, "static_ids", count=count, placement=placement)
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: static_ids.placement:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("entry", ["foo", "999"])
     def test_string_worm_entry(self, tmp_path, capsys, command, entry):
@@ -208,6 +221,37 @@ class TestSweepValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: --seeds:") and err.count("\n") == 1
         assert runs == [] and not (tmp_path / "out").exists()
+
+
+class TestSweepReport:
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_of_a_two_point_grid(self, tmp_path, capsys, fmt):
+        grid = {"pheromone.threshold": [1.0, 6.0], "horizon": [20]}
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--scenario", scenario_file(tmp_path), "--grid",
+                         str(grid_path), "--seeds", "1..2", "--out", str(out),
+                         "--format", fmt]) == 0
+        path = out / f"baseline-sweep.{fmt}"
+        assert capsys.readouterr().out == f"wrote 4 rows to {path}\n"
+        rows = harness.sweep(baseline_scenario(), grid, [1, 2])
+        assert [(row["horizon"], row["pheromone.threshold"], row["seed"]) for row in rows] \
+            == [(20, 1.0, 1), (20, 1.0, 2), (20, 6.0, 1), (20, 6.0, 2)]
+        text = path.read_text(encoding="utf-8")
+        if fmt == "json":
+            # floats at 6 significant digits
+            assert json.loads(text) == [
+                {k: float(format(v, ".6g")) if isinstance(v, float) else v
+                 for k, v in row.items()} for row in rows]
+            return
+        header = ["horizon", "pheromone.threshold", "seed"] + [
+            f.name for f in dataclasses.fields(Metrics)]
+        # floats at 6 significant digits, None as an empty cell
+        table = [[format(v, ".6g") if isinstance(v, float) else "" if v is None else str(v)
+                  for v in (row[k] for k in header)] for row in rows]
+        assert list(csv.reader(io.StringIO(text))) == [header] + table
 
 
 class TestReplayErrors:

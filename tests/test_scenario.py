@@ -86,7 +86,8 @@ BOUNDS = [
     ("horizon", -1, "must be >= 0"),
 ]
 
-# One bad value per other rule: (changes, the field the error names).
+# One bad value per other rule: (changes, the field the error names), and a
+# case id where another case names the field as well.
 RULES = [
     # choices
     ({"topology.kind": "mesh"}, "topology.kind"),
@@ -124,6 +125,10 @@ RULES = [
     ({"stations.admin_node": 50}, "stations.admin_node"),
     ({"stations.lymph": 48}, "stations"),
     ({"static_ids.placement": [999]}, "static_ids.placement[0]"),
+    ({"static_ids.count": 5, "static_ids.placement": [1, 2]}, "static_ids.placement",
+     "static_ids.placement-short"),
+    ({"static_ids.count": 3, "static_ids.placement": [1, 2, 1]}, "static_ids.placement",
+     "static_ids.placement-repeat"),
     ({"filters": [{"node": 999}]}, "filters[0].node"),
     # a placement string other than its one literal; a junk entry with the worm off
     ({"detectors.placement": "randm"}, "detectors.placement"),
@@ -142,7 +147,8 @@ class TestGate:
         where = path.replace(".0.", "[0].")
         assert exc.field == where and str(exc) == f"{where}: {message}"
 
-    @pytest.mark.parametrize("changes, where", RULES, ids=[case[1] for case in RULES])
+    @pytest.mark.parametrize("changes, where", [case[:2] for case in RULES],
+                             ids=[case[-1] for case in RULES])
     def test_rule(self, changes, where):
         assert rejection(changes).field.startswith(where)
 

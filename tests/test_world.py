@@ -6,8 +6,9 @@ import pytest
 from immunet import transport
 from immunet.cells import DETECTOR, ArtificialCell
 from immunet.engine import World
-from immunet.scenario import DetectorConfig, IdsConfig, baseline_scenario
-from immunet.stations import ADMIN, LYMPH
+from immunet.scenario import (AttackConfig, DetectorConfig, FilterRuleConfig, IdsConfig,
+                              TopologySpec, baseline_scenario)
+from immunet.stations import ADMIN, LYMPH, NURSERY
 
 from conftest import worm_config
 
@@ -43,6 +44,12 @@ class TestQueueBookkeeping:
         assert queued > 0
 
 
+def registered_cells(world) -> set[tuple[int, int]]:
+    """(node, cell id) of every detector component in the defence registry."""
+    return {(node, comp.cell_id) for node in world.network.nodes
+            for comp in world.defense.at[node] if comp.kind == "Cell"}
+
+
 class TestCellWhereabouts:
     """A cell is at a node between steps: `location is None` only from its
     forward to its delivery, which fall in one step since a move is one hop."""
@@ -74,11 +81,159 @@ class TestCellWhereabouts:
                 if cell.pending_move:
                     assert riding[cell.cell_id] == [cell.location]
                     queued_moves += 1
-            registered = {(node, comp.cell_id) for node in world.network.nodes
-                          for comp in world.defense.at[node] if comp.kind == "Cell"}
-            assert registered == {(cell.location, cell.cell_id) for cell in live
-                                  if cell.kind == DETECTOR}
+            assert registered_cells(world) == {(cell.location, cell.cell_id) for cell in live
+                                               if cell.kind == DETECTOR}
         assert queued_moves > 0 and forwarded
+
+
+def shaped(kind):
+    def setup(cfg):
+        cfg.topology = TopologySpec(kind=kind, nodes=8)
+    return setup
+
+
+def check_degrees(degrees):
+    def check(world, events, destroyed):
+        assert sorted(len(world.network.neighbors(n)) for n in world.network.nodes) == degrees
+    return check
+
+
+def entry_5(cfg):
+    cfg.worm.entry = 5
+
+
+def check_entry_5(world, events, destroyed):
+    first = next(ev for ev in events if ev.kind == "Infect")
+    assert (first.get("node"), first.get("via")) == (5, "entry")
+
+
+def listed(cfg):
+    cfg.detectors.placement = [7, 6, 5, 4]
+    cfg.static_ids = IdsConfig(count=2, placement=[6, 7])
+
+
+def check_listed(world, events, destroyed):
+    spawned = [ev.get("node") for ev in events
+               if ev.kind == "Spawn" and ev.get("by") == "init" and ev.get("cellkind") == DETECTOR]
+    assert spawned == [7, 6, 5, 4]
+    assert [n for n in world.network.nodes for comp in world.defense.at[n]
+            if comp.kind == "StaticIDS"] == [6, 7]
+
+
+def filtered(cfg):
+    cfg.filters = [FilterRuleConfig(node=n, action="Drop", klass="Immune") for n in (5, 6)]
+
+
+def check_filtered(world, events, destroyed):
+    assert any(ev.kind == "Detect" and ev.get("bykind") == "PacketFilter" for ev in events)
+    assert destroyed
+    live = {cell.cell_id for cell in world.population.alive_sorted()}
+    assert not live & {cell.cell_id for cell in destroyed}
+
+
+class TestEnginePaths:
+    """Scenario shapes the other tests do not build, each run with strict
+    checks to its horizon: the audit holds, and the registry holds exactly
+    the live detectors, each where it is."""
+
+    @pytest.mark.parametrize("setup, check", [
+        (shaped("line"), check_degrees([1, 1, 2, 2, 2, 2, 2, 2])),
+        (shaped("ring"), check_degrees([2] * 8)),
+        (shaped("star"), check_degrees([1] * 7 + [7])),
+        (entry_5, check_entry_5),
+        (listed, check_listed),
+        (filtered, check_filtered),
+    ], ids=["line", "ring", "star", "worm-entry", "list-placements", "filters"])
+    def test_strict_run(self, setup, check):
+        cfg = worm_config(horizon=200)
+        setup(cfg)
+        world = World(cfg, 6, strict_checks=True)
+        hooks = world.hooks()
+        arrival = hooks.on_arrival
+        destroyed = []  # cells whose packet a check destroyed
+
+        def on_arrival(state, node, pkt, from_node):
+            hit = arrival(state, node, pkt, from_node)
+            if hit and isinstance(pkt.cargo, ArtificialCell):
+                destroyed.append(pkt.cargo)
+            return hit
+        hooks.on_arrival = on_arrival
+        for _ in range(cfg.horizon):
+            transport.step(world.state, hooks)
+        events = world.log.events
+        audit = transport.conservation_audit(events)
+        assert sum(audit.injected.values()) == sum(
+            sum(counter.values()) for counter in
+            (audit.delivered, audit.dropped, audit.destroyed, audit.in_flight))
+        assert registered_cells(world) == {(cell.location, cell.cell_id) for cell
+                                           in world.population.of_kind(DETECTOR)}
+        check(world, events, destroyed)
+
+
+class TestSharedStores:
+    """A run keeps one immutable store per signature set: detectors holding
+    one set hold one store, immunization swaps a detector's store for the
+    wider set's, and nurseries release detectors carrying their own store."""
+
+    def test_one_store_per_signature_set(self):
+        # the untrained worm run of TestDeterminismGuard, plus a second attack
+        # in the background mix, so stores widen from one signature to two
+        cfg = worm_config(horizon=300,
+                          detectors=DetectorConfig(count=4, p_move=0.5, initial_signatures="none"),
+                          static_ids=IdsConfig(count=2))
+        cfg.attacks.append(AttackConfig(attack_id=2, signature="00112233445566778899aabbccddeeff",
+                                        infects=False, fanout=0))
+        cfg.traffic.attack_mix = [{"attack_id": 2, "rate": 1.0}]
+        world = World(cfg, 2, strict_checks=True)
+        radius = cfg.stations.immunization_radius
+        nursery_ids = {st.station_id for st in world.stations if st.kind == NURSERY}
+        immunize, spawn = world._immunize, world._spawn
+        seen = {"shared": 0, "widened": 0, "kept": 0, "released": 0}
+
+        def detectors():
+            return world.population.of_kind(DETECTOR)
+
+        def checked_immunize(st, around, attack):
+            sig = world.attacks[attack].signature
+            before = {cell.cell_id: cell.db for cell in detectors()}
+            held = {id(db): (db, db.members, db._bits) for db in before.values() if db}
+            immunize(st, around, attack)
+            for cell in detectors():
+                old = before[cell.cell_id]
+                if cell.location is not None and world.dist[cell.location][around] <= radius:
+                    old_members = old.members if old else frozenset()
+                    assert cell.db.members == old_members | {sig}
+                    seen["widened"] += bool(old) and sig not in old_members
+                else:
+                    assert cell.db is old
+                    seen["kept"] += old is not None
+            for db, members, bits in held.values():
+                assert (db.members, db._bits) == (members, bits)
+            for other in world.stations:
+                if other.kind == NURSERY:
+                    assert sig in other.store.members
+        world._immunize = checked_immunize
+
+        def checked_spawn(kind, node, by, replaces=None, store=None, target=-1):
+            cell = spawn(kind, node, by, replaces=replaces, store=store, target=target)
+            if kind == DETECTOR and by in nursery_ids:
+                assert cell.db is world.station_by_id[by].store
+                seen["released"] += cell.db is not None
+            return cell
+        world._spawn = checked_spawn
+
+        hooks = world.hooks()
+        for _ in range(cfg.horizon):
+            transport.step(world.state, hooks)
+            by_set: dict[frozenset, list] = {}
+            for cell in detectors():
+                if cell.db is not None:
+                    by_set.setdefault(cell.db.members, []).append(cell.db)
+            for stores in by_set.values():
+                assert all(db is stores[0] for db in stores)
+                seen["shared"] += len(stores) > 1
+        assert all(seen.values()), seen
+        assert max(len(members) for members in world._stores) == 2
 
 
 def digest(result) -> str:
