@@ -85,8 +85,8 @@ class World:
         # diameter and station distances all read
         self.dist = {node: bfs_distances(self.network, node) for node in self.network.nodes}
         self.routing = compute_routing(self.network, self.dist)
-        self.state = TransportState(self.network, self.routing, cfg_tr.queue_capacity)
-        self.state.strict_checks = strict_checks
+        self.state = TransportState(self.network, self.routing, cfg_tr.queue_capacity,
+                                    strict_checks=strict_checks)
         self.log = self.state.log
 
         self.attacks: dict[int, AttackDef] = {}

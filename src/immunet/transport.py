@@ -20,6 +20,13 @@ a data packet offered in phase 4 joins its queue after the next step's
 arrivals. A cure drops the node's waiting packets, which were never
 logged. Immune cargo, a cell or a sealed substance, is sent outside the
 budget and enqueued at once.
+
+The sweep calls the forward hook only for a packet with cargo; a plain
+data packet needs no per-hop work beyond its `Forward` line. Under
+`strict_checks`, fixed when the state is built, each queue also records
+its packets' enqueue order, and the sweep checks queue bounds, lane
+priority and per-lane FIFO order; a failed check raises `QueueViolation`,
+which `python -O` does not strip.
 """
 
 from __future__ import annotations
@@ -43,6 +50,15 @@ class ConservationViolation(AssertionError):
     def __init__(self, pid: int, reason: str):
         super().__init__(f"packet {pid}: {reason}")
         self.pid = pid
+        self.reason = reason
+
+
+class QueueViolation(AssertionError):
+    """A strict-mode queue check failed: capacity, lane priority or FIFO order."""
+
+    def __init__(self, node: int, reason: str):
+        super().__init__(f"node {node}: {reason}")
+        self.node = node
         self.reason = reason
 
 
@@ -74,7 +90,8 @@ class NodeQueue:
         self.immune: deque[Packet] = deque()
         self.data: deque[Packet] = deque()
         self._seq = 0
-        self._enq_seq: dict[int, int] = {}  # pid -> enqueue order, for queued packets only
+        # pid -> enqueue order of queued packets; kept only under strict_checks
+        self._enq_seq: dict[int, int] = {}
 
     def occupancy(self) -> int:
         return len(self.immune) + len(self.data)
@@ -85,7 +102,8 @@ class StepHooks:
     """Per-phase callbacks supplied by the orchestration layer.
 
     All callbacks run synchronously inside step() in phase order; the
-    transport layer itself never consumes randomness.
+    transport layer itself never consumes randomness. `on_forward` runs
+    only for a packet whose `cargo` is not None.
     """
 
     inject: Callable = lambda state: None
@@ -102,9 +120,12 @@ class TransportState:
     """Clock, queues, routing, injection budgets and event log for one run.
 
     `routing.rows[dst][node]` is the next hop from `node` towards `dst`.
+    `strict_checks` is fixed here: the FIFO check needs the enqueue order
+    of every packet from the first enqueue on.
     """
 
-    def __init__(self, network: Network, routing: Routes, capacity: int):
+    def __init__(self, network: Network, routing: Routes, capacity: int, *,
+                 strict_checks: bool = False):
         self.network = network
         self.routing = routing
         self.clock = 0
@@ -115,7 +136,11 @@ class TransportState:
         self._budget = dict(self._budget_cap)  # injections each node may still stage this step
         self._deferred: dict[int, deque[Packet]] = {n: deque() for n in network.nodes}
         self._staged: list[tuple[int, Packet]] = []  # enqueued after this step's arrivals
-        self.strict_checks = False
+        self._strict = strict_checks
+
+    @property
+    def strict_checks(self) -> bool:
+        return self._strict
 
     def make_packet(self, src: int, dst: int, klass: str, payload: bytes = b"",
                     attack: int | None = None, cargo: object = None) -> Packet:
@@ -171,7 +196,8 @@ class TransportState:
             (immune if pkt.klass == IMMUNE else data).append(pkt)
         elif pkt.klass == IMMUNE and data:
             victim = data.pop()
-            q._enq_seq.pop(victim.pid, None)
+            if self._strict:
+                q._enq_seq.pop(victim.pid, None)
             self.log.append(self.clock, "Evict", pid=victim.pid, node=node,
                             klass=victim.klass, attack=victim.attack, by=pkt.pid)
             immune.append(pkt)
@@ -179,10 +205,11 @@ class TransportState:
             self.log.append(self.clock, "Drop", pid=pkt.pid, node=node,
                             klass=pkt.klass, attack=pkt.attack, reason="overflow")
             return DROPPED
-        q._enq_seq[pkt.pid] = q._seq
-        q._seq += 1
-        if self.strict_checks:
-            assert len(immune) + len(data) <= q.capacity, "queue over capacity"
+        if self._strict:
+            q._enq_seq[pkt.pid] = q._seq
+            q._seq += 1
+            if len(immune) + len(data) > q.capacity:
+                raise QueueViolation(node, "queue over capacity")
         return ACCEPTED
 
     def in_flight(self) -> int:
@@ -214,7 +241,6 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
         if not immune and not data:
             continue
         budgets = bandwidth[node].copy()  # forward within this step's link budgets
-        release = q._enq_seq.pop  # forget a leaving packet; returns its enqueue order
         for lane in (immune, data):
             last_seq = -1
             while lane:
@@ -224,15 +250,18 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
                     break
                 budgets[nh] -= 1
                 lane.popleft()
-                seq = release(pkt.pid, -1)
                 if strict:
-                    assert lane is immune or not immune, "data forwarded while immune queued"
-                    assert seq > last_seq, f"{pkt.klass} lane FIFO violated"
+                    if lane is data and immune:
+                        raise QueueViolation(node, "data forwarded while immune queued")
+                    seq = q._enq_seq.pop(pkt.pid, -1)  # forget the leaving packet
+                    if seq <= last_seq:
+                        raise QueueViolation(node, f"{pkt.klass} lane FIFO violated")
                     last_seq = seq
                 pkt.hop_count += 1
                 append(now, "Forward", pid=pkt.pid, src=node, dst=nh,
                        klass=pkt.klass, attack=pkt.attack)
-                on_forward(state, pkt, node, nh)
+                if pkt.cargo is not None:
+                    on_forward(state, pkt, node, nh)
                 arrivals.append((node, nh, pkt))
             if lane:
                 break  # strict priority: data waits while immune packets remain

@@ -1,20 +1,26 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import immunet
 
 from immunet.engine import World
 from immunet.events import EventLog, load_log
 from immunet.topology import UnknownNode, build_network, line_network
 from immunet.transport import (ACCEPTED, DATA, DROPPED, IMMUNE,
-                               ConservationViolation, StepHooks, TransportState,
-                               conservation_audit, step)
+                               ConservationViolation, QueueViolation, StepHooks,
+                               TransportState, conservation_audit, step)
 
 from conftest import quiet_config, routing_table
 
 
-def make_state(net=None, capacity=4):
+def make_state(net=None, capacity=4, strict=False):
     net = net or line_network(3, bandwidth=2)
-    return TransportState(net, routing_table(net), capacity)
+    return TransportState(net, routing_table(net), capacity, strict_checks=strict)
 
 
 class TestQueue:
@@ -54,8 +60,7 @@ class TestQueue:
     def test_capacity_never_exceeded_fuzz(self):
         """10^4 random enqueue/dequeue operations keep occupancy <= capacity."""
         rng = random.Random(5150)
-        state = make_state(capacity=5)
-        state.strict_checks = True
+        state = make_state(capacity=5, strict=True)
         q = state.queues[1]
         for _ in range(10_000):
             if rng.random() < 0.6:
@@ -126,14 +131,26 @@ class TestStep:
         # bandwidth 1 and two immune packets: the second immune blocks the lane,
         # so no data moves at all that step
         net = line_network(3, bandwidth=1)
-        state = TransportState(net, routing_table(net), 8)
-        state.strict_checks = True
+        state = TransportState(net, routing_table(net), 8, strict_checks=True)
         for _ in range(2):
             state.enqueue(0, state.make_packet(0, 2, IMMUNE))
         state.enqueue(0, state.make_packet(0, 2, DATA))
         step(state)
         fwd = [ev for ev in state.log.events if ev.kind == "Forward"]
         assert len(fwd) == 1 and fwd[0].get("klass") == IMMUNE
+
+    def test_forward_hook_skips_packets_without_cargo(self):
+        calls = []
+
+        def inject(st):
+            st.offer(0, [st.make_packet(0, 2, DATA)])
+
+        state = make_state()
+        hooks = StepHooks(inject=inject, on_forward=lambda st, pkt, u, v: calls.append(pkt))
+        for _ in range(5):
+            step(state, hooks)
+        assert sum(1 for ev in state.log.events if ev.kind == "Forward") > 0
+        assert calls == []
 
     def test_per_link_budget(self):
         net = line_network(3, bandwidth=2)
@@ -142,6 +159,49 @@ class TestStep:
             state.enqueue(0, state.make_packet(0, 2, DATA))
         step(state)
         assert sum(1 for ev in state.log.events if ev.kind == "Forward") == 2
+
+
+# two data packets at node 0, their lane reordered behind the queue's back
+LANE_REORDER = """
+from immunet.topology import bfs_distances, compute_routing, line_network
+from immunet.transport import DATA, TransportState, step
+
+net = line_network(3, bandwidth=2)
+routing = compute_routing(net, {n: bfs_distances(net, n) for n in net.nodes})
+state = TransportState(net, routing, 4, strict_checks=True)
+for _ in range(2):
+    state.enqueue(0, state.make_packet(0, 2, DATA))
+state.queues[0].data.reverse()
+step(state)
+"""
+
+
+class TestStrictChecks:
+
+    def test_lane_reorder_raises(self):
+        state = make_state(strict=True)
+        for _ in range(2):
+            state.enqueue(0, state.make_packet(0, 2, DATA))
+        state.queues[0].data.reverse()
+        with pytest.raises(QueueViolation, match="Data lane FIFO violated") as err:
+            step(state)
+        assert err.value.node == 0
+
+    def test_lane_reorder_raises_under_python_O(self):
+        """The checks are explicit raises, so `python -O` keeps them."""
+        src = os.path.dirname(os.path.dirname(immunet.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", LANE_REORDER], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "QueueViolation: node 0: Data lane FIFO violated" in proc.stderr
+
+    def test_strict_checks_fixed_at_construction(self):
+        state = make_state()
+        with pytest.raises(AttributeError):
+            state.strict_checks = True
+        assert not state.strict_checks and make_state(strict=True).strict_checks
 
 
 class TestAdmission:

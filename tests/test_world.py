@@ -34,14 +34,36 @@ class TestQueueBookkeeping:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_enqueue_order_map_holds_only_queued_packets(self, strict):
+        """Only the strict FIFO check reads the map, so it is kept only then."""
         world = World(worm_config(horizon=200), 6, strict_checks=strict)
         world.run()
         queued = 0
         for q in world.state.queues.values():
             pids = {pkt.pid for pkt in q.immune} | {pkt.pid for pkt in q.data}
-            assert set(q._enq_seq) == pids
+            assert set(q._enq_seq) == (pids if strict else set())
             queued += len(pids)
         assert queued > 0
+
+
+class TestForwardHook:
+
+    def test_hook_runs_for_every_cargo_forward_and_no_other(self):
+        """Every immune packet World sends carries cargo; data packets carry none."""
+        world = World(worm_config(horizon=200), 6)
+        hooks = world.hooks()
+        forward = hooks.on_forward
+        calls = []
+
+        def on_forward(state, pkt, u, v):
+            calls.append(pkt.pid)
+            forward(state, pkt, u, v)
+        hooks.on_forward = on_forward
+        for _ in range(world.config.horizon):
+            transport.step(world.state, hooks)
+        forwards = [ev for ev in world.log.events if ev.kind == "Forward"]
+        immune = [ev.get("pid") for ev in forwards if ev.get("klass") == transport.IMMUNE]
+        assert calls == immune and len(immune) > 0
+        assert len(forwards) > len(immune)
 
 
 def registered_cells(world) -> set[tuple[int, int]]:
