@@ -24,7 +24,7 @@ DISINFECTOR = "Disinfector"
 class ArtificialCell:
     cell_id: int
     kind: str
-    location: int | None  # None while riding a transport packet
+    location: int  # a moving cell keeps the node it left until its packet is delivered
     receptor: Receptor
     rng: Random
     born_at: int
@@ -35,20 +35,17 @@ class ArtificialCell:
 @dataclass
 class DetectorCell(ArtificialCell):
     db: CompressedSignatureDb | None = None
-    p_move: float = 0.5
     component: object = None  # its entry in the defense registry
 
 
 @dataclass
 class AntCell(ArtificialCell):
     memory: deque = field(default_factory=lambda: deque(maxlen=4))
-    epsilon: float = 0.01
 
 
 @dataclass
 class MonitorCell(ArtificialCell):
     buffer: list = field(default_factory=list)
-    flush_period: int = 25
 
 
 @dataclass

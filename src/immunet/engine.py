@@ -121,7 +121,6 @@ class World:
         self.pheromone = PheromoneMap(config.pheromone.evaporation,
                                       config.pheromone.deposit,
                                       config.pheromone.threshold)
-        self.quorum = config.pheromone.quorum
 
         self.receptor_rng = self.seeds.stream("receptors")
         self.population = CellPopulation()
@@ -169,9 +168,7 @@ class World:
         want = cfg.lymph + cfg.nurseries + 1  # + admin
         if isinstance(cfg.placement, str):
             rng = self.seeds.stream("placement", "stations")
-            pool = list(self.network.nodes)
-            nodes = rng.sample(pool, want) if want <= len(pool) else \
-                [pool[rng.randrange(len(pool))] for _ in range(want)]
+            nodes = rng.sample(self.network.nodes, want)
         else:
             nodes = list(cfg.placement)
         if cfg.admin_node is not None:
@@ -181,7 +178,7 @@ class World:
         self.nursery_receptor = receptors.gen_receptor(self.receptor_rng)
         self.admin_receptor = receptors.gen_receptor(self.receptor_rng)
 
-        # station ids ascend in list order: lymph nodes, nurseries, then admin
+        # a station's id is its index here: lymph nodes, nurseries, then admin
         self.stations: list[Station] = []
         sid = 0
         for i in range(cfg.lymph):
@@ -189,13 +186,9 @@ class World:
             sid += 1
         for i in range(cfg.nurseries):
             self.stations.append(NurseryStation(sid, NURSERY, nodes[cfg.lymph + i],
-                                                self.nursery_receptor,
-                                                period=cfg.release_period,
-                                                mix=dict(cfg.release_mix),
-                                                store=trained))
+                                                self.nursery_receptor, store=trained))
             sid += 1
         self.stations.append(AdminStation(sid, ADMIN, nodes[-1], self.admin_receptor))
-        self.station_by_id = {st.station_id: st for st in self.stations}
 
         self.substance_ttl = cfg.substance_ttl
         if self.substance_ttl is None:
@@ -232,16 +225,14 @@ class World:
 
     def _spawn(self, kind: str, node: int, by, replaces: int | None = None,
                store=None, target: int = -1) -> ArtificialCell:
-        """Release a cell of `kind` at `node` with its kind's scenario
-        parameters. A detector carries `store` and joins the node's defence
-        stack; a disinfector heads for `target`."""
+        """Release a cell of `kind` at `node`. A detector carries `store` and
+        joins the node's defence stack; a disinfector heads for `target`."""
         if kind == DETECTOR:
-            cls, extra = DetectorCell, {"db": store, "p_move": self.config.detectors.p_move}
+            cls, extra = DetectorCell, {"db": store}
         elif kind == ANT:
-            cls, extra = AntCell, {"memory": deque(maxlen=max(1, self.config.ants.memory)),
-                                   "epsilon": self.config.ants.epsilon}
+            cls, extra = AntCell, {"memory": deque(maxlen=max(1, self.config.ants.memory))}
         elif kind == MONITOR:
-            cls, extra = MonitorCell, {"flush_period": self.config.monitors.flush_period}
+            cls, extra = MonitorCell, {}
         else:
             cls, extra = DisinfectorCell, {"target": target}
         cid = self.population.new_id()
@@ -272,10 +263,8 @@ class World:
 
     def on_forward(self, state: TransportState, pkt, u: int, v: int) -> None:
         cargo = pkt.cargo
-        if isinstance(cargo, ArtificialCell):
-            cargo.location = None
-            if cargo.kind == DETECTOR and cargo.alive:
-                self.defense.deregister(u, cargo.component.component_id)
+        if isinstance(cargo, ArtificialCell) and cargo.kind == DETECTOR and cargo.alive:
+            self.defense.deregister(u, cargo.component.component_id)
 
     def on_arrival(self, state: TransportState, node: int, pkt, from_node: int) -> bool:
         if not self.defense.at[node]:
@@ -302,7 +291,7 @@ class World:
                 self._arrive_cell(cargo, node)
             return
         if isinstance(cargo, receptors.Substance):
-            self.station_by_id[cargo.dest].inbox.append(cargo)
+            self.stations[cargo.dest].inbox.append(cargo)
             return
         if pkt.attack is not None:
             adversary.on_attack_delivery(state, self.health, node, pkt, self.attacks)
@@ -332,19 +321,22 @@ class World:
             state.offer(node, packets)
 
     def cells(self, state: TransportState) -> None:
+        p_move = self.config.detectors.p_move
+        epsilon = self.config.ants.epsilon
+        flush_period = self.config.monitors.flush_period
         for cell in self.population.alive_sorted():
-            if not cell.alive or cell.location is None or cell.pending_move:
+            if not cell.alive or cell.pending_move:
                 continue
             if cell.kind == DETECTOR:
-                if cell.rng.random() < cell.p_move:
+                if cell.rng.random() < p_move:
                     self._move_cell(cell, self._random_neighbor(cell))
             elif cell.kind == ANT:
                 nxt = choose_move(self.pheromone, cell.location,
                                   self.network.neighbors(cell.location),
-                                  cell.memory, cell.epsilon, cell.rng)
+                                  cell.memory, epsilon, cell.rng)
                 self._move_cell(cell, nxt)
             elif cell.kind == MONITOR:
-                self._monitor_collect(cell)
+                self._monitor_collect(cell, flush_period)
                 self._move_cell(cell, self._random_neighbor(cell))
             elif cell.kind == DISINFECTOR:
                 if cell.location == cell.target:
@@ -362,7 +354,7 @@ class World:
             cell.pending_move = True
         # on Drop the cell simply stays put and retries next step
 
-    def _monitor_collect(self, cell: MonitorCell) -> None:
+    def _monitor_collect(self, cell: MonitorCell, flush_period: int) -> None:
         node = cell.location
         cell.buffer.append({
             "step": self.state.clock,
@@ -370,7 +362,7 @@ class World:
             "occupancy": self.state.queues[node].occupancy(),
             "pheromone": round(self.pheromone.node_mass(node), 9),
         })
-        if (self.state.clock - cell.born_at + 1) % cell.flush_period == 0 and cell.buffer:
+        if (self.state.clock - cell.born_at + 1) % flush_period == 0 and cell.buffer:
             payload = json.dumps({"kind": "monitor", "cell": cell.cell_id,
                                   "rows": cell.buffer}, sort_keys=True).encode()
             cell.buffer = []
@@ -399,11 +391,8 @@ class World:
         self.population.retire(cell.cell_id)
 
     def _declaration_pass(self, state: TransportState) -> None:
-        ants_present: Counter = Counter()
-        for cell in self.population.of_kind(ANT):
-            if cell.location is not None:
-                ants_present[cell.location] += 1
-        declared = self.pheromone.declare(ants_present, self.quorum)
+        ants_present = Counter(cell.location for cell in self.population.of_kind(ANT))
+        declared = self.pheromone.declare(ants_present, self.config.pheromone.quorum)
         # rate-limit per node so persistent evidence re-reports once per window
         redeclare = self.config.stations.dedup_window
         for node in declared:
@@ -421,11 +410,12 @@ class World:
         self.pheromone.evaporate()
 
     def station_actions(self, state: TransportState) -> None:
+        release = (state.clock + 1) % self.config.stations.release_period == 0
         for st in self.stations:
             inbox, st.inbox = st.inbox, []
             for sub in inbox:
                 self._station_handle(st, sub)
-            if st.kind == NURSERY and (state.clock + 1) % st.period == 0:
+            if release and st.kind == NURSERY:
                 self._nursery_release(st)
 
     def _station_handle(self, st: Station, sub: receptors.Substance) -> None:
@@ -442,6 +432,9 @@ class World:
             st.received.append(payload)
 
     def _lymph_forward(self, st: Station, sub: receptors.Substance) -> None:
+        """Relay a substance `st` cannot open to the nearest untried station.
+        `hop_ttl` counts these relays, not network hops; `visited` alone
+        ends a chain once every station has tried the substance."""
         sub.visited.add(st.station_id)
         if sub.hop_ttl <= 0:
             self.log.append(self.state.clock, "Drop", sid=sub.sid, node=st.node,
@@ -476,7 +469,7 @@ class World:
         sig = self.attacks[attack].signature
         radius = self.config.stations.immunization_radius
         for cell in self.population.of_kind(DETECTOR):
-            if cell.location is None or self.dist[cell.location][around] > radius:
+            if self.dist[cell.location][around] > radius:
                 continue
             opened = self._push(st, sig, cell.receptor, cell.location, cell=cell.cell_id)
             if opened is None:
@@ -505,11 +498,12 @@ class World:
         return opened
 
     def _nursery_release(self, st: NurseryStation) -> None:
-        for kind in sorted(st.mix):
+        mix = self.config.stations.release_mix
+        for kind in sorted(mix):
             cap = self.caps[kind]
             if not cap:
                 continue  # a cap of 0 releases none of the kind
-            for _ in range(st.mix[kind]):
+            for _ in range(mix[kind]):
                 replaces = None
                 if self.population.count(kind) >= cap:
                     victim = self.population.oldest(kind)
@@ -519,7 +513,7 @@ class World:
                             store=st.store)
 
     def _retire_cell(self, cell: ArtificialCell) -> None:
-        if cell.kind == DETECTOR and cell.location is not None:
+        if cell.kind == DETECTOR:
             self.defense.deregister(cell.location, cell.component.component_id)
         self.population.retire(cell.cell_id)
 

@@ -5,12 +5,13 @@ where bad traffic came from; evaporation decays every level each step;
 a node whose outgoing pheromone mass crosses the declare threshold while
 enough ants sit on it is declared infected.
 
-`level` and `attack_tally` are keyed by edge. A per-node index of live
-out-edges and of tally Counters, each in the order the edge entered
-`level` or `attack_tally`, lets one node's mass or tally be read without
+`level` is keyed by edge. A per-node index of live out-edges, in the
+order each entered `level`, lets one node's mass be read without
 scanning every edge. Masses are summed with `+=` in that order, so a
 one-node read equals a scan of `level` bit for bit; `sum()` would not
-(from Python 3.12 it compensates rounding error).
+(from Python 3.12 it compensates rounding error). Attack tallies are
+kept only per node, one Counter per out-edge in first-tally order; a
+tally outlives its edge's pheromone.
 """
 
 from __future__ import annotations
@@ -33,20 +34,19 @@ class PheromoneMap:
         self.deposit_quantum = deposit_quantum
         self.declare_threshold = declare_threshold
         self.level: dict[tuple[int, int], float] = {}
-        self.attack_tally: dict[tuple[int, int], Counter] = {}
         # node -> its live out-edges (an ordered set), and its out-edges' tallies
         self._out: dict[int, dict[tuple[int, int], None]] = {}
-        self._tallies: dict[int, list[Counter]] = {}
+        self._tallies: dict[int, dict[tuple[int, int], Counter]] = {}
 
     def deposit(self, edge: tuple[int, int], attack: int | None = None) -> None:
         if edge not in self.level:
             self._out.setdefault(edge[0], {})[edge] = None
         self.level[edge] = self.level.get(edge, 0.0) + self.deposit_quantum
         if attack is not None:
-            tally = self.attack_tally.get(edge)
+            tallies = self._tallies.setdefault(edge[0], {})
+            tally = tallies.get(edge)
             if tally is None:
-                tally = self.attack_tally[edge] = Counter()
-                self._tallies.setdefault(edge[0], []).append(tally)
+                tally = tallies[edge] = Counter()
             tally[attack] += 1
 
     def evaporate(self) -> None:
@@ -86,7 +86,7 @@ class PheromoneMap:
     def dominant_attack(self, node: int) -> int | None:
         """Most frequently tallied attack on edges out of a node."""
         combined: Counter = Counter()
-        for tally in self._tallies.get(node, ()):
+        for tally in self._tallies.get(node, {}).values():
             combined.update(tally)
         if not combined:
             return None

@@ -41,7 +41,7 @@ class Substance:
     required: frozenset[bytes]
     ciphertext: bytes
     tag: bytes
-    hop_ttl: int
+    hop_ttl: int  # station-to-station relays left, not network hops
     sid: int = -1
     visited: set[int] = field(default_factory=set)  # station ids already tried
     dest: int = -1  # id of the station the substance is addressed to

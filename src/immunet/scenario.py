@@ -139,7 +139,8 @@ class StationConfig:
     caps: CellCounts = field(default_factory=dict)  # default: initial counts; 0 releases none
     immunization_radius: Annotated[int, AT_LEAST_0] = 2
     dedup_window: Annotated[int, AT_LEAST_1] = 50
-    substance_ttl: Annotated[int | None, AT_LEAST_1] = None  # None = 4 * network diameter
+    # relays from station to station, not network hops; None = 4 * network diameter
+    substance_ttl: Annotated[int | None, AT_LEAST_1] = None
 
 
 @dataclass
@@ -323,8 +324,8 @@ def validate(config: ScenarioConfig) -> None:
     if st.lymph + st.nurseries + 1 > len(node_ids):
         raise ValidationError("stations", "more stations (lymph, nurseries, admin) than nodes")
     if isinstance(st.placement, list):
-        if len(st.placement) < st.lymph + st.nurseries + 1:
-            raise ValidationError("stations.placement", "need a node per station plus admin")
+        if len(st.placement) != st.lymph + st.nurseries + 1:
+            raise ValidationError("stations.placement", "need one node per station plus admin")
         _check_nodes("stations.placement", st.placement, node_ids)
         if len(set(st.placement)) < len(st.placement):
             raise ValidationError("stations.placement", "repeats a node")

@@ -22,7 +22,7 @@ ADMIN = "Admin"
 
 @dataclass
 class Station:
-    station_id: int
+    station_id: int  # its index in `World.stations`
     kind: str
     node: int
     receptor: Receptor
@@ -37,8 +37,6 @@ class LymphStation(Station):
 
 @dataclass
 class NurseryStation(Station):
-    period: int = 100
-    mix: dict[str, int] = field(default_factory=dict)
     # the shared store its released detectors carry; None for no signatures
     store: CompressedSignatureDb | None = None
 

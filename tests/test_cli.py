@@ -155,15 +155,14 @@ class TestRunCheck:
         assert self.check_run(tmp_path) == 0
         assert capsys.readouterr().err == ""
 
-    def test_differing_replayed_metrics_exit_2(self, tmp_path, capsys, monkeypatch):
-        real = cli.compute_metrics
-
-        def skewed(events):
-            metrics = real(events)
-            return dataclasses.replace(metrics, dropped_total=metrics.dropped_total + 1)
-        monkeypatch.setattr(cli, "compute_metrics", skewed)
-        assert self.check_run(tmp_path) == 2
-        assert capsys.readouterr().err == "check failed: replayed metrics differ\n"
+    def test_check_without_out_exits_1_before_running(self, tmp_path, capsys):
+        """Only a saved log can differ from the run's metrics, so `--check`
+        needs `--out`."""
+        argv = ["run", "--scenario", scenario_file(tmp_path), "--seed", "1", "--steps", "20",
+                "--check"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: --check: needs --out, the log it replays\n")
 
     def test_differing_persisted_log_exits_2(self, tmp_path, capsys, monkeypatch):
         real = cli.load_log

@@ -47,9 +47,9 @@ def scan_out_mass(level):
     return mass
 
 
-def scan_dominant_attack(attack_tally, node):
+def scan_dominant_attack(tallies, node):
     combined = Counter()
-    for (u, _v), tally in attack_tally.items():
+    for (u, _v), tally in tallies.items():
         if u == node:
             combined.update(tally)
     if not combined:
@@ -58,8 +58,9 @@ def scan_dominant_attack(attack_tally, node):
 
 
 class TestPerNodeIndex:
-    """One-node reads equal scans of `level` and `attack_tally`, bit for bit,
-    while edges die below CLAMP_FLOOR and are deposited again."""
+    """One-node reads equal scans of `level` and of the attack tallies the
+    deposits made, bit for bit, while edges die below CLAMP_FLOOR and are
+    deposited again."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reads_equal_full_scans(self, seed):
@@ -68,13 +69,17 @@ class TestPerNodeIndex:
         pm = PheromoneMap(deposit_quantum=1e-3 * (1 + rng.random()), evaporation_rate=0.4)
         died = revived = 0
         ever = set()
+        tallies: dict[tuple[int, int], Counter] = {}  # edge -> attacks deposited on it
         for _ in range(3000):
             if rng.random() < 0.6:
                 edge = (rng.randrange(7), rng.randrange(7))
                 if edge in ever and edge not in pm.level:
                     revived += 1
                 ever.add(edge)
-                pm.deposit(edge, rng.choice((None, 1, 2, 3)))
+                attack = rng.choice((None, 1, 2, 3))
+                pm.deposit(edge, attack)
+                if attack is not None:
+                    tallies.setdefault(edge, Counter())[attack] += 1
             else:
                 before = len(pm.level)
                 pm.evaporate()
@@ -82,7 +87,7 @@ class TestPerNodeIndex:
             assert pm.out_mass() == scan_out_mass(pm.level)
             for node in range(8):
                 assert pm.node_mass(node) == scan_node_mass(pm.level, node)
-                assert pm.dominant_attack(node) == scan_dominant_attack(pm.attack_tally, node)
+                assert pm.dominant_attack(node) == scan_dominant_attack(tallies, node)
         assert died > 50 and revived > 50
 
 

@@ -120,6 +120,7 @@ RULES = [
     ({"detectors.placement": [0] * 29}, "detectors.placement"),
     ({"detectors.placement": [999] * 30}, "detectors.placement[0]"),
     ({"stations.placement": [0, 1, 2, 3]}, "stations.placement"),
+    ({"stations.placement": [0, 1, 2, 3, 4, 5]}, "stations.placement", "stations.placement-long"),
     ({"stations.placement": [0, 1, 2, 3, 999]}, "stations.placement[4]"),
     ({"stations.placement": [0, 1, 2, 3, 0]}, "stations.placement"),
     ({"stations.admin_node": 50}, "stations.admin_node"),

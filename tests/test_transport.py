@@ -197,6 +197,28 @@ class TestStrictChecks:
         assert proc.returncode == 1
         assert "QueueViolation: node 0: Data lane FIFO violated" in proc.stderr
 
+    def test_queue_over_capacity_raises(self):
+        """A data lane filled past capacity behind the queue's back: evicting
+        one data packet for an immune one leaves the queue over capacity."""
+        state = make_state(capacity=2, strict=True)
+        for _ in range(2):
+            state.enqueue(0, state.make_packet(0, 2, DATA))
+        state.queues[0].data.append(state.make_packet(0, 2, DATA))
+        with pytest.raises(QueueViolation, match="queue over capacity") as err:
+            state.enqueue(0, state.make_packet(0, 2, IMMUNE))
+        assert err.value.node == 0
+
+    def test_data_forwarded_while_immune_queued_raises(self):
+        """The first data packet's forward hook queues an immune packet at
+        its node, so forwarding the second data packet breaks lane priority."""
+        state = make_state(strict=True)
+        state.enqueue(0, state.make_packet(0, 2, DATA, cargo="freight"))
+        state.enqueue(0, state.make_packet(0, 2, DATA))
+        hooks = StepHooks(on_forward=lambda state, pkt, u, v: state.send(u, 2, "cell"))
+        with pytest.raises(QueueViolation, match="data forwarded while immune queued") as err:
+            step(state, hooks)
+        assert err.value.node == 0
+
     def test_strict_checks_fixed_at_construction(self):
         state = make_state()
         with pytest.raises(AttributeError):
@@ -262,6 +284,31 @@ class TestConservation:
         log.append(0, "Deliver", pid=9, node=2, klass=DATA, attack=None, hops=1)
         with pytest.raises(ConservationViolation):
             conservation_audit(log.events)
+
+    def test_injected_twice_is_violation(self):
+        log = EventLog()
+        for step_no in (0, 1):
+            log.append(step_no, "Inject", pid=3, node=0, src=0, dst=2, klass=DATA, attack=None)
+        with pytest.raises(ConservationViolation, match="injected twice") as err:
+            conservation_audit(log.events)
+        assert err.value.pid == 3
+
+    @pytest.mark.parametrize("lifecycle", [[], ["Inject", "Deliver"]],
+                             ids=["before-inject", "after-deliver"])
+    def test_forward_outside_live_lifecycle_is_violation(self, lifecycle):
+        fields = {"Inject": dict(node=0, src=0, dst=1, klass=DATA, attack=None),
+                  "Deliver": dict(node=1, klass=DATA, attack=None, hops=1)}
+        log = EventLog()
+        for step_no, kind in enumerate(lifecycle):
+            log.append(step_no, kind, pid=4, **fields[kind])
+        log.append(len(lifecycle), "Forward", pid=4, src=0, dst=1, klass=DATA, attack=None)
+        with pytest.raises(ConservationViolation, match="Forward outside live lifecycle") as err:
+            conservation_audit(log.events)
+        assert err.value.pid == 4
+
+    def test_non_event_record_is_rejected(self):
+        with pytest.raises(TypeError, match="audit wants Event records"):
+            conservation_audit([{"kind": "Inject", "pid": 0}])
 
 
 class TestDeterminism:

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from immunet import transport
+from immunet import receptors, transport
 from immunet.cells import DETECTOR, ArtificialCell
 from immunet.engine import World
 from immunet.scenario import (AttackConfig, DetectorConfig, FilterRuleConfig, IdsConfig,
@@ -28,6 +29,40 @@ class TestStationAddressing:
         assert len(admin.received) > 0
         assert not [ev for ev in result.log.events
                     if ev.kind == "Drop" and ev.get("reason") == "ttl"]
+
+
+class TestSubstanceRelayDrops:
+    """A substance no station can open is relayed from station to station
+    until its TTL runs out or every station has tried it."""
+
+    def test_ttl_drops_are_not_packet_drops(self):
+        cfg = worm_config(horizon=300)
+        cfg.stations.substance_ttl = 1
+        result = World(cfg, 6).run()
+        events = result.log.events
+        ttl_drops = [ev for ev in events if ev.kind == "Drop" and ev.get("reason") == "ttl"]
+        assert ttl_drops and all(ev.get("pid") is None for ev in ttl_drops)
+        transport.conservation_audit(events)  # a Drop without a pid is no packet's end
+        assert result.metrics.dropped_total == sum(
+            1 for ev in events if ev.kind == "Drop" and ev.get("pid") is not None)
+
+    def test_no_opener_drop_after_every_station_tried(self):
+        world = World(worm_config(horizon=200), 6)
+        stranger = receptors.gen_receptor(random.Random(0))
+        sub = world._make_substance(b'{"kind": "report"}', {stranger.public})
+        world.stations[0].inbox.append(sub)
+        hooks = world.hooks()
+        for _ in range(world.config.horizon):
+            transport.step(world.state, hooks)
+            mine = [ev for ev in world.log.events if ev.get("sid") == sub.sid]
+            if any(ev.kind == "Drop" for ev in mine):
+                break
+        assert [ev.get("reason") for ev in mine if ev.kind == "Drop"] == ["no-opener"]
+        assert sub.visited == {st.station_id for st in world.stations}
+        relays = [ev for ev in mine if ev.kind == "SubstanceSend"]
+        assert len(relays) == len(world.stations) - 1
+        assert all(ev.get("what") == "relay" for ev in relays)
+        assert not [ev for ev in mine if ev.kind == "SubstanceOpen"]
 
 
 class TestQueueBookkeeping:
@@ -73,8 +108,9 @@ def registered_cells(world) -> set[tuple[int, int]]:
 
 
 class TestCellWhereabouts:
-    """A cell is at a node between steps: `location is None` only from its
-    forward to its delivery, which fall in one step since a move is one hop."""
+    """A cell's `location` is always a node. A forward takes a live detector
+    out of its node's defence stack but leaves `location` on that node until
+    the delivery, which falls in the same step since a move is one hop."""
 
     def test_cells_queues_and_registry_agree_after_every_step(self):
         world = World(worm_config(horizon=200), 6)
@@ -84,9 +120,12 @@ class TestCellWhereabouts:
 
         def on_forward(state, pkt, u, v):
             forward(state, pkt, u, v)
-            if isinstance(pkt.cargo, ArtificialCell) and pkt.cargo.alive:
-                assert pkt.cargo.location is None
-                forwarded.append(pkt.cargo.cell_id)
+            cell = pkt.cargo
+            if isinstance(cell, ArtificialCell) and cell.alive:
+                assert cell.location == u
+                if cell.kind == DETECTOR:
+                    assert all(comp is not cell.component for comp in world.defense.at[u])
+                forwarded.append(cell.cell_id)
         hooks.on_forward = on_forward
         queued_moves = 0
         for _ in range(world.config.horizon):
@@ -239,7 +278,7 @@ class TestSharedStores:
         def checked_spawn(kind, node, by, replaces=None, store=None, target=-1):
             cell = spawn(kind, node, by, replaces=replaces, store=store, target=target)
             if kind == DETECTOR and by in nursery_ids:
-                assert cell.db is world.station_by_id[by].store
+                assert cell.db is world.stations[by].store
                 seen["released"] += cell.db is not None
             return cell
         world._spawn = checked_spawn
