@@ -1,10 +1,10 @@
 """Receptor key-token pairs and sealed substances.
 
-A receptor is a public/private token pair; a substance is a message
-sealed against a set of public tokens and openable only by a holder of
-every matching private token (subset semantics). The default scheme is a
-deterministic keyed stream with a 64-bit integrity tag: it enforces
-matching semantics for the simulation, not production secrecy.
+A receptor is a private token and the public token derived from it. A
+substance is a payload sealed to a set of public tokens: it opens only
+for a holder of private tokens whose derived public tokens cover that
+whole set (subset semantics). The seal is this rule alone; the payload
+travels as is, since nothing in the simulation reads or alters it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from random import Random
 
 TOKEN_BYTES = 16
-TAG_BYTES = 8
 
 
 class EmptyReceptorSet(ValueError):
@@ -39,33 +38,11 @@ def gen_receptor(rng: Random) -> Receptor:
 @dataclass
 class Substance:
     required: frozenset[bytes]
-    ciphertext: bytes
-    tag: bytes
+    payload: bytes
     hop_ttl: int  # station-to-station relays left, not network hops
     sid: int = -1
     visited: set[int] = field(default_factory=set)  # station ids already tried
     dest: int = -1  # id of the station the substance is addressed to
-
-
-def _stream_key(required: frozenset[bytes]) -> bytes:
-    h = hashlib.sha256(b"substance-key:")
-    for token in sorted(required):
-        h.update(token)
-    return h.digest()
-
-
-def _keystream(key: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out.extend(hashlib.sha256(key + counter.to_bytes(8, "big")).digest())
-        counter += 1
-    return bytes(out[:length])
-
-
-def _xor(data: bytes, key: bytes) -> bytes:
-    """`data` XOR an equally long `key`, as one big-integer XOR in C."""
-    return (int.from_bytes(data, "big") ^ int.from_bytes(key, "big")).to_bytes(len(data), "big")
 
 
 def seal(payload: bytes, required, hop_ttl: int) -> Substance:
@@ -73,23 +50,10 @@ def seal(payload: bytes, required, hop_ttl: int) -> Substance:
     required = frozenset(bytes(t) for t in required)
     if not required:
         raise EmptyReceptorSet("substance needs at least one receptor")
-    key = _stream_key(required)
-    ciphertext = _xor(payload, _keystream(key, len(payload)))
-    tag = hashlib.sha256(key + b"|tag|" + ciphertext).digest()[:TAG_BYTES]
-    return Substance(required=required, ciphertext=ciphertext, tag=tag, hop_ttl=hop_ttl)
+    return Substance(required=required, payload=payload, hop_ttl=hop_ttl)
 
 
 def try_open(sub: Substance, held) -> bytes | None:
-    """Open a substance with a set of private tokens.
-
-    Returns the payload when the held tokens cover every required public
-    token and the tag verifies; otherwise None, never partial plaintext.
-    """
-    derived = {derive_public(bytes(p)) for p in held}
-    if not sub.required <= derived:
-        return None
-    key = _stream_key(sub.required)
-    expected = hashlib.sha256(key + b"|tag|" + sub.ciphertext).digest()[:TAG_BYTES]
-    if expected != sub.tag:
-        return None
-    return _xor(sub.ciphertext, _keystream(key, len(sub.ciphertext)))
+    """The payload when the private tokens `held` cover every required
+    public token; otherwise None, never a partial payload."""
+    return sub.payload if sub.required <= {derive_public(bytes(p)) for p in held} else None

@@ -37,6 +37,8 @@ POSITIVE = (lambda v: v > 0, "must be > 0")
 OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
 CLOSED_UNIT = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 REDUNDANT = (lambda v: v >= 2, "redundancy requires >= 2")
+FILE_STEM = (lambda v: v != "" and not any(c in v for c in "/\\\0"),
+             "must be non-empty, without '/', '\\' or NUL")
 
 CellKind = Literal["Detector", "Ant", "Monitor"]
 CellCounts = dict[CellKind, Annotated[int, AT_LEAST_0]]
@@ -160,7 +162,7 @@ class FilterRuleConfig:
 
 @dataclass
 class ScenarioConfig:
-    name: str = "scenario"
+    name: Annotated[str, FILE_STEM] = "scenario"  # the stem of the files `run` writes
     seed: int = 0
     horizon: Annotated[int, AT_LEAST_0] = 2000
     topology: TopologySpec = field(default_factory=TopologySpec)
@@ -338,6 +340,8 @@ def validate(config: ScenarioConfig) -> None:
         _check_nodes("static_ids.placement", ids.placement, node_ids)
         if len(set(ids.placement)) < len(ids.placement):
             raise ValidationError("static_ids.placement", "repeats a node")
+    elif ids.count > len(node_ids):
+        raise ValidationError("static_ids.count", "more IDS than nodes")
     for i, rule in enumerate(config.filters):
         if rule.node not in node_ids:
             raise ValidationError(f"filters[{i}].node", "not a node of the topology")

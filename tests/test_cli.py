@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +84,12 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: static_ids.placement:") and err.count("\n") == 1
 
+    def test_static_ids_above_node_count(self, tmp_path, capsys, command):
+        path = scenario_file(tmp_path, "static_ids", count=80)
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: static_ids.count:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("entry", ["foo", "999"])
     def test_string_worm_entry(self, tmp_path, capsys, command, entry):
         path = scenario_file(tmp_path, "worm", entry=entry)
@@ -142,6 +152,21 @@ class TestRunArguments:
         assert invoke("run", path) == 1
         err = capsys.readouterr().err
         assert err == "error: no connected G(10,0.001) sample in 1000 tries\n"
+
+    @pytest.mark.parametrize("name", ["../escaped", "", "bad\0name"],
+                             ids=["parent", "empty", "nul"])
+    def test_name_that_is_not_a_file_stem(self, tmp_path, capsys, name):
+        """A name is the stem of the files written under --out; one that
+        would leave --out, or that no file can have, is rejected before
+        the run and nothing is written."""
+        out = tmp_path / "runs" / "out"
+        argv = ["run", "--scenario", scenario_file(tmp_path, name=name), "--seed", "1",
+                "--steps", "1", "--out", str(out)]
+        before = set(tmp_path.rglob("*"))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: name: ") and err.count("\n") == 1
+        assert set(tmp_path.rglob("*")) == before
 
 
 class TestRunCheck:
@@ -329,3 +354,33 @@ class TestNotUtf8:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {files[bad]}: not UTF-8 text") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+# Runs `immunet run --check` and `replay` in a fresh interpreter, then prints
+# the exit codes and the top-level names of every module loaded.
+STDLIB_ONLY_RUN = """
+import json, sys
+from immunet.cli import main
+scenario, out = sys.argv[1:]
+codes = [main(["run", "--scenario", scenario, "--seed", "1", "--steps", "120",
+               "--out", out, "--check"]),
+         main(["replay", "--log", out + "/scenario-seed1.log"])]
+print(json.dumps({"codes": codes, "modules": sorted({m.split(".")[0] for m in sys.modules})}))
+"""
+
+
+class TestStdlibOnly:
+
+    def test_run_and_replay_load_only_the_standard_library(self, tmp_path):
+        """The runtime has no dependencies. `-S` skips site, whose `.pth`
+        files may import third-party modules before the program starts."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        scenario = scenario_file(tmp_path, name="scenario")
+        done = subprocess.run([sys.executable, "-S", "-c", STDLIB_ONLY_RUN, scenario,
+                               str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, check=True)
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["codes"] == [0, 0]
+        allowed = set(sys.stdlib_module_names) | {"immunet", "__main__"}
+        assert set(report["modules"]) - allowed == set()

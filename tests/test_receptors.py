@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from immunet import receptors
 from immunet.receptors import EmptyReceptorSet, derive_public, gen_receptor, seal, try_open
 
 
@@ -66,18 +65,6 @@ class TestSubstances:
         with pytest.raises(EmptyReceptorSet):
             seal(b"payload", set(), hop_ttl=1)
 
-    def test_ciphertext_differs_from_payload(self, rng):
-        r = gen_receptor(rng)
-        payload = bytes(range(64))
-        sub = seal(payload, {r.public}, hop_ttl=1)
-        assert sub.ciphertext != payload
-
-    def test_tamper_detected(self, rng):
-        r = gen_receptor(rng)
-        sub = seal(b"payload-bytes", {r.public}, hop_ttl=1)
-        sub.ciphertext = bytes([sub.ciphertext[0] ^ 1]) + sub.ciphertext[1:]
-        assert try_open(sub, {r.private}) is None
-
     def test_round_trip_fuzz_1000(self, rng):
         pool = [gen_receptor(rng) for _ in range(12)]
         for _ in range(1000):
@@ -99,20 +86,3 @@ class TestSubstances:
             if not should_open:
                 assert opened is None  # never partial plaintext
 
-
-class TestXor:
-
-    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 200])
-    def test_seal_equals_bytewise_xor(self, rng, length):
-        """Ciphertexts equal the per-byte XOR that `seal` made before, for
-        payloads with leading and trailing zero bytes too."""
-        recipient = gen_receptor(rng)
-        noise = bytes(rng.randrange(256) for _ in range(length))
-        for payload in (bytes(length), b"\xff" * length, noise,
-                        b"\x00" + noise[1:] if length else b""):
-            sub = seal(payload, {recipient.public}, hop_ttl=3)
-            key = receptors._stream_key(sub.required)
-            stream = receptors._keystream(key, length)
-            assert sub.ciphertext == bytes(a ^ b for a, b in zip(payload, stream))
-            assert len(sub.ciphertext) == length
-            assert try_open(sub, {recipient.private}) == payload

@@ -130,7 +130,13 @@ RULES = [
      "static_ids.placement-short"),
     ({"static_ids.count": 3, "static_ids.placement": [1, 2, 1]}, "static_ids.placement",
      "static_ids.placement-repeat"),
+    ({"static_ids.count": 51}, "static_ids.count", "static_ids.count-above-nodes"),
     ({"filters": [{"node": 999}]}, "filters[0].node"),
+    # a name is a file stem under --out: not empty, no directory parts, no NUL
+    ({"name": ""}, "name", "name-empty"),
+    ({"name": "../escaped"}, "name", "name-slash"),
+    ({"name": "..\\escaped"}, "name", "name-backslash"),
+    ({"name": "bad\0name"}, "name", "name-nul"),
     # a placement string other than its one literal; a junk entry with the worm off
     ({"detectors.placement": "randm"}, "detectors.placement"),
     ({"stations.placement": "randm"}, "stations.placement"),
@@ -171,6 +177,8 @@ class TestGate:
         {"detectors.placement": list(range(30)), "stations.placement": [0, 1, 2, 3, 4]},
         {"stations.caps": {"Detector": 5, "Ant": 0, "Monitor": 1}},
         {"filters": [{"node": 3, "action": "Accept", "klass": None, "src": [1], "dst": None}]},
+        {"static_ids.count": 50},
+        {"name": "..run.v2"},
     ])
     def test_accepted(self, changes):
         config = loads(mutated(changes))

@@ -65,6 +65,35 @@ class TestSubstanceRelayDrops:
         assert not [ev for ev in mine if ev.kind == "SubstanceOpen"]
 
 
+class TestReceptorRule:
+    """Who opens a substance follows from the receptors it is sealed to:
+    reports only at lymph stations, monitor payloads only at the admin,
+    and immunizations only at nurseries and cells."""
+
+    OPENERS = {"report": {LYMPH}, "monitor": {ADMIN}, "immunize": {NURSERY, "cell"}}
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_each_kind_opens_only_for_its_holders(self, seed):
+        world = World(worm_config(horizon=200), seed)
+        events = world.run().log.events
+        what = {}  # sid -> what its first send carried
+        for ev in events:
+            if ev.kind == "SubstanceSend":
+                what.setdefault(ev.get("sid"), ev.get("what"))
+        opened = set()
+        for ev in (ev for ev in events if ev.kind == "SubstanceOpen"):
+            sid, station = ev.get("sid"), ev.get("station")
+            assert sid not in opened
+            opened.add(sid)
+            if station is None:
+                assert ev.get("cell") is not None
+                opener = "cell"
+            else:
+                opener = world.stations[station].kind
+            assert opener in self.OPENERS[what[sid]], (sid, what[sid], opener)
+        assert {what[sid] for sid in opened} == set(self.OPENERS)
+
+
 class TestQueueBookkeeping:
 
     @pytest.mark.parametrize("strict", [False, True])
