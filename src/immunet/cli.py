@@ -65,10 +65,11 @@ def cmd_run(args) -> int:
     if args.check and not args.out:
         raise ValidationError("--check", "needs --out, the log it replays")
     config = _read(load_scenario, args.scenario)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # an --out that cannot be made fails before the run
     result = run(config, args.seed, horizon=args.steps)
     metrics = result.metrics
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         stem = f"{config.name}-seed{args.seed}"
         log_path = os.path.join(args.out, stem + ".log")
         result.log.save(log_path)
@@ -83,9 +84,11 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _read(load_scenario, args.scenario)
-    rows = harness.sweep(config, _read(_load_grid, args.grid), _parse_seeds(args.seeds))
+    grid, seeds = _read(_load_grid, args.grid), _parse_seeds(args.seeds)
+    points = harness.grid_points(config, grid)
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)  # after validation, before the first run
+    rows = harness.run_points(points, seeds)
     path = os.path.join(out, f"{config.name}-sweep.{args.format}")
     harness.emit_report(rows, args.format, path)
     print(f"wrote {len(rows)} rows to {path}")

@@ -1,9 +1,9 @@
 """Per-node security framework: component registry and check dispatch.
 
 Every arriving packet is presented to the node's components in ascending
-component id; the first malicious verdict destroys the packet and
-short-circuits the rest. Packet filters look at headers only; signature
-engines (static or cell-borne) scan data payloads.
+component id. Each `check` returns True to destroy the packet; the first
+True short-circuits the rest. Packet filters look at headers only;
+signature engines (static or cell-borne) scan data payloads.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from operator import attrgetter
 from .signatures import CompressedSignatureDb, contains_signature
 from .topology import UnknownNode
 from .transport import DATA, Packet
-
-MALICIOUS = "Malicious"
-CLEAN = "Clean"
 
 _component_id = attrgetter("component_id")
 
@@ -47,14 +44,6 @@ class FilterRule:
         return True
 
 
-def filter_check(rules, pkt: Packet) -> str:
-    """First-match-wins over header fields; default Accept."""
-    for rule in rules:
-        if rule.matches(pkt):
-            return rule.action
-    return "Accept"
-
-
 class PacketFilter:
     kind = "PacketFilter"
     cell_id = None
@@ -63,8 +52,13 @@ class PacketFilter:
         self.component_id = component_id
         self.rules = tuple(rules)
 
-    def check(self, pkt: Packet) -> str:
-        return MALICIOUS if filter_check(self.rules, pkt) == "Drop" else CLEAN
+    def check(self, pkt: Packet) -> bool:
+        """First-match-wins over header fields: True when the first rule
+        that matches drops; False when no rule matches (default Accept)."""
+        for rule in self.rules:
+            if rule.matches(pkt):
+                return rule.action == "Drop"
+        return False
 
 
 class StaticIDS:
@@ -77,10 +71,10 @@ class StaticIDS:
         self.component_id = component_id
         self.signatures = tuple(bytes(s) for s in signatures)
 
-    def check(self, pkt: Packet) -> str:
-        if pkt.klass != DATA:
-            return CLEAN  # certified immune traffic is not payload-scanned
-        return MALICIOUS if contains_signature(self.signatures, pkt.payload) else CLEAN
+    def check(self, pkt: Packet) -> bool:
+        """True for a data payload holding a signature; certified immune
+        traffic is not payload-scanned."""
+        return pkt.klass == DATA and contains_signature(self.signatures, pkt.payload)
 
 
 class DetectorComponent:
@@ -96,10 +90,11 @@ class DetectorComponent:
     def cell_id(self) -> int:
         return self.cell.cell_id
 
-    def check(self, pkt: Packet) -> str:
+    def check(self, pkt: Packet) -> bool:
+        """True when the cell's store matches the data payload."""
         db: CompressedSignatureDb | None = self.cell.db
         if db is None or pkt.klass != DATA or not pkt.payload:
-            return CLEAN
+            return False
         # cells holding one signature set hold one immutable store, so the
         # store itself keys one scan per packet across hops and cells
         cache = pkt.scan_cache
@@ -109,7 +104,7 @@ class DetectorComponent:
         if verdict is None:
             verdict = db.scan(pkt.payload)
             cache[db] = verdict
-        return MALICIOUS if verdict else CLEAN
+        return verdict
 
 
 class DefenseStack:
@@ -141,10 +136,10 @@ class DefenseStack:
         del self._home[component_id]
 
     def check_all(self, node: int, pkt: Packet):
-        """Consult every component in id order; the first to return a
-        malicious verdict destroys the packet and is returned. None means
-        the packet passed every check."""
+        """Consult every component in id order; the first whose check
+        returns True destroys the packet and is returned. None means the
+        packet passed every check."""
         for component in self._components(node):
-            if component.check(pkt) == MALICIOUS:
+            if component.check(pkt):
                 return component
         return None

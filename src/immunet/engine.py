@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from random import Random
@@ -179,16 +178,12 @@ class World:
         self.admin_receptor = receptors.gen_receptor(self.receptor_rng)
 
         # a station's id is its index here: lymph nodes, nurseries, then admin
-        self.stations: list[Station] = []
-        sid = 0
-        for i in range(cfg.lymph):
-            self.stations.append(LymphStation(sid, LYMPH, nodes[i], self.lymph_receptor))
-            sid += 1
-        for i in range(cfg.nurseries):
-            self.stations.append(NurseryStation(sid, NURSERY, nodes[cfg.lymph + i],
-                                                self.nursery_receptor, store=trained))
-            sid += 1
-        self.stations.append(AdminStation(sid, ADMIN, nodes[-1], self.admin_receptor))
+        self.stations: list[Station] = [
+            LymphStation(sid, LYMPH, node, self.lymph_receptor) if sid < cfg.lymph
+            else NurseryStation(sid, NURSERY, node, self.nursery_receptor, store=trained)
+            for sid, node in enumerate(nodes[:cfg.lymph + cfg.nurseries])]
+        self.stations.append(AdminStation(len(self.stations), ADMIN, nodes[-1],
+                                          self.admin_receptor))
 
         self.substance_ttl = cfg.substance_ttl
         if self.substance_ttl is None:
@@ -363,8 +358,7 @@ class World:
             "pheromone": round(self.pheromone.node_mass(node), 9),
         })
         if (self.state.clock - cell.born_at + 1) % flush_period == 0 and cell.buffer:
-            payload = json.dumps({"kind": "monitor", "cell": cell.cell_id,
-                                  "rows": cell.buffer}, sort_keys=True).encode()
+            payload = {"kind": "monitor", "cell": cell.cell_id, "rows": cell.buffer}
             cell.buffer = []
             self._send_substance(node, payload, {self.admin_receptor.public}, what="monitor")
 
@@ -402,8 +396,7 @@ class World:
             attack = self.pheromone.dominant_attack(node)
             state.log.append(state.clock, "Identify", node=node, attack=attack)
             self._last_identify[node] = state.clock
-            payload = json.dumps({"kind": "report", "node": node, "attack": attack},
-                                 sort_keys=True).encode()
+            payload = {"kind": "report", "node": node, "attack": attack}
             self._send_substance(node, payload, {self.lymph_receptor.public}, what="report")
 
     def evaporate(self, state: TransportState) -> None:
@@ -425,10 +418,11 @@ class World:
             return
         self.log.append(self.state.clock, "SubstanceOpen", sid=sub.sid,
                         station=st.station_id, node=st.node)
-        message = json.loads(payload.decode())
-        if message.get("kind") == "report" and st.kind == LYMPH:
-            self._lymph_on_report(st, message)
-        elif message.get("kind") == "monitor" and st.kind == ADMIN:
+        # the receptor rule alone decides which station opens: lymph nodes
+        # hold reports' receptor, the admin monitors'
+        if payload["kind"] == "report":
+            self._lymph_on_report(st, payload)
+        else:
             st.received.append(payload)
 
     def _lymph_forward(self, st: Station, sub: receptors.Substance) -> None:
@@ -449,8 +443,7 @@ class World:
         self._transmit_substance(st.node, target, sub, "relay")
 
     def _lymph_on_report(self, st: LymphStation, message: dict) -> None:
-        node = message["node"]
-        attack = message.get("attack")
+        node, attack = message["node"], message["attack"]
         key = (node, attack)
         last = st.last_spawn.get(key)
         if last is not None and self.state.clock - last < self.config.stations.dedup_window:
@@ -519,12 +512,12 @@ class World:
 
     # --------------------------------------------------------- substances
 
-    def _make_substance(self, payload: bytes, required) -> receptors.Substance:
+    def _make_substance(self, payload: object, required) -> receptors.Substance:
         sub = receptors.seal(payload, required, self.substance_ttl)
         sub.sid = next(self._substance_ids)
         return sub
 
-    def _send_substance(self, origin: int, payload: bytes, required,
+    def _send_substance(self, origin: int, payload: dict, required,
                         what: str) -> None:
         """Seal and hand off to the nearest station."""
         sub = self._make_substance(payload, required)
@@ -571,8 +564,6 @@ def _members(store: CompressedSignatureDb | None) -> frozenset[bytes]:
     return store.members if store is not None else frozenset()
 
 
-def run(config: ScenarioConfig, seed: int, horizon: int | None = None,
-        strict_checks: bool = False) -> RunResult:
+def run(config: ScenarioConfig, seed: int, horizon: int | None = None) -> RunResult:
     """Execute one full simulation; pure function of its arguments."""
-    world = World(config, seed, strict_checks=strict_checks)
-    return world.run(horizon)
+    return World(config, seed).run(horizon)

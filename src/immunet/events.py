@@ -78,9 +78,6 @@ class EventLog:
         self.events.append(ev)
         return ev
 
-    def __iter__(self):
-        return iter(self.events)
-
     def __len__(self):
         return len(self.events)
 

@@ -26,28 +26,27 @@ def _grid_point(config: ScenarioConfig, knobs) -> ScenarioConfig:
     return from_dict(data)
 
 
-def sweep(config: ScenarioConfig, grid: dict[str, list], seeds) -> list[dict]:
-    """Cartesian product of grid points x seeds; one row per run.
-
-    Row order is deterministic: grid keys sorted, values in given order,
-    seeds in given order. Every point is built and validated before the
-    first run. Runs share no state, so any execution order yields the
-    same table.
-    """
+def grid_points(config: ScenarioConfig, grid: dict[str, list]) -> list[tuple]:
+    """Every grid point as (its knob values, its scenario): grid keys
+    sorted, values in given order, each point built and validated."""
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ValidationError("grid", "must map knob paths to lists of values")
     keys = sorted(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys)))
-    points = [_grid_point(config, zip(keys, values)) for values in combos]
-    rows = []
-    for values, point in zip(combos, points):
-        for seed in seeds:
-            result = run(point, seed)
-            row = {k: v for k, v in zip(keys, values)}
-            row["seed"] = seed
-            row.update(result.metrics.as_dict())
-            rows.append(row)
-    return rows
+    return [(dict(zip(keys, values)), _grid_point(config, zip(keys, values)))
+            for values in itertools.product(*(grid[k] for k in keys))]
+
+
+def run_points(points, seeds) -> list[dict]:
+    """One row per (point, seed): the knob values, the seed and the run's
+    metrics. Runs share no state, so any execution order gives this table."""
+    return [{**knobs, "seed": seed, **run(point, seed).metrics.as_dict()}
+            for knobs, point in points for seed in seeds]
+
+
+def sweep(config: ScenarioConfig, grid: dict[str, list], seeds) -> list[dict]:
+    """Cartesian product of grid points x seeds; one row per run, every
+    point validated before the first run."""
+    return run_points(grid_points(config, grid), seeds)
 
 
 def _fmt_value(value):

@@ -10,13 +10,13 @@ order each entered `level`, lets one node's mass be read without
 scanning every edge. Masses are summed with `+=` in that order, so a
 one-node read equals a scan of `level` bit for bit; `sum()` would not
 (from Python 3.12 it compensates rounding error). Attack tallies are
-kept only per node, one Counter per out-edge in first-tally order; a
-tally outlives its edge's pheromone.
+one Counter per node, over the detections on all its out-edges; a tally
+outlives the pheromone of the edges that fed it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from random import Random
 
 CLAMP_FLOOR = 1e-6
@@ -34,20 +34,16 @@ class PheromoneMap:
         self.deposit_quantum = deposit_quantum
         self.declare_threshold = declare_threshold
         self.level: dict[tuple[int, int], float] = {}
-        # node -> its live out-edges (an ordered set), and its out-edges' tallies
+        # node -> its live out-edges (an ordered set), and its attack tally
         self._out: dict[int, dict[tuple[int, int], None]] = {}
-        self._tallies: dict[int, dict[tuple[int, int], Counter]] = {}
+        self._tallies: defaultdict[int, Counter] = defaultdict(Counter)
 
     def deposit(self, edge: tuple[int, int], attack: int | None = None) -> None:
         if edge not in self.level:
             self._out.setdefault(edge[0], {})[edge] = None
         self.level[edge] = self.level.get(edge, 0.0) + self.deposit_quantum
         if attack is not None:
-            tallies = self._tallies.setdefault(edge[0], {})
-            tally = tallies.get(edge)
-            if tally is None:
-                tally = tallies[edge] = Counter()
-            tally[attack] += 1
+            self._tallies[edge[0]][attack] += 1
 
     def evaporate(self) -> None:
         keep = 1.0 - self.evaporation_rate
@@ -84,13 +80,12 @@ class PheromoneMap:
                       if m >= theta and ants_present.get(n, 0) >= quorum)
 
     def dominant_attack(self, node: int) -> int | None:
-        """Most frequently tallied attack on edges out of a node."""
-        combined: Counter = Counter()
-        for tally in self._tallies.get(node, {}).values():
-            combined.update(tally)
-        if not combined:
+        """Most frequently tallied attack on edges out of a node, ties to
+        the smaller attack id; None when nothing was tallied there."""
+        tally = self._tallies.get(node)
+        if not tally:
             return None
-        return min(combined, key=lambda a: (-combined[a], a))
+        return min(tally, key=lambda a: (-tally[a], a))
 
 
 def transition_weights(pheromone: PheromoneMap, here: int, neighbors,

@@ -3,8 +3,8 @@
 A receptor is a private token and the public token derived from it. A
 substance is a payload sealed to a set of public tokens: it opens only
 for a holder of private tokens whose derived public tokens cover that
-whole set (subset semantics). The seal is this rule alone; the payload
-travels as is, since nothing in the simulation reads or alters it.
+whole set (subset semantics). The seal is this rule alone; the payload,
+the message itself, travels as is and only its opener reads it.
 """
 
 from __future__ import annotations
@@ -38,14 +38,14 @@ def gen_receptor(rng: Random) -> Receptor:
 @dataclass
 class Substance:
     required: frozenset[bytes]
-    payload: bytes
+    payload: object  # the message itself: a report, monitor rows or signature bytes
     hop_ttl: int  # station-to-station relays left, not network hops
     sid: int = -1
     visited: set[int] = field(default_factory=set)  # station ids already tried
     dest: int = -1  # id of the station the substance is addressed to
 
 
-def seal(payload: bytes, required, hop_ttl: int) -> Substance:
+def seal(payload: object, required, hop_ttl: int) -> Substance:
     """Seal a payload against a set of public receptor tokens."""
     required = frozenset(bytes(t) for t in required)
     if not required:
@@ -53,7 +53,7 @@ def seal(payload: bytes, required, hop_ttl: int) -> Substance:
     return Substance(required=required, payload=payload, hop_ttl=hop_ttl)
 
 
-def try_open(sub: Substance, held) -> bytes | None:
+def try_open(sub: Substance, held) -> object | None:
     """The payload when the private tokens `held` cover every required
     public token; otherwise None, never a partial payload."""
     return sub.payload if sub.required <= {derive_public(bytes(p)) for p in held} else None

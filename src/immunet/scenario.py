@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 from importlib import resources
 from types import UnionType
@@ -210,7 +211,7 @@ def _build_value(hint, value, path: str):
         if value is not None and not test(value):
             raise ValidationError(path, message)
         return value
-    if type(value) is hint:  # a plain scalar of exactly the annotated type
+    if type(value) is hint and hint is not float:  # a plain scalar; `_fits` checks a float
         return value
     if is_dataclass(hint):
         return _build_section(hint, value, path)
@@ -231,7 +232,13 @@ def _build_value(hint, value, path: str):
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits an annotation. A bool is not a number, an
-    int is a float, and None fits only where the annotation admits it."""
+    int or a float fits a float only when it is finite as a float, and None
+    fits only where the annotation admits it."""
+    if hint is float:
+        try:  # an int too large for a float overflows
+            return type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:
+            return False
     args = get_args(hint)
     origin = get_origin(hint)
     if origin in (UnionType, Union):  # `int | Literal[...]` makes a typing.Union
@@ -240,8 +247,6 @@ def _fits(value, hint) -> bool:
         return value in args
     if origin is list:
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, hint)

@@ -43,7 +43,7 @@ class NurseryStation(Station):
 
 @dataclass
 class AdminStation(Station):
-    received: list[bytes] = field(default_factory=list)
+    received: list[dict] = field(default_factory=list)  # opened monitor messages
 
 
 def next_station(stations: list[Station], current: Station, sub: Substance,

@@ -49,6 +49,24 @@ class TestBackground:
         se = math.sqrt(5.0 / len(draws))
         assert abs(mean - 5.0) <= 3 * se
 
+    def test_poisson_large_rate_splits_within_3_se(self):
+        """Above 500 the rate is split in halves, so exp(-lam) never
+        underflows; the sum keeps the mean."""
+        rng = random.Random(61)
+        draws = [poisson(rng, 2000.0) for _ in range(400)]
+        mean = sum(draws) / len(draws)
+        assert abs(mean - 2000.0) <= 3 * math.sqrt(2000.0 / len(draws))
+        assert len(set(draws)) > 1
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_poisson_non_positive_rate_draws_nothing(self, lam):
+        rng = random.Random(62)
+        assert [poisson(rng, lam) for _ in range(10)] == [0] * 10
+
+    @pytest.mark.parametrize("length", [len(SIG), 4])
+    def test_attack_payload_no_longer_than_signature_is_the_signature(self, rng, length):
+        assert attack_payload(rng, ATTACK, length) == SIG
+
     def test_src_dst_distinct(self, rng):
         state = fresh_state()
         traffic = TrafficConfig(background_rate=50.0, distribution="fixed")

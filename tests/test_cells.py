@@ -1,4 +1,3 @@
-import json
 import random
 from collections import Counter
 
@@ -261,8 +260,7 @@ class TestMonitor:
         world = World(cfg, seed=5)
         world.run()
         admin = [st for st in world.stations if st.kind == "Admin"][0]
-        rows = [row for payload in admin.received
-                for row in json.loads(payload.decode())["rows"]]
+        rows = [row for payload in admin.received for row in payload["rows"]]
         assert rows
         # before the first flush there is no traffic at all, not even the
         # monitor's own report packets
@@ -277,8 +275,7 @@ class TestMonitor:
         world = World(cfg, seed=9)
         result = world.run()
         admin = [st for st in world.stations if st.kind == "Admin"][0]
-        rows = [row for payload in admin.received
-                for row in json.loads(payload.decode())["rows"]]
+        rows = [row for payload in admin.received for row in payload["rows"]]
         assert len(rows) >= 30
         snapshots = replay_occupancy_at_sample(result.log.events)
         for row in rows:

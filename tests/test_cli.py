@@ -125,6 +125,27 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line 1: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("rate", [float("inf"), 10**400], ids=["infinity", "401-digits"])
+    def test_rate_that_is_no_finite_float(self, tmp_path, capsys, command, rate):
+        path = scenario_file(tmp_path, "traffic", background_rate=rate)
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: traffic.background_rate:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"topology": 5}, "error: topology: expected an object\n"),
+        ({"attacks": {}}, "error: attacks: expected a list\n"),
+    ], ids=["topology", "attacks"])
+    def test_section_of_the_wrong_shape(self, tmp_path, capsys, command, fields, message):
+        assert invoke(command, scenario_file(tmp_path, **fields)) == 1
+        assert capsys.readouterr().err == message
+
+    def test_root_that_is_not_an_object(self, tmp_path, capsys, command):
+        path = tmp_path / "list.scenario"
+        path.write_text("[]", encoding="utf-8")
+        assert invoke(command, str(path)) == 1
+        assert capsys.readouterr().err == "error: <root>: scenario must be an object\n"
+
     def test_admin_node_inside_topology(self, tmp_path, capsys, command):
         path = scenario_file(tmp_path, "stations", admin_node=49)
         assert invoke(command, path) == 0
@@ -167,6 +188,35 @@ class TestRunArguments:
         err = capsys.readouterr().err
         assert err.startswith("error: name: ") and err.count("\n") == 1
         assert set(tmp_path.rglob("*")) == before
+
+
+class TestOutThatIsAFile:
+    """An --out that names an existing file fails before any run, so no
+    work is lost to it."""
+
+    def test_run(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+        (tmp_path / "f").touch()
+        argv = ["run", "--scenario", scenario_file(tmp_path), "--seed", "1", "--steps", "300",
+                "--out", str(tmp_path / "f")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert runs == []
+
+    def test_sweep(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda *args: runs.append(args))
+        (tmp_path / "f").touch()
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"horizon": [300]}), encoding="utf-8")
+        argv = ["sweep", "--scenario", scenario_file(tmp_path), "--grid", str(grid_path),
+                "--seeds", "1..2", "--out", str(tmp_path / "f")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert runs == []
 
 
 class TestRunCheck:

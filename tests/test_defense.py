@@ -3,9 +3,8 @@ import random
 import pytest
 
 from immunet.cells import DetectorCell
-from immunet.defense import (CLEAN, MALICIOUS, DefenseStack, DetectorComponent,
-                             DuplicateRegistration, FilterRule, PacketFilter,
-                             StaticIDS, UnknownComponent, filter_check)
+from immunet.defense import (DefenseStack, DetectorComponent, DuplicateRegistration,
+                             FilterRule, PacketFilter, StaticIDS, UnknownComponent)
 from immunet.signatures import CompressedSignatureDb, contains_signature
 from immunet.topology import UnknownNode, line_network
 from immunet.transport import DATA, IMMUNE, Packet
@@ -27,21 +26,21 @@ def detector_component(component_id=10_000, signatures=(SIG,), fpr=0.01):
 class TestFilters:
 
     def test_empty_rules_accept(self):
-        assert filter_check([], packet()) == "Accept"
+        assert PacketFilter(0, []).check(packet()) is False
 
     def test_drop_by_dst(self):
         rules = [FilterRule(action="Drop", dst=frozenset({3}))]
-        assert filter_check(rules, packet(dst=3)) == "Drop"
-        assert filter_check(rules, packet(dst=4)) == "Accept"
+        assert PacketFilter(0, rules).check(packet(dst=3)) is True
+        assert PacketFilter(0, rules).check(packet(dst=4)) is False
 
     def test_first_match_wins(self):
         rules = [FilterRule(action="Accept", src=frozenset({9})),
                  FilterRule(action="Drop", src=frozenset({9}))]
-        assert filter_check(rules, packet(src=9)) == "Accept"
+        assert PacketFilter(0, rules).check(packet(src=9)) is False
 
     def test_never_inspects_payload(self):
         rules = [FilterRule(action="Drop", src=frozenset({1}))]
-        assert filter_check(rules, packet(src=0, payload=SIG)) == "Accept"
+        assert PacketFilter(0, rules).check(packet(src=0, payload=SIG)) is False
 
     def test_oracle_agreement_1000_random(self):
         """First-match-wins over random rule tables vs a naive re-scan."""
@@ -68,22 +67,22 @@ class TestFilters:
         for _ in range(1000):
             pkt = packet(src=rng.randrange(6), dst=rng.randrange(6),
                          klass=rng.choice((DATA, IMMUNE)))
-            assert filter_check(rules, pkt) == naive(rules, pkt)
+            assert PacketFilter(0, rules).check(pkt) is (naive(rules, pkt) == "Drop")
 
 
 class TestIds:
 
     def test_worm_payload_malicious(self):
         ids = StaticIDS(1, [SIG])
-        assert ids.check(packet(payload=b"xx" + SIG + b"yy")) == MALICIOUS
+        assert ids.check(packet(payload=b"xx" + SIG + b"yy")) is True
 
     def test_benign_clean(self, rng):
         ids = StaticIDS(1, [SIG])
-        assert ids.check(packet(payload=rng.randbytes(64))) == CLEAN
+        assert ids.check(packet(payload=rng.randbytes(64))) is False
 
     def test_immune_class_skipped(self):
         ids = StaticIDS(1, [SIG])
-        assert ids.check(packet(klass=IMMUNE, payload=SIG)) == CLEAN
+        assert ids.check(packet(klass=IMMUNE, payload=SIG)) is False
 
     def test_agreement_with_detector_on_corpus(self):
         """The static matcher is the exact oracle the compressed store
@@ -105,8 +104,8 @@ class TestIds:
             ids_verdict = ids.check(pkt)
             det_verdict = det.check(pkt)
             if contains_signature([SIG], payload):
-                assert ids_verdict == MALICIOUS
-                assert det_verdict == MALICIOUS  # no false negatives
+                assert ids_verdict is True
+                assert det_verdict is True  # no false negatives
             elif ids_verdict != det_verdict:
                 disagreements += 1  # detector false positive
         assert disagreements / 10_000 <= 0.02

@@ -114,6 +114,17 @@ RULES = [
     ({"traffic.attack_mix": [{"attack_id": 9, "rate": 1}]}, "traffic.attack_mix[0].attack_id"),
     ({"traffic.attack_mix": [{"attack_id": 1, "rate": "1"}]}, "traffic.attack_mix[0].rate"),
     ({"traffic.attack_mix": [{"attack_id": 1, "rate": -1}]}, "traffic.attack_mix[0].rate"),
+    # a float field takes a finite number only
+    ({"traffic.background_rate": float("inf")}, "traffic.background_rate",
+     "traffic.background_rate-inf"),
+    ({"traffic.background_rate": float("nan")}, "traffic.background_rate",
+     "traffic.background_rate-nan"),
+    ({"traffic.background_rate": 10**400}, "traffic.background_rate",
+     "traffic.background_rate-huge-int"),
+    ({"ants.epsilon": float("inf")}, "ants.epsilon", "ants.epsilon-inf"),
+    ({"ants.epsilon": float("nan")}, "ants.epsilon", "ants.epsilon-nan"),
+    ({"traffic.attack_mix": [{"attack_id": 1, "rate": float("nan")}]},
+     "traffic.attack_mix[0].rate", "traffic.attack_mix[0].rate-nan"),
     ({"worm.attack_id": 9}, "worm.attack_id"),
     ({"worm.entry_step": -1}, "worm.entry_step"),
     ({"worm.entry": 999}, "worm.entry"),

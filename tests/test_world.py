@@ -8,7 +8,8 @@ from immunet import receptors, transport
 from immunet.cells import DETECTOR, ArtificialCell
 from immunet.engine import World
 from immunet.scenario import (AttackConfig, DetectorConfig, FilterRuleConfig, IdsConfig,
-                              TopologySpec, baseline_scenario)
+                              TopologySpec, VulnerabilityConfig, WormConfig,
+                              baseline_scenario)
 from immunet.stations import ADMIN, LYMPH, NURSERY
 
 from conftest import worm_config
@@ -219,6 +220,21 @@ def check_filtered(world, events, destroyed):
     assert destroyed
     live = {cell.cell_id for cell in world.population.alive_sorted()}
     assert not live & {cell.cell_id for cell in destroyed}
+
+
+class TestFailedEntry:
+
+    def test_entry_into_a_patched_node_counts_no_infection(self):
+        """A worm entry that finds its node patched logs `Infect ok=0`; the
+        metrics count neither an entry nor an infection from it."""
+        cfg = worm_config(horizon=30, worm=WormConfig(entry=3, entry_step=5),
+                          vulnerability=VulnerabilityConfig(probability=0.0))
+        result = World(cfg, 6).run()
+        infects = [ev for ev in result.log.events if ev.kind == "Infect"]
+        assert [(ev.step, ev.get("node"), ev.get("attack"), ev.get("ok"), ev.get("via"))
+                for ev in infects] == [(5, 3, 1, 0, "entry")]
+        assert result.metrics.worm_entries == 0
+        assert result.metrics.infections_total == 0
 
 
 class TestEnginePaths:
