@@ -66,7 +66,7 @@ class RunResult:
     seed: int
     log: EventLog
     metrics: Metrics
-    audit: transport.AuditReport
+    audit: Counter  # packets the log leaves in flight, by class, as the transport holds them
 
 
 class World:
@@ -556,6 +556,10 @@ class World:
         for _ in range(steps):
             transport.step(self.state, hooks)
         audit = transport.conservation_audit(self.log.events)
+        held = self.state.held()
+        if audit != held:
+            raise transport.ConservationViolation(
+                -1, f"the log leaves {dict(audit)} in flight, the transport holds {dict(held)}")
         metrics = compute_metrics(self.log.events)
         return RunResult(self.config, self.seed, self.log, metrics, audit)
 

@@ -43,12 +43,6 @@ def run_points(points, seeds) -> list[dict]:
             for knobs, point in points for seed in seeds]
 
 
-def sweep(config: ScenarioConfig, grid: dict[str, list], seeds) -> list[dict]:
-    """Cartesian product of grid points x seeds; one row per run, every
-    point validated before the first run."""
-    return run_points(grid_points(config, grid), seeds)
-
-
 def _fmt_value(value):
     if isinstance(value, float):
         return format(value, ".6g")

@@ -263,6 +263,8 @@ def _name(hint) -> str:
         return f"{origin.__name__}[{', '.join(map(_name, args))}]"
     if hint is type(None):
         return "None"
+    if hint is float:  # `_fits` takes an int or a float that is finite as a float
+        return "a finite number"
     return repr(hint) if isinstance(hint, str) else hint.__name__  # a str is a Literal's value
 
 
@@ -313,7 +315,7 @@ def validate(config: ScenarioConfig) -> None:
         if not _fits(entry["attack_id"], int) or entry["attack_id"] not in infects:
             raise ValidationError(f"traffic.attack_mix[{i}].attack_id", "undeclared attack")
         if not _fits(entry["rate"], float):
-            raise ValidationError(f"traffic.attack_mix[{i}].rate", "must be a number")
+            raise ValidationError(f"traffic.attack_mix[{i}].rate", "must be a finite number")
         if entry["rate"] < 0:
             raise ValidationError(f"traffic.attack_mix[{i}].rate", "must be >= 0")
     if config.worm.enabled:

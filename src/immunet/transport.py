@@ -212,8 +212,14 @@ class TransportState:
                 raise QueueViolation(node, "queue over capacity")
         return ACCEPTED
 
+    def held(self) -> Counter:
+        """Packets the state holds, by class: queued, and staged (data only)."""
+        queues = self.queues.values()
+        return +Counter({IMMUNE: sum(len(q.immune) for q in queues),
+                         DATA: sum(len(q.data) for q in queues) + len(self._staged)})
+
     def in_flight(self) -> int:
-        return sum(q.occupancy() for q in self.queues.values()) + len(self._staged)
+        return self.held().total()
 
 
 def step(state: TransportState, hooks: StepHooks | None = None) -> None:
@@ -291,57 +297,39 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
     state.clock += 1
 
 
-@dataclass
-class AuditReport:
-    injected: Counter = field(default_factory=Counter)
-    delivered: Counter = field(default_factory=Counter)
-    dropped: Counter = field(default_factory=Counter)  # includes evictions
-    evicted: Counter = field(default_factory=Counter)
-    destroyed: Counter = field(default_factory=Counter)
-    in_flight: Counter = field(default_factory=Counter)
+_TERMINAL = frozenset(("Deliver", "Drop", "Evict", "Detect"))
 
 
-_TERMINAL = {"Deliver": "delivered", "Drop": "dropped", "Evict": "dropped", "Detect": "destroyed"}
+def conservation_audit(events) -> Counter:
+    """Check each packet's lifecycle in a log and return the packets it
+    leaves in flight, by class.
 
-
-def conservation_audit(events) -> AuditReport:
-    """Check injected = delivered + dropped + destroyed + in-flight, per class.
-
-    Raises ConservationViolation naming the first offending packet.
+    A packet is injected once, then forwarded while live, and ends at most
+    once (Deliver, Drop, Evict or Detect). Raises ConservationViolation
+    naming the first packet that breaks this, and TypeError for a record
+    that is not an Event.
     """
-    report = AuditReport()
-    state: dict[int, tuple[str, str]] = {}  # pid -> (lifecycle, class)
+    live: dict[int, str] = {}  # pid -> class, until its terminal line
+    ended: set[int] = set()
     for ev in events:
         if not isinstance(ev, Event):
             raise TypeError("audit wants Event records")
         pid = ev.get("pid")
         if pid is None:
             continue
-        if ev.kind == "Inject":
-            if pid in state:
+        kind = ev.kind
+        if kind == "Inject":
+            if pid in live or pid in ended:
                 raise ConservationViolation(pid, "injected twice")
-            state[pid] = ("live", ev.get("klass"))
-            report.injected[ev.get("klass")] += 1
-        elif ev.kind in _TERMINAL:
-            if pid not in state:
-                raise ConservationViolation(pid, f"{ev.kind} without Inject")
-            phase, klass = state[pid]
-            if phase != "live":
-                raise ConservationViolation(pid, f"{ev.kind} after terminal event")
-            state[pid] = ("done", klass)
-            getattr(report, _TERMINAL[ev.kind])[klass] += 1
-            if ev.kind == "Evict":
-                report.evicted[klass] += 1
-        elif ev.kind == "Forward":
-            if pid not in state or state[pid][0] != "live":
-                raise ConservationViolation(pid, "Forward outside live lifecycle")
-    for pid, (phase, klass) in state.items():
-        if phase == "live":
-            report.in_flight[klass] += 1
-    for klass in report.injected:
-        lhs = report.injected[klass]
-        rhs = (report.delivered[klass] + report.dropped[klass]
-               + report.destroyed[klass] + report.in_flight[klass])
-        if lhs != rhs:
-            raise ConservationViolation(-1, f"class {klass}: {lhs} injected vs {rhs} accounted")
-    return report
+            live[pid] = ev.get("klass")
+        elif kind in _TERMINAL:
+            if pid in live:
+                del live[pid]
+                ended.add(pid)
+            elif pid in ended:
+                raise ConservationViolation(pid, f"{kind} after terminal event")
+            else:
+                raise ConservationViolation(pid, f"{kind} without Inject")
+        elif kind == "Forward" and pid not in live:
+            raise ConservationViolation(pid, "Forward outside live lifecycle")
+    return Counter(live.values())

@@ -125,12 +125,17 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line 1: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("rate", [float("inf"), 10**400], ids=["infinity", "401-digits"])
-    def test_rate_that_is_no_finite_float(self, tmp_path, capsys, command, rate):
-        path = scenario_file(tmp_path, "traffic", background_rate=rate)
+    @pytest.mark.parametrize("fields, where", [
+        ({"background_rate": float("inf")}, "traffic.background_rate"),
+        ({"background_rate": 10**400}, "traffic.background_rate"),
+        ({"attack_mix": [{"attack_id": 1, "rate": float("inf")}]}, "traffic.attack_mix[0].rate"),
+    ], ids=["infinity", "401-digits", "attack-mix-infinity"])
+    def test_rate_that_is_no_finite_float(self, tmp_path, capsys, command, fields, where):
+        path = scenario_file(tmp_path, "traffic", **fields)
         assert invoke(command, path) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: traffic.background_rate:") and err.count("\n") == 1
+        assert err.startswith(f"error: {where}:") and err.count("\n") == 1
+        assert err.endswith(" a finite number\n")
 
     @pytest.mark.parametrize("fields, message", [
         ({"topology": 5}, "error: topology: expected an object\n"),
@@ -310,7 +315,7 @@ class TestSweepReport:
                          "--format", fmt]) == 0
         path = out / f"baseline-sweep.{fmt}"
         assert capsys.readouterr().out == f"wrote 4 rows to {path}\n"
-        rows = harness.sweep(baseline_scenario(), grid, [1, 2])
+        rows = harness.run_points(harness.grid_points(baseline_scenario(), grid), [1, 2])
         assert [(row["horizon"], row["pheromone.threshold"], row["seed"]) for row in rows] \
             == [(20, 1.0, 1), (20, 1.0, 2), (20, 6.0, 1), (20, 6.0, 2)]
         text = path.read_text(encoding="utf-8")

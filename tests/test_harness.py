@@ -11,7 +11,8 @@ class TestSweep:
     def test_rows_equal_independent_runs(self):
         config = worm_config(horizon=60)
         thresholds = [1.0, 6.0]
-        rows = harness.sweep(config, {"pheromone.threshold": thresholds}, [6])
+        points = harness.grid_points(config, {"pheromone.threshold": thresholds})
+        rows = harness.run_points(points, [6])
         assert config.pheromone.threshold == 3.0  # the sweep works on copies
         expected = []
         for threshold in thresholds:

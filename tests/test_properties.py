@@ -50,7 +50,8 @@ def saved_bytes(result) -> bytes:
 def test_strict_run_is_conserved_repeatable_and_shortest_path(topology, seed):
     ids, links = topology
     cfg = config_for(ids, links)
-    # World.run ends with the conservation audit, which raises on a violation
+    # World.run ends with the conservation audit, which raises on a lifecycle
+    # violation or when the packets left in flight are not the ones queued
     first = World(cfg, seed, strict_checks=True).run()
     second = World(cfg, seed, strict_checks=True).run()
     assert saved_bytes(first) == saved_bytes(second)
@@ -81,7 +82,8 @@ def worm_config_for(ids, links):
 @given(topology=sparse_topologies(min_nodes=5), seed=st.integers(0, 2**16))
 def test_strict_defended_run_is_conserved_repeatable_and_cures_only_the_infected(topology, seed):
     cfg = worm_config_for(*topology)
-    # World.run ends with the conservation audit, which raises on a violation
+    # World.run ends with the conservation audit, which raises on a lifecycle
+    # violation or when the packets left in flight are not the ones queued
     first = World(cfg, seed, strict_checks=True).run()
     second = World(cfg, seed, strict_checks=True).run()
     assert saved_bytes(first) == saved_bytes(second)
