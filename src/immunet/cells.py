@@ -22,6 +22,9 @@ DISINFECTOR = "Disinfector"
 
 @dataclass
 class ArtificialCell:
+    """One cell record for every kind; `kind` picks its task each step,
+    and each kind's own fields default for the others."""
+
     cell_id: int
     kind: str
     location: int  # a moving cell keeps the node it left until its packet is delivered
@@ -30,27 +33,11 @@ class ArtificialCell:
     born_at: int
     alive: bool = True
     pending_move: bool = False  # move packet queued but not yet forwarded
-
-
-@dataclass
-class DetectorCell(ArtificialCell):
-    db: CompressedSignatureDb | None = None
-    component: object = None  # its entry in the defense registry
-
-
-@dataclass
-class AntCell(ArtificialCell):
-    memory: deque = field(default_factory=lambda: deque(maxlen=4))
-
-
-@dataclass
-class MonitorCell(ArtificialCell):
-    buffer: list = field(default_factory=list)
-
-
-@dataclass
-class DisinfectorCell(ArtificialCell):
-    target: int = -1
+    db: CompressedSignatureDb | None = None  # Detector: the store it scans with
+    component: object = None  # Detector: its entry in the defense registry
+    memory: deque | None = None  # Ant: the nodes it last arrived at, newest last
+    buffer: list = field(default_factory=list)  # Monitor: rows not yet flushed
+    target: int = -1  # Disinfector: the node it heads for
 
 
 class CellPopulation:

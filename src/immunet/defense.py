@@ -82,8 +82,11 @@ class DetectorComponent:
 
     kind = "Cell"
 
-    def __init__(self, component_id: int, cell):
-        self.component_id = component_id
+    def __init__(self, cell):
+        # ids from 10,000 stay clear of the static components (filter nodes
+        # plus IDS) while there are fewer than 10,000 of those; with at most
+        # one IDS per node, breaking that takes more than 5,000 nodes
+        self.component_id = 10_000 + cell.cell_id
         self.cell = cell
 
     @property

@@ -17,19 +17,20 @@ from random import Random
 
 from . import adversary, defense, receptors, stations, transport
 from .adversary import AttackDef, NodeHealth
-from .cells import (ANT, DETECTOR, DISINFECTOR, MONITOR, AntCell, ArtificialCell,
-                    CellPopulation, DetectorCell, DisinfectorCell, MonitorCell)
+from .cells import ANT, DETECTOR, DISINFECTOR, MONITOR, ArtificialCell, CellPopulation
 from .events import EventLog
 from .metrics import Metrics, compute_metrics
 from .pheromone import PheromoneMap, choose_move
 from .scenario import ScenarioConfig, TopologySpec
 from .signatures import CompressedSignatureDb
-from .stations import (ADMIN, LYMPH, NURSERY, AdminStation, LymphStation,
-                       NurseryStation, Station, nearest_station, next_station)
+from .stations import ADMIN, LYMPH, NURSERY, Station, nearest_station, next_station
 from .topology import (Network, UnknownNode, bfs_distances, build_network,
                        compute_routing, diameter, erdos_renyi, line_network,
                        ring_network, star_network, top_betweenness)
 from .transport import StepHooks, TransportState
+
+# each kind a run starts with, and its scenario section
+_SECTIONS = {DETECTOR: "detectors", ANT: "ants", MONITOR: "monitors"}
 
 
 class SeedTree:
@@ -179,21 +180,14 @@ class World:
 
         # a station's id is its index here: lymph nodes, nurseries, then admin
         self.stations: list[Station] = [
-            LymphStation(sid, LYMPH, node, self.lymph_receptor) if sid < cfg.lymph
-            else NurseryStation(sid, NURSERY, node, self.nursery_receptor, store=trained)
+            Station(sid, LYMPH, node, self.lymph_receptor) if sid < cfg.lymph
+            else Station(sid, NURSERY, node, self.nursery_receptor, store=trained)
             for sid, node in enumerate(nodes[:cfg.lymph + cfg.nurseries])]
-        self.stations.append(AdminStation(len(self.stations), ADMIN, nodes[-1],
-                                          self.admin_receptor))
+        self.stations.append(Station(len(self.stations), ADMIN, nodes[-1], self.admin_receptor))
 
         self.substance_ttl = cfg.substance_ttl
         if self.substance_ttl is None:
             self.substance_ttl = 4 * diameter(self.dist)
-
-        self.caps = {
-            DETECTOR: cfg.caps.get("Detector", self.config.detectors.count),
-            ANT: cfg.caps.get("Ant", self.config.ants.count),
-            MONITOR: cfg.caps.get("Monitor", self.config.monitors.count),
-        }
 
     def _place_cells(self, count: int, placement, label: str) -> list[int]:
         if isinstance(placement, list):
@@ -202,10 +196,14 @@ class World:
         pool = self.network.nodes
         return [pool[rng.randrange(len(pool))] for _ in range(count)]
 
+    def _section(self, kind: str):
+        """The scenario section of a kind a run starts with: its `count` is
+        the kind's default cap, its name labels the kind's placement stream."""
+        return getattr(self.config, _SECTIONS[kind])
+
     def _setup_cells(self, store: CompressedSignatureDb | None) -> None:
-        for kind in (DETECTOR, ANT, MONITOR):
-            label = kind.lower() + "s"  # the scenario section and the placement stream
-            section = getattr(self.config, label)
+        for kind, label in _SECTIONS.items():
+            section = self._section(kind)
             for node in self._place_cells(section.count,
                                           getattr(section, "placement", "random"), label):
                 self._spawn(kind, node, by="init", store=store)
@@ -222,26 +220,21 @@ class World:
                store=None, target: int = -1) -> ArtificialCell:
         """Release a cell of `kind` at `node`. A detector carries `store` and
         joins the node's defence stack; a disinfector heads for `target`."""
-        if kind == DETECTOR:
-            cls, extra = DetectorCell, {"db": store}
-        elif kind == ANT:
-            cls, extra = AntCell, {"memory": deque(maxlen=max(1, self.config.ants.memory))}
-        elif kind == MONITOR:
-            cls, extra = MonitorCell, {}
-        else:
-            cls, extra = DisinfectorCell, {"target": target}
         cid = self.population.new_id()
-        cell = cls(cell_id=cid, kind=kind, location=node,
-                   receptor=receptors.gen_receptor(self.receptor_rng),
-                   rng=self.seeds.stream("cell", cid), born_at=self.state.clock, **extra)
+        cell = ArtificialCell(cell_id=cid, kind=kind, location=node,
+                              receptor=receptors.gen_receptor(self.receptor_rng),
+                              rng=self.seeds.stream("cell", cid), born_at=self.state.clock)
+        if kind == DETECTOR:
+            cell.db = store
+        elif kind == ANT:
+            cell.memory = deque(maxlen=self.config.ants.memory)
+        elif kind == DISINFECTOR:
+            cell.target = target
         self.population.add(cell)
         self.log.append(self.state.clock, "Spawn", cell=cid, cellkind=kind, node=node,
                         by=by, replaces=replaces)
         if kind == DETECTOR:
-            # ids from 10,000 stay clear of the static components (filter nodes
-            # plus IDS) while there are fewer than 10,000 of those; with at most
-            # one IDS per node, breaking that takes more than 5,000 nodes
-            cell.component = defense.DetectorComponent(10_000 + cid, cell)
+            cell.component = defense.DetectorComponent(cell)
             self.defense.register(node, cell.component)
         return cell
 
@@ -349,7 +342,7 @@ class World:
             cell.pending_move = True
         # on Drop the cell simply stays put and retries next step
 
-    def _monitor_collect(self, cell: MonitorCell, flush_period: int) -> None:
+    def _monitor_collect(self, cell: ArtificialCell, flush_period: int) -> None:
         node = cell.location
         cell.buffer.append({
             "step": self.state.clock,
@@ -362,7 +355,7 @@ class World:
             cell.buffer = []
             self._send_substance(node, payload, {self.admin_receptor.public}, what="monitor")
 
-    def _disinfect(self, cell: DisinfectorCell) -> None:
+    def _disinfect(self, cell: ArtificialCell) -> None:
         """Cure the target if it is infected, as in an SIS epidemic.
 
         The cure clears the infection and drops the node's deferred worm
@@ -414,7 +407,7 @@ class World:
     def _station_handle(self, st: Station, sub: receptors.Substance) -> None:
         payload = receptors.try_open(sub, {st.receptor.private})
         if payload is None:
-            self._lymph_forward(st, sub)
+            self._relay(st, sub)
             return
         self.log.append(self.state.clock, "SubstanceOpen", sid=sub.sid,
                         station=st.station_id, node=st.node)
@@ -425,7 +418,7 @@ class World:
         else:
             st.received.append(payload)
 
-    def _lymph_forward(self, st: Station, sub: receptors.Substance) -> None:
+    def _relay(self, st: Station, sub: receptors.Substance) -> None:
         """Relay a substance `st` cannot open to the nearest untried station.
         `hop_ttl` counts these relays, not network hops; `visited` alone
         ends a chain once every station has tried the substance."""
@@ -442,7 +435,7 @@ class World:
         sub.hop_ttl -= 1
         self._transmit_substance(st.node, target, sub, "relay")
 
-    def _lymph_on_report(self, st: LymphStation, message: dict) -> None:
+    def _lymph_on_report(self, st: Station, message: dict) -> None:
         node, attack = message["node"], message["attack"]
         key = (node, attack)
         last = st.last_spawn.get(key)
@@ -452,7 +445,7 @@ class World:
         self._spawn(DISINFECTOR, st.node, by=st.station_id, target=node)
         self._immunize(st, node, attack)
 
-    def _immunize(self, st: LymphStation, around: int, attack: int | None) -> None:
+    def _immunize(self, st: Station, around: int, attack: int | None) -> None:
         """Local immunization: push the attack signature to every detector
         within the configured radius of the reported node and to the nurseries
         that lack it; pushes are sealed/opened same-step. An opened push swaps
@@ -469,7 +462,7 @@ class World:
                 continue
             cell.db = self._store(_members(cell.db) | {opened})
         for other in self.stations:
-            if isinstance(other, NurseryStation) and sig not in _members(other.store):
+            if other.kind == NURSERY and sig not in _members(other.store):
                 if self._push(st, sig, other.receptor, other.node,
                               station=other.station_id) is not None:
                     other.store = self._store(_members(other.store) | {sig})
@@ -490,10 +483,10 @@ class World:
                             station=station, node=node, **({} if cell is None else holder))
         return opened
 
-    def _nursery_release(self, st: NurseryStation) -> None:
+    def _nursery_release(self, st: Station) -> None:
         mix = self.config.stations.release_mix
         for kind in sorted(mix):
-            cap = self.caps[kind]
+            cap = self.config.stations.caps.get(kind, self._section(kind).count)
             if not cap:
                 continue  # a cap of 0 releases none of the kind
             for _ in range(mix[kind]):

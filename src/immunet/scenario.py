@@ -113,6 +113,8 @@ class DetectorConfig:
 @dataclass
 class AntConfig:
     count: Annotated[int, AT_LEAST_0] = 20
+    # the last `memory` nodes an ant arrived at, the one it stands on
+    # included; only neighbours are discounted, so 0 and 1 discount none
     memory: Annotated[int, AT_LEAST_0] = 4
     epsilon: Annotated[float, POSITIVE] = 0.01
 
@@ -136,7 +138,9 @@ class StationConfig:
     lymph: Annotated[int, REDUNDANT] = 2
     nurseries: Annotated[int, REDUNDANT] = 2
     placement: Literal["random"] | list[int] = "random"
-    admin_node: int | None = None  # None = random
+    # the admin's node: None takes the placement's last node, random or
+    # listed; a node id overrides even a listed one
+    admin_node: int | None = None
     release_period: Annotated[int, AT_LEAST_1] = 100
     release_mix: CellCounts = field(default_factory=lambda: {"Detector": 2, "Ant": 1})
     caps: CellCounts = field(default_factory=dict)  # default: initial counts; 0 releases none

@@ -22,28 +22,19 @@ ADMIN = "Admin"
 
 @dataclass
 class Station:
+    """One station record for every kind; each kind's own fields default
+    for the others."""
+
     station_id: int  # its index in `World.stations`
     kind: str
     node: int
     receptor: Receptor
     inbox: list[Substance] = field(default_factory=list)
-
-
-@dataclass
-class LymphStation(Station):
-    # (node, attack) -> last disinfector spawn step, for deduplication
+    # Lymph: (node, attack) -> last disinfector spawn step, for deduplication
     last_spawn: dict[tuple[int, int | None], int] = field(default_factory=dict)
-
-
-@dataclass
-class NurseryStation(Station):
-    # the shared store its released detectors carry; None for no signatures
+    # Nursery: the shared store its released detectors carry; None for no signatures
     store: CompressedSignatureDb | None = None
-
-
-@dataclass
-class AdminStation(Station):
-    received: list[dict] = field(default_factory=list)  # opened monitor messages
+    received: list[dict] = field(default_factory=list)  # Admin: opened monitor messages
 
 
 def next_station(stations: list[Station], current: Station, sub: Substance,

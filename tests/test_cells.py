@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from immunet.cells import DISINFECTOR, CellPopulation, DetectorCell
+from immunet.cells import DISINFECTOR, ArtificialCell, CellPopulation
 from immunet.engine import World
 from immunet.scenario import (AntConfig, AttackConfig, DetectorConfig,
                               MonitorConfig, StationConfig, baseline_scenario)
@@ -20,15 +20,15 @@ class TestPopulation:
     def test_insert_and_retire_during_iteration(self):
         pop = CellPopulation()
         for i in range(5):
-            pop.add(DetectorCell(cell_id=pop.new_id(), kind="Detector", location=0,
-                                 receptor=None, rng=None, born_at=i))
+            pop.add(ArtificialCell(cell_id=pop.new_id(), kind="Detector", location=0,
+                                   receptor=None, rng=None, born_at=i))
         seen = []
         for cell in pop.alive_sorted():  # snapshot survives mutation
             seen.append(cell.cell_id)
             if cell.cell_id == 1:
                 pop.retire(3)
-                pop.add(DetectorCell(cell_id=pop.new_id(), kind="Detector",
-                                     location=0, receptor=None, rng=None, born_at=9))
+                pop.add(ArtificialCell(cell_id=pop.new_id(), kind="Detector",
+                                       location=0, receptor=None, rng=None, born_at=9))
         assert seen == [0, 1, 2, 3, 4]
         assert [c.cell_id for c in pop.alive_sorted()] == [0, 1, 2, 4, 5]
 
@@ -43,8 +43,8 @@ class TestPopulation:
                 alive.discard(victim)
             else:
                 cid = pop.new_id()
-                pop.add(DetectorCell(cell_id=cid, kind="Detector", location=0,
-                                     receptor=None, rng=None, born_at=born))
+                pop.add(ArtificialCell(cell_id=cid, kind="Detector", location=0,
+                                       receptor=None, rng=None, born_at=born))
                 alive.add(cid)
             assert [c.cell_id for c in pop.alive_sorted()] == sorted(alive)
 
@@ -52,18 +52,18 @@ class TestPopulation:
     def test_add_rejects_an_id_not_above_the_last(self, cid):
         pop = CellPopulation()
         for i in range(3):
-            pop.add(DetectorCell(cell_id=pop.new_id(), kind="Detector", location=0,
-                                 receptor=None, rng=None, born_at=i))
+            pop.add(ArtificialCell(cell_id=pop.new_id(), kind="Detector", location=0,
+                                   receptor=None, rng=None, born_at=i))
         pop.retire(2)
         with pytest.raises(ValueError):
-            pop.add(DetectorCell(cell_id=cid, kind="Detector", location=0,
-                                 receptor=None, rng=None, born_at=9))
+            pop.add(ArtificialCell(cell_id=cid, kind="Detector", location=0,
+                                   receptor=None, rng=None, born_at=9))
 
     def test_oldest_is_the_first_live_cell_of_the_kind(self):
         pop = CellPopulation()
         for born, kind in enumerate(("Ant", "Detector", "Detector", "Detector")):
-            pop.add(DetectorCell(cell_id=pop.new_id(), kind=kind, location=0,
-                                 receptor=None, rng=None, born_at=born))
+            pop.add(ArtificialCell(cell_id=pop.new_id(), kind=kind, location=0,
+                                   receptor=None, rng=None, born_at=born))
         assert pop.oldest("Detector").cell_id == 1
         pop.retire(1)
         assert pop.oldest("Detector").cell_id == 2
@@ -111,6 +111,17 @@ class TestAnts:
         assert len(moves) >= 5
         for a, b in zip(moves, moves[1:]):
             assert a != b  # strict alternation on a 2-node line
+
+    def test_memory_of_zero_keeps_no_node(self):
+        # memory counts the node an ant arrives at, so 0 keeps none
+        cfg = worm_config(horizon=200)
+        cfg.ants.memory = 0
+        world = World(cfg, seed=6)
+        result = world.run()
+        assert any(ev.kind == "CellMove" and ev.get("cellkind") == "Ant"
+                   for ev in result.log.events)
+        ants = world.population.of_kind("Ant")
+        assert ants and all(not ant.memory for ant in ants)
 
 
 class TestDisinfector:
@@ -329,6 +340,19 @@ class TestNurseryCaps:
         assert len(spawns) == 2 * 200 // 5  # both nurseries release every period
         assert world.population.count("Ant") == 3
         assert sum(ev.get("replaces") is not None for ev in spawns) == len(spawns) - 3
+
+    @pytest.mark.parametrize("kind, count", [("Detector", 30), ("Ant", 20), ("Monitor", 2)])
+    def test_default_cap_is_the_sections_count(self, kind, count):
+        cfg = baseline_scenario()
+        cfg.stations.release_period = 5
+        cfg.stations.release_mix = {kind: 1}
+        cfg.stations.caps = {}
+        world = World(cfg, seed=42)
+        world.run(200)
+        released = [ev for ev in spawn_events(world.log, kind) if ev.get("by") != "init"]
+        assert len(released) == 2 * 200 // 5
+        assert all(ev.get("replaces") is not None for ev in released)
+        assert world.population.count(kind) == count
 
 
 class TestCoverage:

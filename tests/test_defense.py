@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from immunet.cells import DetectorCell
+from immunet.cells import ArtificialCell
 from immunet.defense import (DefenseStack, DetectorComponent, DuplicateRegistration,
                              FilterRule, PacketFilter, StaticIDS, UnknownComponent)
 from immunet.signatures import CompressedSignatureDb, contains_signature
@@ -16,11 +16,11 @@ def packet(pid=0, src=0, dst=2, klass=DATA, payload=b"", attack=None):
     return Packet(pid, src, dst, klass, payload, attack)
 
 
-def detector_component(component_id=10_000, signatures=(SIG,), fpr=0.01):
-    cell = DetectorCell(cell_id=component_id - 10_000, kind="Detector", location=0,
-                        receptor=None, rng=random.Random(0), born_at=0,
-                        db=CompressedSignatureDb(signatures, fpr))
-    return DetectorComponent(component_id, cell)
+def detector_component(cell_id=0, signatures=(SIG,), fpr=0.01):
+    cell = ArtificialCell(cell_id=cell_id, kind="Detector", location=0,
+                          receptor=None, rng=random.Random(0), born_at=0,
+                          db=CompressedSignatureDb(signatures, fpr))
+    return DetectorComponent(cell)
 
 
 class TestFilters:
@@ -168,7 +168,7 @@ class TestCheckAll:
 
     def test_ascending_id_short_circuit(self):
         stack = DefenseStack(line_network(3))
-        stack.register(1, detector_component(component_id=10_005))
+        stack.register(1, detector_component(cell_id=5))
         stack.register(1, PacketFilter(0, [FilterRule(action="Drop")]))
         by = stack.check_all(1, packet(payload=SIG))
         assert by.component_id == 0  # the filter (lower id) fires first
