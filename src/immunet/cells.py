@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from random import Random
 
-from .receptors import Receptor
 from .signatures import CompressedSignatureDb
 
 DETECTOR = "Detector"
@@ -28,7 +27,6 @@ class ArtificialCell:
     cell_id: int
     kind: str
     location: int  # a moving cell keeps the node it left until its packet is delivered
-    receptor: Receptor
     rng: Random
     born_at: int
     alive: bool = True

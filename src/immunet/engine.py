@@ -31,6 +31,8 @@ from .transport import StepHooks, TransportState
 
 # each kind a run starts with, and its scenario section
 _SECTIONS = {DETECTOR: "detectors", ANT: "ants", MONITOR: "monitors"}
+# each routed message kind, and the station kind whose receptor opens it
+_OPENER = {"report": LYMPH, "monitor": ADMIN}
 
 
 class SeedTree:
@@ -63,11 +65,9 @@ def build_topology(spec: TopologySpec, rng: Random, bandwidth: int) -> Network:
 
 @dataclass
 class RunResult:
-    config: ScenarioConfig
-    seed: int
     log: EventLog
     metrics: Metrics
-    audit: Counter  # packets the log leaves in flight, by class, as the transport holds them
+    audit: dict[int, int]  # pid -> node of each packet the log leaves in flight
 
 
 class World:
@@ -75,7 +75,6 @@ class World:
 
     def __init__(self, config: ScenarioConfig, seed: int, strict_checks: bool = False):
         self.config = config
-        self.seed = seed
         self.seeds = SeedTree(seed)
         cfg_tr = config.transport
 
@@ -122,7 +121,6 @@ class World:
                                       config.pheromone.deposit,
                                       config.pheromone.threshold)
 
-        self.receptor_rng = self.seeds.stream("receptors")
         self.population = CellPopulation()
         self._component_ids = itertools.count()
         self._substance_ids = itertools.count()
@@ -174,16 +172,16 @@ class World:
         if cfg.admin_node is not None:
             nodes[-1] = cfg.admin_node
 
-        self.lymph_receptor = receptors.gen_receptor(self.receptor_rng)
-        self.nursery_receptor = receptors.gen_receptor(self.receptor_rng)
-        self.admin_receptor = receptors.gen_receptor(self.receptor_rng)
+        rng = self.seeds.stream("receptors")
+        self.station_receptors = {kind: receptors.gen_receptor(rng)
+                                  for kind in (LYMPH, NURSERY, ADMIN)}
 
         # a station's id is its index here: lymph nodes, nurseries, then admin
         self.stations: list[Station] = [
-            Station(sid, LYMPH, node, self.lymph_receptor) if sid < cfg.lymph
-            else Station(sid, NURSERY, node, self.nursery_receptor, store=trained)
+            Station(sid, LYMPH, node) if sid < cfg.lymph
+            else Station(sid, NURSERY, node, store=trained)
             for sid, node in enumerate(nodes[:cfg.lymph + cfg.nurseries])]
-        self.stations.append(Station(len(self.stations), ADMIN, nodes[-1], self.admin_receptor))
+        self.stations.append(Station(len(self.stations), ADMIN, nodes[-1]))
 
         self.substance_ttl = cfg.substance_ttl
         if self.substance_ttl is None:
@@ -222,7 +220,6 @@ class World:
         joins the node's defence stack; a disinfector heads for `target`."""
         cid = self.population.new_id()
         cell = ArtificialCell(cell_id=cid, kind=kind, location=node,
-                              receptor=receptors.gen_receptor(self.receptor_rng),
                               rng=self.seeds.stream("cell", cid), born_at=self.state.clock)
         if kind == DETECTOR:
             cell.db = store
@@ -353,7 +350,7 @@ class World:
         if (self.state.clock - cell.born_at + 1) % flush_period == 0 and cell.buffer:
             payload = {"kind": "monitor", "cell": cell.cell_id, "rows": cell.buffer}
             cell.buffer = []
-            self._send_substance(node, payload, {self.admin_receptor.public}, what="monitor")
+            self._send_substance(node, payload)
 
     def _disinfect(self, cell: ArtificialCell) -> None:
         """Cure the target if it is infected, as in an SIS epidemic.
@@ -390,7 +387,7 @@ class World:
             state.log.append(state.clock, "Identify", node=node, attack=attack)
             self._last_identify[node] = state.clock
             payload = {"kind": "report", "node": node, "attack": attack}
-            self._send_substance(node, payload, {self.lymph_receptor.public}, what="report")
+            self._send_substance(node, payload)
 
     def evaporate(self, state: TransportState) -> None:
         self.pheromone.evaporate()
@@ -405,14 +402,13 @@ class World:
                 self._nursery_release(st)
 
     def _station_handle(self, st: Station, sub: receptors.Substance) -> None:
-        payload = receptors.try_open(sub, {st.receptor.private})
+        payload = receptors.try_open(sub, {self.station_receptors[st.kind].private})
         if payload is None:
             self._relay(st, sub)
             return
         self.log.append(self.state.clock, "SubstanceOpen", sid=sub.sid,
                         station=st.station_id, node=st.node)
-        # the receptor rule alone decides which station opens: lymph nodes
-        # hold reports' receptor, the admin monitors'
+        # by `_OPENER`, a report opens only at a lymph node, monitor rows at the admin
         if payload["kind"] == "report":
             self._lymph_on_report(st, payload)
         else:
@@ -448,40 +444,33 @@ class World:
     def _immunize(self, st: Station, around: int, attack: int | None) -> None:
         """Local immunization: push the attack signature to every detector
         within the configured radius of the reported node and to the nurseries
-        that lack it; pushes are sealed/opened same-step. An opened push swaps
+        that lack it. A push is a same-step hand-over, not sealed, that swaps
         the holder's store for the shared store of its set plus the signature."""
-        if attack is None or attack not in self.attacks:
+        if attack is None:
             return
         sig = self.attacks[attack].signature
         radius = self.config.stations.immunization_radius
         for cell in self.population.of_kind(DETECTOR):
             if self.dist[cell.location][around] > radius:
                 continue
-            opened = self._push(st, sig, cell.receptor, cell.location, cell=cell.cell_id)
-            if opened is None:
-                continue
-            cell.db = self._store(_members(cell.db) | {opened})
+            self._push(st, cell.location, cell=cell.cell_id)
+            cell.db = self._store(_members(cell.db) | {sig})
         for other in self.stations:
             if other.kind == NURSERY and sig not in _members(other.store):
-                if self._push(st, sig, other.receptor, other.node,
-                              station=other.station_id) is not None:
-                    other.store = self._store(_members(other.store) | {sig})
+                self._push(st, other.node, station=other.station_id)
+                other.store = self._store(_members(other.store) | {sig})
 
-    def _push(self, st: Station, payload: bytes, receptor: receptors.Receptor, node: int,
-              station: int | None = None, cell: int | None = None) -> bytes | None:
-        """Seal `payload` for the holder of `receptor` at `node`, a station or
-        a cell, log the send and open it there in the same step. Returns
-        the opened payload, or None when it does not open."""
-        sub = self._make_substance(payload, {receptor.public})
+    def _push(self, st: Station, node: int, station: int | None = None,
+              cell: int | None = None) -> None:
+        """Log a signature's same-step hand-over from `st` to a station or cell
+        at `node`, its send and its open. Not sealed: cells hold no receptor."""
+        sid = next(self._substance_ids)
         # an open names the station (`-` for a cell), then the cell if any
         holder = {"station": station} if cell is None else {"cell": cell}
-        self.log.append(self.state.clock, "SubstanceSend", sid=sub.sid, src=st.node,
+        self.log.append(self.state.clock, "SubstanceSend", sid=sid, src=st.node,
                         dst=node, what="immunize", **holder)
-        opened = receptors.try_open(sub, {receptor.private})
-        if opened is not None:
-            self.log.append(self.state.clock, "SubstanceOpen", sid=sub.sid,
-                            station=station, node=node, **({} if cell is None else holder))
-        return opened
+        self.log.append(self.state.clock, "SubstanceOpen", sid=sid,
+                        station=station, node=node, **({} if cell is None else holder))
 
     def _nursery_release(self, st: Station) -> None:
         mix = self.config.stations.release_mix
@@ -505,17 +494,15 @@ class World:
 
     # --------------------------------------------------------- substances
 
-    def _make_substance(self, payload: object, required) -> receptors.Substance:
-        sub = receptors.seal(payload, required, self.substance_ttl)
+    def _send_substance(self, origin: int, payload: dict) -> None:
+        """Seal `payload` for the station kind that opens its kind of message
+        and hand it to the station nearest `origin`."""
+        kind = payload["kind"]
+        sub = receptors.seal(payload, {self.station_receptors[_OPENER[kind]].public},
+                             self.substance_ttl)
         sub.sid = next(self._substance_ids)
-        return sub
-
-    def _send_substance(self, origin: int, payload: dict, required,
-                        what: str) -> None:
-        """Seal and hand off to the nearest station."""
-        sub = self._make_substance(payload, required)
         self._transmit_substance(origin, nearest_station(self.stations, origin, self.dist),
-                                 sub, what)
+                                 sub, kind)
 
     def _transmit_substance(self, src: int, target: Station, sub: receptors.Substance,
                             what: str) -> None:
@@ -551,10 +538,12 @@ class World:
         audit = transport.conservation_audit(self.log.events)
         held = self.state.held()
         if audit != held:
-            raise transport.ConservationViolation(
-                -1, f"the log leaves {dict(audit)} in flight, the transport holds {dict(held)}")
+            pid = min(p for p in audit.keys() | held.keys() if audit.get(p) != held.get(p))
+            raise transport.ConservationViolation(-1, (
+                f"the log leaves packet {pid} in flight at {audit.get(pid, '-')}, "
+                f"the transport holds it at {held.get(pid, '-')}"))
         metrics = compute_metrics(self.log.events)
-        return RunResult(self.config, self.seed, self.log, metrics, audit)
+        return RunResult(self.log, metrics, audit)
 
 
 def _members(store: CompressedSignatureDb | None) -> frozenset[bytes]:

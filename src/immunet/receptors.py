@@ -5,6 +5,9 @@ substance is a payload sealed to a set of public tokens: it opens only
 for a holder of private tokens whose derived public tokens cover that
 whole set (subset semantics). The seal is this rule alone; the payload,
 the message itself, travels as is and only its opener reads it.
+
+A run holds one receptor per station kind and seals only the messages
+routed between stations; cells hold none, and a hand-over is not sealed.
 """
 
 from __future__ import annotations

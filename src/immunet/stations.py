@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .receptors import Receptor, Substance
+from .receptors import Substance
 from .signatures import CompressedSignatureDb
 
 LYMPH = "Lymph"
@@ -28,7 +28,6 @@ class Station:
     station_id: int  # its index in `World.stations`
     kind: str
     node: int
-    receptor: Receptor
     inbox: list[Substance] = field(default_factory=list)
     # Lymph: (node, attack) -> last disinfector spawn step, for deduplication
     last_spawn: dict[tuple[int, int | None], int] = field(default_factory=dict)

@@ -32,7 +32,7 @@ which `python -O` does not strip.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -212,14 +212,17 @@ class TransportState:
                 raise QueueViolation(node, "queue over capacity")
         return ACCEPTED
 
-    def held(self) -> Counter:
-        """Packets the state holds, by class: queued, and staged (data only)."""
-        queues = self.queues.values()
-        return +Counter({IMMUNE: sum(len(q.immune) for q in queues),
-                         DATA: sum(len(q.data) for q in queues) + len(self._staged)})
+    def held(self) -> dict[int, int]:
+        """pid -> node of each packet the state holds: queued, or staged to
+        join the queue of the node it was injected at."""
+        held = {pkt.pid: node for node, pkt in self._staged}
+        for node, q in self.queues.items():
+            for lane in (q.immune, q.data):
+                held.update((pkt.pid, node) for pkt in lane)
+        return held
 
     def in_flight(self) -> int:
-        return self.held().total()
+        return len(self.held())
 
 
 def step(state: TransportState, hooks: StepHooks | None = None) -> None:
@@ -300,36 +303,43 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
 _TERMINAL = frozenset(("Deliver", "Drop", "Evict", "Detect"))
 
 
-def conservation_audit(events) -> Counter:
-    """Check each packet's lifecycle in a log and return the packets it
-    leaves in flight, by class.
+def conservation_audit(events) -> dict[int, int]:
+    """Check each packet's lifecycle and path in a log and return the
+    packets it leaves in flight, as pid -> the node the log last put it at.
 
     A packet is injected once, then forwarded while live, and ends at most
-    once (Deliver, Drop, Evict or Detect). Raises ConservationViolation
-    naming the first packet that breaks this, and TypeError for a record
-    that is not an Event.
+    once (Deliver, Drop, Evict or Detect). A Forward leaves the node where
+    the log last put the packet, and its terminal line names that node.
+    Raises ConservationViolation naming the first packet that breaks this,
+    and TypeError for a record that is not an Event.
     """
-    live: dict[int, str] = {}  # pid -> class, until its terminal line
+    at: dict[int, int] = {}  # pid -> node, until its terminal line
     ended: set[int] = set()
     for ev in events:
         if not isinstance(ev, Event):
             raise TypeError("audit wants Event records")
-        pid = ev.get("pid")
+        fields = ev.fields
+        pid = fields.get("pid")
         if pid is None:
             continue
         kind = ev.kind
-        if kind == "Inject":
-            if pid in live or pid in ended:
+        if kind == "Forward":
+            node = at.get(pid)
+            if node is None:
+                raise ConservationViolation(pid, "Forward outside live lifecycle")
+            if fields["src"] != node:
+                raise ConservationViolation(pid, f"Forward from {fields['src']}, logged at {node}")
+            at[pid] = fields["dst"]
+        elif kind == "Inject":
+            if pid in at or pid in ended:
                 raise ConservationViolation(pid, "injected twice")
-            live[pid] = ev.get("klass")
+            at[pid] = fields["node"]
         elif kind in _TERMINAL:
-            if pid in live:
-                del live[pid]
-                ended.add(pid)
-            elif pid in ended:
-                raise ConservationViolation(pid, f"{kind} after terminal event")
-            else:
-                raise ConservationViolation(pid, f"{kind} without Inject")
-        elif kind == "Forward" and pid not in live:
-            raise ConservationViolation(pid, "Forward outside live lifecycle")
-    return Counter(live.values())
+            node = at.pop(pid, None)
+            if node is None:
+                raise ConservationViolation(pid, f"{kind} after terminal event" if pid in ended
+                                            else f"{kind} without Inject")
+            if fields["node"] != node:
+                raise ConservationViolation(pid, f"{kind} at {fields['node']}, logged at {node}")
+            ended.add(pid)
+    return at

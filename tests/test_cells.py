@@ -21,14 +21,14 @@ class TestPopulation:
         pop = CellPopulation()
         for i in range(5):
             pop.add(ArtificialCell(cell_id=pop.new_id(), kind="Detector", location=0,
-                                   receptor=None, rng=None, born_at=i))
+                                   rng=None, born_at=i))
         seen = []
         for cell in pop.alive_sorted():  # snapshot survives mutation
             seen.append(cell.cell_id)
             if cell.cell_id == 1:
                 pop.retire(3)
                 pop.add(ArtificialCell(cell_id=pop.new_id(), kind="Detector",
-                                       location=0, receptor=None, rng=None, born_at=9))
+                                       location=0, rng=None, born_at=9))
         assert seen == [0, 1, 2, 3, 4]
         assert [c.cell_id for c in pop.alive_sorted()] == [0, 1, 2, 4, 5]
 
@@ -44,7 +44,7 @@ class TestPopulation:
             else:
                 cid = pop.new_id()
                 pop.add(ArtificialCell(cell_id=cid, kind="Detector", location=0,
-                                       receptor=None, rng=None, born_at=born))
+                                       rng=None, born_at=born))
                 alive.add(cid)
             assert [c.cell_id for c in pop.alive_sorted()] == sorted(alive)
 
@@ -53,17 +53,17 @@ class TestPopulation:
         pop = CellPopulation()
         for i in range(3):
             pop.add(ArtificialCell(cell_id=pop.new_id(), kind="Detector", location=0,
-                                   receptor=None, rng=None, born_at=i))
+                                   rng=None, born_at=i))
         pop.retire(2)
         with pytest.raises(ValueError):
             pop.add(ArtificialCell(cell_id=cid, kind="Detector", location=0,
-                                   receptor=None, rng=None, born_at=9))
+                                   rng=None, born_at=9))
 
     def test_oldest_is_the_first_live_cell_of_the_kind(self):
         pop = CellPopulation()
         for born, kind in enumerate(("Ant", "Detector", "Detector", "Detector")):
             pop.add(ArtificialCell(cell_id=pop.new_id(), kind=kind, location=0,
-                                   receptor=None, rng=None, born_at=born))
+                                   rng=None, born_at=born))
         assert pop.oldest("Detector").cell_id == 1
         pop.retire(1)
         assert pop.oldest("Detector").cell_id == 2

@@ -18,7 +18,7 @@ def packet(pid=0, src=0, dst=2, klass=DATA, payload=b"", attack=None):
 
 def detector_component(cell_id=0, signatures=(SIG,), fpr=0.01):
     cell = ArtificialCell(cell_id=cell_id, kind="Detector", location=0,
-                          receptor=None, rng=random.Random(0), born_at=0,
+                          rng=random.Random(0), born_at=0,
                           db=CompressedSignatureDb(signatures, fpr))
     return DetectorComponent(cell)
 

@@ -268,7 +268,8 @@ class TestConservation:
         assert kinds["Inject"] >= 980  # 10/step for 100 steps, minus gate deferrals at the end
         assert kinds["Detect"] == 0
         assert result.audit == world.state.held()
-        assert list(result.audit) == [DATA] and result.audit[DATA] > 0
+        klass = {ev.get("pid"): ev.get("klass") for ev in result.log.events if ev.kind == "Inject"}
+        assert result.audit and {klass[pid] for pid in result.audit} == {DATA}
 
     def test_deleted_deliver_is_caught(self):
         """A planted fault: the first Deliver line removed from the log
@@ -283,9 +284,29 @@ class TestConservation:
             world.run(0)
         assert err.value.pid == -1
 
+    @pytest.mark.parametrize("which", ["first", "last-of-held"])
+    def test_deleted_forward_is_caught(self, which):
+        """A planted fault: a Forward line removed from the log breaks its
+        packet's path, whether the packet moves on, ends or is still held."""
+        cfg = quiet_config(nodes=6, capacity=4, bandwidth=4, horizon=20)
+        cfg.traffic.background_rate = 10.0
+        world = World(cfg, seed=3)
+        world.run()
+        events = world.log.events
+        forwards = [i for i, ev in enumerate(events) if ev.kind == "Forward"]
+        if which == "first":
+            del events[forwards[0]]
+        else:  # the latest Forward of any held packet is that packet's last
+            held = world.state.held()
+            del events[max(i for i in forwards if events[i].get("pid") in held)]
+        with pytest.raises(ConservationViolation):
+            world.run(0)
+
     def test_double_terminal_is_violation(self):
         log = EventLog()
         log.append(0, "Inject", pid=1, node=0, src=0, dst=2, klass=DATA, attack=None)
+        log.append(0, "Forward", pid=1, src=0, dst=1, klass=DATA, attack=None)
+        log.append(1, "Forward", pid=1, src=1, dst=2, klass=DATA, attack=None)
         log.append(1, "Deliver", pid=1, node=2, klass=DATA, attack=None, hops=2)
         log.append(2, "Drop", pid=1, node=2, klass=DATA, attack=None, reason="overflow")
         with pytest.raises(ConservationViolation) as err:
@@ -306,10 +327,11 @@ class TestConservation:
             conservation_audit(log.events)
         assert err.value.pid == 3
 
-    @pytest.mark.parametrize("lifecycle", [[], ["Inject", "Deliver"]],
+    @pytest.mark.parametrize("lifecycle", [[], ["Inject", "Forward", "Deliver"]],
                              ids=["before-inject", "after-deliver"])
     def test_forward_outside_live_lifecycle_is_violation(self, lifecycle):
         fields = {"Inject": dict(node=0, src=0, dst=1, klass=DATA, attack=None),
+                  "Forward": dict(src=0, dst=1, klass=DATA, attack=None),
                   "Deliver": dict(node=1, klass=DATA, attack=None, hops=1)}
         log = EventLog()
         for step_no, kind in enumerate(lifecycle):

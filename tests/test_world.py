@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -50,7 +51,8 @@ class TestSubstanceRelayDrops:
     def test_no_opener_drop_after_every_station_tried(self):
         world = World(worm_config(horizon=200), 6)
         stranger = receptors.gen_receptor(random.Random(0))
-        sub = world._make_substance(b'{"kind": "report"}', {stranger.public})
+        sub = receptors.seal(b'{"kind": "report"}', {stranger.public}, world.substance_ttl)
+        sub.sid = next(world._substance_ids)
         world.stations[0].inbox.append(sub)
         hooks = world.hooks()
         for _ in range(world.config.horizon):
@@ -67,9 +69,11 @@ class TestSubstanceRelayDrops:
 
 
 class TestReceptorRule:
-    """Who opens a substance follows from the receptors it is sealed to:
-    reports only at lymph stations, monitor payloads only at the admin,
-    and immunizations only at nurseries and cells."""
+    """Stations hold one receptor per kind and cells hold none. Who opens a
+    routed substance follows from the receptor it is sealed to: reports only
+    at lymph stations, monitor payloads only at the admin. An immunization
+    is a same-step hand-over, not sealed, opened only by the nursery or cell
+    it is handed to."""
 
     OPENERS = {"report": {LYMPH}, "monitor": {ADMIN}, "immunize": {NURSERY, "cell"}}
 
@@ -93,6 +97,21 @@ class TestReceptorRule:
                 opener = world.stations[station].kind
             assert opener in self.OPENERS[what[sid]], (sid, what[sid], opener)
         assert {what[sid] for sid in opened} == set(self.OPENERS)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_only_routed_messages_are_sealed(self, seed, monkeypatch):
+        """One seal per report or monitor send, and none for a hand-over."""
+        seal = receptors.seal
+        sealed = []
+
+        def counting_seal(payload, required, hop_ttl):
+            sealed.append(payload["kind"])
+            return seal(payload, required, hop_ttl)
+        monkeypatch.setattr(receptors, "seal", counting_seal)
+        events = World(worm_config(horizon=200), seed).run().log.events
+        sends = Counter(ev.get("what") for ev in events if ev.kind == "SubstanceSend")
+        assert sends["immunize"] > 0 and sends["report"] > 0 and sends["monitor"] > 0
+        assert Counter(sealed) == Counter(report=sends["report"], monitor=sends["monitor"])
 
 
 class TestQueueBookkeeping:
