@@ -80,10 +80,9 @@ class World:
 
         self.network = build_topology(config.topology, self.seeds.stream("topology"),
                                       cfg_tr.link_bandwidth)
-        # hop counts dist[src][dst]: the one all-pairs pass that routing, the
-        # diameter and station distances all read
-        self.dist = {node: bfs_distances(self.network, node) for node in self.network.nodes}
-        self.routing = compute_routing(self.network, self.dist)
+        # next-hop rows, one breadth-first search per destination; the only
+        # hop counts kept are those from station nodes (`station_hops`)
+        self.routing = compute_routing(self.network)
         self.state = TransportState(self.network, self.routing, cfg_tr.queue_capacity,
                                     strict_checks=strict_checks)
         self.log = self.state.log
@@ -182,10 +181,13 @@ class World:
             else Station(sid, NURSERY, node, store=trained)
             for sid, node in enumerate(nodes[:cfg.lymph + cfg.nurseries])]
         self.stations.append(Station(len(self.stations), ADMIN, nodes[-1]))
+        # station node -> hop counts from it, for picking the nearest station
+        self.station_hops = {st.node: bfs_distances(self.network, st.node)
+                             for st in self.stations}
 
         self.substance_ttl = cfg.substance_ttl
         if self.substance_ttl is None:
-            self.substance_ttl = 4 * diameter(self.dist)
+            self.substance_ttl = 4 * diameter(self.routing)
 
     def _place_cells(self, count: int, placement, label: str) -> list[int]:
         if isinstance(placement, list):
@@ -297,8 +299,8 @@ class World:
             h = self.health[node]
             if not h.infected:
                 continue
-            attack = self.attacks.get(h.infected_by)
-            if attack is None or attack.fanout <= 0:
+            attack = self.attacks[h.infected_by]
+            if attack.fanout <= 0:
                 continue
             rng.seed(self.seeds.derive_seed("worm", node, state.clock))
             packets = adversary.worm_emit(state, self.health, node, attack, rng,
@@ -423,7 +425,7 @@ class World:
             self.log.append(self.state.clock, "Drop", sid=sub.sid, node=st.node,
                             reason="ttl")
             return
-        target = next_station(self.stations, st, sub, self.dist)
+        target = next_station(self.stations, st, sub, self.station_hops)
         if target is None:
             self.log.append(self.state.clock, "Drop", sid=sub.sid, node=st.node,
                             reason="no-opener")
@@ -450,8 +452,9 @@ class World:
             return
         sig = self.attacks[attack].signature
         radius = self.config.stations.immunization_radius
+        within = self.routing.within
         for cell in self.population.of_kind(DETECTOR):
-            if self.dist[cell.location][around] > radius:
+            if not within(cell.location, around, radius):
                 continue
             self._push(st, cell.location, cell=cell.cell_id)
             cell.db = self._store(_members(cell.db) | {sig})
@@ -501,8 +504,8 @@ class World:
         sub = receptors.seal(payload, {self.station_receptors[_OPENER[kind]].public},
                              self.substance_ttl)
         sub.sid = next(self._substance_ids)
-        self._transmit_substance(origin, nearest_station(self.stations, origin, self.dist),
-                                 sub, kind)
+        target = nearest_station(self.stations, origin, self.station_hops)
+        self._transmit_substance(origin, target, sub, kind)
 
     def _transmit_substance(self, src: int, target: Station, sub: receptors.Substance,
                             what: str) -> None:

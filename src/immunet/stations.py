@@ -37,17 +37,17 @@ class Station:
 
 
 def next_station(stations: list[Station], current: Station, sub: Substance,
-                 dist: dict[int, dict[int, int]]) -> Station | None:
+                 hops: dict[int, dict[int, int]]) -> Station | None:
     """Nearest station the substance has not tried yet; ties go to the
     smaller station id. None when every station has been visited."""
     untried = [st for st in stations
                if st.station_id != current.station_id and st.station_id not in sub.visited]
-    return nearest_station(untried, current.node, dist)
+    return nearest_station(untried, current.node, hops)
 
 
 def nearest_station(stations: list[Station], node: int,
-                    dist: dict[int, dict[int, int]]) -> Station | None:
+                    hops: dict[int, dict[int, int]]) -> Station | None:
     """Station fewest hops from `node`, ties to the smaller station id;
-    None when there is no station."""
-    hops = dist[node]
-    return min(stations, key=lambda st: (hops[st.node], st.station_id), default=None)
+    None when there is no station. `hops[st.node]` holds the hop counts
+    from each station's node, which equal those to it."""
+    return min(stations, key=lambda st: (hops[st.node][node], st.station_id), default=None)

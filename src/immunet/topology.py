@@ -1,11 +1,13 @@
 """Network topology: validated undirected graphs and precomputed next-hop routing.
 
-Links are unit cost (hop count). One breadth-first search per node gives
-the all-pairs hop counts `dist[src][dst]`; the routing table and the
-diameter are both read off those counts, with routing ties broken toward
-the smallest next-hop node id so every run is reproducible. Routing is
-stored as one row per destination, `rows[dst][src]` -> next hop; `Routes`
-also reads the rows as a `(src, dst)` mapping.
+Links are unit cost (hop count). Routing is one breadth-first search per
+destination, stored as one row per destination, `rows[dst][src]` -> next
+hop: each level's frontier is visited in ascending node id, so the node
+that discovers `src` is its smallest neighbour one hop nearer `dst`, the
+tie-break that keeps every run reproducible. The same pass records each
+destination's depth, whose largest value is the diameter. No all-pairs
+hop-count table is built; `bfs_distances` gives one source's hop counts.
+`Routes` also reads the rows as a `(src, dst)` mapping.
 """
 
 from __future__ import annotations
@@ -152,14 +154,16 @@ def bfs_distances(net: Network, source: int) -> dict[int, int]:
 class Routes(Mapping):
     """Read-only next-hop table stored per destination: `rows[dst][src]`.
 
-    Each row holds every node but `dst`. As a mapping it reads
+    Each row holds every node but `dst`; `depth[dst]` is the hop count from
+    `dst` to the nodes farthest from it. As a mapping it reads
     `routes[(src, dst)]`, over each ordered pair of distinct nodes.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "depth")
 
-    def __init__(self, rows: dict[int, dict[int, int]]):
+    def __init__(self, rows: dict[int, dict[int, int]], depth: dict[int, int]):
         self.rows = rows
+        self.depth = depth
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         src, dst = key
@@ -173,33 +177,55 @@ class Routes(Mapping):
             for src in row:
                 yield src, dst
 
+    def within(self, src: int, dst: int, radius: int) -> bool:
+        """Whether `src` is at most `radius` hops from `dst`. A next hop lies
+        on a shortest path, so walking at most `radius` of them reaches `dst`
+        exactly when the distance is that small."""
+        row = self.rows[dst]
+        for _ in range(radius):
+            if src == dst:
+                return True
+            src = row[src]
+        return src == dst
 
-def compute_routing(net: Network, dist: dict[int, dict[int, int]]) -> Routes:
-    """Next hop from every node to every other, one row per destination.
 
-    `dist[src][dst]` holds the hop counts of `net`. The chosen next hop lies
-    on a minimum-hop path; among equal-length options the smallest neighbor
-    id wins.
+def compute_routing(net: Network) -> Routes:
+    """Next hop from every node to every other, one breadth-first search
+    per destination.
+
+    The chosen next hop lies on a minimum-hop path; among equal-length
+    options the smallest neighbor id wins. Each level's frontier is walked
+    in ascending id, so the first frontier node to reach an unseen node is
+    that winner, and the row doubles as the visited set.
     """
     adjacency = net.adjacency
     rows: dict[int, dict[int, int]] = {}
+    depth: dict[int, int] = {}
     for d in net.nodes:
-        to_d = dist[d]  # hop counts are symmetric on an undirected graph
-        row = rows[d] = {}
-        for s in net.nodes:
-            if s != d:
-                want = to_d[s] - 1
-                # adjacency is sorted, so the first qualifying neighbor is the tie-break winner
-                for nbr in adjacency[s]:
-                    if to_d[nbr] == want:
-                        row[s] = nbr
-                        break
-    return Routes(rows)
+        row = {d: d}
+        frontier = [d]
+        level = 0
+        while True:
+            nxt = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if v not in row:
+                        row[v] = u
+                        nxt.append(v)
+            if not nxt:
+                break
+            nxt.sort()
+            frontier = nxt
+            level += 1
+        del row[d]
+        rows[d] = row
+        depth[d] = level
+    return Routes(rows, depth)
 
 
-def diameter(dist: dict[int, dict[int, int]]) -> int:
-    """Largest hop count in the all-pairs table `dist[src][dst]`."""
-    return max(max(row.values()) for row in dist.values())
+def diameter(routes: Routes) -> int:
+    """Largest hop count between two nodes: the deepest search of `routes`."""
+    return max(routes.depth.values())
 
 
 def betweenness(net: Network) -> dict[int, float]:

@@ -13,12 +13,12 @@ SIG = bytes.fromhex(SIG_HEX)
 
 
 def hop_counts(net):
-    """All-pairs hop counts dist[src][dst], one BFS per node, as World builds them."""
+    """All-pairs hop counts dist[src][dst], one BFS per node."""
     return {n: bfs_distances(net, n) for n in net.nodes}
 
 
 def routing_table(net):
-    return compute_routing(net, hop_counts(net))
+    return compute_routing(net)
 
 
 def quiet_config(nodes=4, links=None, capacity=8, bandwidth=2, horizon=20):

@@ -128,9 +128,11 @@ class TestDisinfector:
 
     def test_three_hop_travel_on_idle_network(self):
         cfg = quiet_config(nodes=4, horizon=10)
+        # an infecting attack that emits nothing, so the network stays idle
+        cfg.attacks = [AttackConfig(attack_id=9, signature=SIG_HEX, infects=True, fanout=0)]
         world = World(cfg, seed=2)
         world.health[3].vulnerable = True
-        world.health[3].infected_by = 9  # attack id with no emitter registered
+        world.health[3].infected_by = 9
         world._spawn(DISINFECTOR, 0, by="test", target=3)
         result = world.run()
         disinfects = [ev for ev in result.log.events if ev.kind == "Disinfect"]

@@ -1,7 +1,9 @@
 """Property tests over small random explicit topologies with sparse node ids."""
 
+import random
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from immunet.engine import World
 from immunet.scenario import TopologySpec, TrafficConfig, WormConfig
+from immunet.stations import nearest_station, next_station
+from immunet.topology import (build_network, compute_routing, diameter, erdos_renyi,
+                              line_network, ring_network, star_network)
 
-from conftest import quiet_config, worm_config
+from conftest import hop_counts, quiet_config, worm_config
 
 STEPS = 40
 
@@ -97,3 +102,68 @@ def test_strict_defended_run_is_conserved_repeatable_and_cures_only_the_infected
             assert (node in infected) == (ev.get("ok") == 1), ev.to_line()
             infected.discard(node)
     assert any(ev.kind == "Infect" for ev in first.log.events)
+
+
+def reference_rows(net):
+    """The two-pass rule: all-pairs hop counts first, then each node's next
+    hop toward `d` is its smallest neighbour one hop nearer `d`."""
+    dist = hop_counts(net)
+    return {d: {s: min(v for v in net.adjacency[s] if dist[v][d] == dist[s][d] - 1)
+                for s in net.nodes if s != d}
+            for d in net.nodes}
+
+
+def seeded_networks():
+    """Lines, rings, stars and seeded connected G(n, p) samples."""
+    rng = random.Random(2408)
+    nets = [line_network(n) for n in (2, 3, 8)]
+    nets += [ring_network(n) for n in (3, 4, 9)]
+    nets += [star_network(n) for n in (2, 7)]
+    for _ in range(20):
+        n = rng.randint(4, 24)
+        nets.append(erdos_renyi(n, min(1.0, 2.5 / n), rng))
+    return nets
+
+
+def check_routing(net):
+    """Rows equal the two-pass reference, the diameter networkx's, and the
+    next-hop walk of every radius agrees with the all-pairs hop counts."""
+    routes = compute_routing(net)
+    assert routes.rows == reference_rows(net)
+    graph = nx.Graph((u, v) for u, v, _bw in net.links)
+    assert diameter(routes) == nx.diameter(graph)
+    dist = hop_counts(net)
+    for a in net.nodes:
+        for b in net.nodes:
+            for radius in range(diameter(routes) + 1):
+                assert routes.within(a, b, radius) == (dist[a][b] <= radius), (a, b, radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(topology=sparse_topologies())
+def test_routing_matches_two_pass_reference_on_sparse_ids(topology):
+    check_routing(build_network(*topology))
+
+
+def test_routing_matches_two_pass_reference_on_seeded_graphs():
+    for net in seeded_networks():
+        check_routing(net)
+
+
+@settings(max_examples=30, deadline=None)
+@given(topology=sparse_topologies(min_nodes=5), seed=st.integers(0, 2**16))
+def test_station_rows_give_the_all_pairs_nearest_station(topology, seed):
+    world = World(worm_config_for(*topology), seed)
+    stations = world.stations
+    # one hop-count row per station node, and no other
+    assert set(world.station_hops) == {station.node for station in stations}
+    dist = hop_counts(world.network)
+    for origin in world.network.nodes:
+        want = min(stations, key=lambda station: (dist[origin][station.node], station.station_id))
+        assert nearest_station(stations, origin, world.station_hops) is want
+    for current in stations:
+        others = [station for station in stations if station is not current]
+        want = min(others, key=lambda station: (dist[current.node][station.node],
+                                                station.station_id))
+        sub = SimpleNamespace(visited=set())
+        assert next_station(stations, current, sub, world.station_hops) is want

@@ -8,8 +8,6 @@ from immunet.topology import (DisconnectedGraph, DuplicateLink, Routes, SelfLoop
                               erdos_renyi, line_network, ring_network,
                               star_network, top_betweenness)
 
-from conftest import hop_counts
-
 
 def bfs_reachable(adj, start):
     """Independent connectivity oracle."""
@@ -134,13 +132,13 @@ class TestRouting:
 
     def test_line_next_hop(self):
         net = line_network(3)
-        table = compute_routing(net, hop_counts(net))
+        table = compute_routing(net)
         assert table[(0, 2)] == 1
 
     def test_cycle_tie_break(self):
         # 4-cycle: both 1 and 3 reach node 2 in two hops; smaller id wins
         net = ring_network(4)
-        table = compute_routing(net, hop_counts(net))
+        table = compute_routing(net)
         assert table[(0, 2)] == 1
 
     def test_bellman_ford_oracle_200_graphs(self):
@@ -148,7 +146,7 @@ class TestRouting:
         rng = random.Random(4242)
         for _ in range(200):
             net = random_connected(rng)
-            table = compute_routing(net, hop_counts(net))
+            table = compute_routing(net)
             for s in net.nodes:
                 oracle = bellman_ford(net.nodes, net.links, s)
                 for d in net.nodes:
@@ -165,7 +163,7 @@ class TestRouting:
     def test_next_hop_on_shortest_path(self):
         rng = random.Random(7)
         net = random_connected(rng, max_nodes=8)
-        table = compute_routing(net, hop_counts(net))
+        table = compute_routing(net)
         for (s, d), nh in table.items():
             oracle_s = bellman_ford(net.nodes, net.links, s)
             oracle_nh = bellman_ford(net.nodes, net.links, nh)
@@ -190,20 +188,21 @@ class TestRoutes:
 
     def test_sparse_ids(self):
         net = build_network([3, 10, 42, 7], [[3, 10], [10, 42], [42, 7], [7, 3], [10, 7]])
-        routes = compute_routing(net, hop_counts(net))
+        routes = compute_routing(net)
         check_routes(routes, net.nodes)
         assert routes[(3, 42)] == 7  # 7 and 10 are both one hop from 42; the smaller wins
         assert routes.rows[42] == {3: 7, 7: 42, 10: 42}
+        assert routes.depth == {3: 2, 7: 1, 10: 1, 42: 2}
 
     def test_networkx_graphs(self):
         for _nx, net, _graph in networkx_graphs(count=10):
-            check_routes(compute_routing(net, hop_counts(net)), net.nodes)
+            check_routes(compute_routing(net), net.nodes)
 
 
 class TestGraphStats:
 
     def test_diameter_line(self):
-        assert diameter(hop_counts(line_network(6))) == 5
+        assert diameter(compute_routing(line_network(6))) == 5
 
     def test_star_betweenness(self):
         net = star_network(6)
@@ -234,7 +233,7 @@ class TestNetworkxOracles:
     def test_next_hop_is_smallest_neighbor_one_hop_closer(self):
         for nx, net, graph in networkx_graphs():
             lengths = dict(nx.all_pairs_shortest_path_length(graph))
-            table = compute_routing(net, hop_counts(net))
+            table = compute_routing(net)
             assert len(table) == len(net) * (len(net) - 1)
             for (s, d), nh in table.items():
                 closer = [v for v in graph.neighbors(s) if lengths[v][d] == lengths[s][d] - 1]
@@ -242,7 +241,7 @@ class TestNetworkxOracles:
 
     def test_diameter_matches_networkx(self):
         for nx, net, graph in networkx_graphs():
-            assert diameter(hop_counts(net)) == nx.diameter(graph)
+            assert diameter(compute_routing(net)) == nx.diameter(graph)
 
     def test_betweenness_is_twice_networkx_unnormalized(self):
         # networkx counts each unordered pair once on undirected graphs;

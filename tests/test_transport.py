@@ -164,11 +164,11 @@ class TestStep:
 
 # two data packets at node 0, their lane reordered behind the queue's back
 LANE_REORDER = """
-from immunet.topology import bfs_distances, compute_routing, line_network
+from immunet.topology import compute_routing, line_network
 from immunet.transport import DATA, TransportState, step
 
 net = line_network(3, bandwidth=2)
-routing = compute_routing(net, {n: bfs_distances(net, n) for n in net.nodes})
+routing = compute_routing(net)
 state = TransportState(net, routing, 4, strict_checks=True)
 for _ in range(2):
     state.enqueue(0, state.make_packet(0, 2, DATA))

@@ -13,7 +13,7 @@ from immunet.scenario import (AttackConfig, DetectorConfig, FilterRuleConfig, Id
                               baseline_scenario)
 from immunet.stations import ADMIN, LYMPH, NURSERY
 
-from conftest import worm_config
+from conftest import hop_counts, worm_config
 
 
 class TestStationAddressing:
@@ -309,6 +309,7 @@ class TestSharedStores:
         cfg.traffic.attack_mix = [{"attack_id": 2, "rate": 1.0}]
         world = World(cfg, 2, strict_checks=True)
         radius = cfg.stations.immunization_radius
+        hops = hop_counts(world.network)
         nursery_ids = {st.station_id for st in world.stations if st.kind == NURSERY}
         immunize, spawn = world._immunize, world._spawn
         seen = {"shared": 0, "widened": 0, "kept": 0, "released": 0}
@@ -323,7 +324,7 @@ class TestSharedStores:
             immunize(st, around, attack)
             for cell in detectors():
                 old = before[cell.cell_id]
-                if cell.location is not None and world.dist[cell.location][around] <= radius:
+                if cell.location is not None and hops[cell.location][around] <= radius:
                     old_members = old.members if old else frozenset()
                     assert cell.db.members == old_members | {sig}
                     seen["widened"] += bool(old) and sig not in old_members
