@@ -31,7 +31,7 @@ from .transport import StepHooks, TransportState
 
 # each kind a run starts with, and its scenario section
 _SECTIONS = {DETECTOR: "detectors", ANT: "ants", MONITOR: "monitors"}
-# each routed message kind, and the station kind whose receptor opens it
+# each routed message kind, and the station kind that opens it: its receptor
 _OPENER = {"report": LYMPH, "monitor": ADMIN}
 
 
@@ -170,10 +170,6 @@ class World:
             nodes = list(cfg.placement)
         if cfg.admin_node is not None:
             nodes[-1] = cfg.admin_node
-
-        rng = self.seeds.stream("receptors")
-        self.station_receptors = {kind: receptors.gen_receptor(rng)
-                                  for kind in (LYMPH, NURSERY, ADMIN)}
 
         # a station's id is its index here: lymph nodes, nurseries, then admin
         self.stations: list[Station] = [
@@ -404,7 +400,7 @@ class World:
                 self._nursery_release(st)
 
     def _station_handle(self, st: Station, sub: receptors.Substance) -> None:
-        payload = receptors.try_open(sub, {self.station_receptors[st.kind].private})
+        payload = receptors.try_open(sub, st.kind)
         if payload is None:
             self._relay(st, sub)
             return
@@ -501,8 +497,7 @@ class World:
         """Seal `payload` for the station kind that opens its kind of message
         and hand it to the station nearest `origin`."""
         kind = payload["kind"]
-        sub = receptors.seal(payload, {self.station_receptors[_OPENER[kind]].public},
-                             self.substance_ttl)
+        sub = receptors.seal(payload, _OPENER[kind], self.substance_ttl)
         sub.sid = next(self._substance_ids)
         target = nearest_station(self.stations, origin, self.station_hops)
         self._transmit_substance(origin, target, sub, kind)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, is_dataclass
 from importlib import resources
 from types import UnionType
@@ -215,8 +216,6 @@ def _build_value(hint, value, path: str):
         if value is not None and not test(value):
             raise ValidationError(path, message)
         return value
-    if type(value) is hint and hint is not float:  # a plain scalar; `_fits` checks a float
-        return value
     if is_dataclass(hint):
         return _build_section(hint, value, path)
     if get_origin(hint) is dict:  # the keys must fit; each value is built as a field
@@ -236,8 +235,9 @@ def _build_value(hint, value, path: str):
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits an annotation. A bool is not a number, an
-    int or a float fits a float only when it is finite as a float, and None
-    fits only where the annotation admits it."""
+    int fits an int only when it fits a C `ssize_t` (`sys.maxsize`), an int
+    or a float fits a float only when it is finite as a float, and None fits
+    only where the annotation admits it."""
     if hint is float:
         try:  # an int too large for a float overflows
             return type(value) in (int, float) and math.isfinite(value)
@@ -252,12 +252,12 @@ def _fits(value, hint) -> bool:
     if origin is list:
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
     if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
+        return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.maxsize
     return isinstance(value, hint)
 
 
 def _name(hint) -> str:
-    """An annotation as an error message names it: `list[int]`, `'poisson' or 'fixed'`."""
+    """An annotation as an error message names it: `list[str]`, `'poisson' or 'fixed'`."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Annotated:
         return _name(args[0])
@@ -269,6 +269,8 @@ def _name(hint) -> str:
         return "None"
     if hint is float:  # `_fits` takes an int or a float that is finite as a float
         return "a finite number"
+    if hint is int:  # `_fits` takes an int no larger than a C `ssize_t`
+        return f"an int no larger than {sys.maxsize} in size"
     return repr(hint) if isinstance(hint, str) else hint.__name__  # a str is a Literal's value
 
 

@@ -55,7 +55,7 @@ class CompressedSignatureDb:
         self.target_fpr = target_fpr
         self.members = members
         n = len(members)
-        self.size_bits = 2 * math.ceil(1.44 * n * math.log2(1.0 / target_fpr))
+        self.size_bits = 2 * math.ceil(1.44 * n * -math.log2(target_fpr))
         self.num_probes = min(max(1, round(self.size_bits / n * math.log(2))),
                               self.size_bits)
         self.window_lengths = tuple(sorted({len(s) for s in members}))

@@ -229,31 +229,31 @@ def diameter(routes: Routes) -> int:
 
 
 def betweenness(net: Network) -> dict[int, float]:
-    """Brandes betweenness centrality on the unweighted graph."""
+    """Brandes betweenness centrality on the unweighted graph. One list of
+    the reached nodes in breadth-first order is the queue on the way out
+    and the stack on the way back; `w`'s predecessors are its neighbours
+    one hop nearer the source."""
+    adjacency = net.adjacency
     cb = {n: 0.0 for n in net.nodes}
     for s in net.nodes:
-        stack: list[int] = []
-        pred: dict[int, list[int]] = {n: [] for n in net.nodes}
-        sigma = {n: 0.0 for n in net.nodes}
-        sigma[s] = 1.0
-        dist = {n: -1 for n in net.nodes}
-        dist[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop(0)
-            stack.append(v)
-            for w in net.adjacency[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
+        order = [s]
+        dist = {s: 0}
+        sigma = {s: 1.0}
+        for v in order:  # `order` grows as the search reaches new nodes
+            dw = dist[v] + 1
+            for w in adjacency[v]:
+                if w not in dist:
+                    dist[w] = dw
+                    sigma[w] = 0.0
+                    order.append(w)
+                if dist[w] == dw:
                     sigma[w] += sigma[v]
-                    pred[w].append(v)
-        delta = {n: 0.0 for n in net.nodes}
-        while stack:
-            w = stack.pop()
-            for v in pred[w]:
-                delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+        delta = dict.fromkeys(order, 0.0)
+        for w in reversed(order):
+            dv = dist[w] - 1
+            for v in adjacency[w]:
+                if dist[v] == dv:
+                    delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
             if w != s:
                 cb[w] += delta[w]
     return cb

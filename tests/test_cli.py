@@ -44,6 +44,12 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: horizon:") and err.count("\n") == 1
 
+    def test_ant_memory_too_large_for_a_deque(self, tmp_path, capsys, command):
+        path = scenario_file(tmp_path, "ants", memory=10**30)
+        assert invoke(command, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ants.memory:") and err.count("\n") == 1
+
     def test_string_node_count(self, tmp_path, capsys, command):
         path = scenario_file(tmp_path, "topology", nodes="50")
         assert invoke(command, path) == 1

@@ -121,6 +121,9 @@ RULES = [
      "traffic.background_rate-nan"),
     ({"traffic.background_rate": 10**400}, "traffic.background_rate",
      "traffic.background_rate-huge-int"),
+    # an int field takes an int no larger than a C `ssize_t`
+    ({"ants.memory": 10**30}, "ants.memory", "ants.memory-huge-int"),
+    ({"horizon": 10**30}, "horizon", "horizon-huge-int"),
     ({"ants.epsilon": float("inf")}, "ants.epsilon", "ants.epsilon-inf"),
     ({"ants.epsilon": float("nan")}, "ants.epsilon", "ants.epsilon-nan"),
     ({"traffic.attack_mix": [{"attack_id": 1, "rate": float("nan")}]},

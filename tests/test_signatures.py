@@ -31,6 +31,13 @@ class TestMembership:
         with pytest.raises(ValueError):
             CompressedSignatureDb([b"abcd"], 0.0)
 
+    def test_subnormal_fpr_builds_and_holds_its_members(self):
+        """1 / 5e-324 is infinite; the size is taken from -log2(rate)."""
+        sigs = [b"0123456789abcdef", b"worm-signature"]
+        db = CompressedSignatureDb(sigs, 5e-324)
+        assert db.size_bits == 2 * math.ceil(1.44 * len(sigs) * 1074)
+        assert all(db.contains(s) for s in sigs)
+
     def test_empirical_fpr_within_twice_target(self):
         """10^5 random non-member probes."""
         rng = random.Random(31)

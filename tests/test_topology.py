@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -213,6 +214,47 @@ class TestGraphStats:
     def test_top_betweenness_tie_break(self):
         net = ring_network(4)  # symmetric: all nodes tie, smaller ids first
         assert top_betweenness(net, 2) == [0, 1]
+
+    def test_betweenness_equals_queue_and_predecessor_brandes_bit_for_bit(self):
+        """`top_betweenness` breaks ties by id, so even a last-bit difference
+        from the textbook form could move a static IDS: compare with `==`."""
+        rng = random.Random(381)
+        nets = [f(n) for f in (star_network, ring_network, line_network) for n in (3, 8, 21)]
+        for n in range(2, 61):
+            nets.append(erdos_renyi(n, min(1.0, (math.log(n) + 1) / n + 0.2 * rng.random()), rng))
+        for net in nets:
+            assert betweenness(net) == reference_brandes(net)
+
+
+def reference_brandes(net):
+    """Brandes betweenness with a popped queue, predecessor lists and a stack."""
+    cb = {n: 0.0 for n in net.nodes}
+    for s in net.nodes:
+        stack = []
+        pred = {n: [] for n in net.nodes}
+        sigma = {n: 0.0 for n in net.nodes}
+        sigma[s] = 1.0
+        dist = {n: -1 for n in net.nodes}
+        dist[s] = 0
+        queue = [s]
+        while queue:
+            v = queue.pop(0)
+            stack.append(v)
+            for w in net.adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    pred[w].append(v)
+        delta = {n: 0.0 for n in net.nodes}
+        while stack:
+            w = stack.pop()
+            for v in pred[w]:
+                delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+            if w != s:
+                cb[w] += delta[w]
+    return cb
 
 
 def networkx_graphs(count=40, seed=9001):

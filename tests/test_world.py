@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 from collections import Counter
 
 import pytest
@@ -50,8 +49,7 @@ class TestSubstanceRelayDrops:
 
     def test_no_opener_drop_after_every_station_tried(self):
         world = World(worm_config(horizon=200), 6)
-        stranger = receptors.gen_receptor(random.Random(0))
-        sub = receptors.seal(b'{"kind": "report"}', {stranger.public}, world.substance_ttl)
+        sub = receptors.seal(b'{"kind": "report"}', "stranger", world.substance_ttl)
         sub.sid = next(world._substance_ids)
         world.stations[0].inbox.append(sub)
         hooks = world.hooks()
@@ -69,8 +67,8 @@ class TestSubstanceRelayDrops:
 
 
 class TestReceptorRule:
-    """Stations hold one receptor per kind and cells hold none. Who opens a
-    routed substance follows from the receptor it is sealed to: reports only
+    """A receptor is a station kind, and cells hold none. Who opens a routed
+    substance follows from the receptor it is sealed to: reports only
     at lymph stations, monitor payloads only at the admin. An immunization
     is a same-step hand-over, not sealed, opened only by the nursery or cell
     it is handed to."""
@@ -104,9 +102,9 @@ class TestReceptorRule:
         seal = receptors.seal
         sealed = []
 
-        def counting_seal(payload, required, hop_ttl):
+        def counting_seal(payload, receptor, hop_ttl):
             sealed.append(payload["kind"])
-            return seal(payload, required, hop_ttl)
+            return seal(payload, receptor, hop_ttl)
         monkeypatch.setattr(receptors, "seal", counting_seal)
         events = World(worm_config(horizon=200), seed).run().log.events
         sends = Counter(ev.get("what") for ev in events if ev.kind == "SubstanceSend")
