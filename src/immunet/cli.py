@@ -67,10 +67,11 @@ def cmd_run(args) -> int:
     config = _read(load_scenario, args.scenario)
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # an --out that cannot be made fails before the run
-    result = run(config, args.seed, horizon=args.steps)
+    seed = config.seed if args.seed is None else args.seed
+    result = run(config, seed, horizon=args.steps)
     metrics = result.metrics
     if args.out:
-        stem = f"{config.name}-seed{args.seed}"
+        stem = f"{config.name}-seed{seed}"
         log_path = os.path.join(args.out, stem + ".log")
         result.log.save(log_path)
         harness.emit_report(metrics, args.format,
@@ -113,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one seeded run")
     p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--seed", type=int, required=True)
+    p_run.add_argument("--seed", type=int, default=None,
+                       help="the run's seed (default: the scenario's seed)")
     p_run.add_argument("--steps", type=int, default=None)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=("csv", "json"), default="json")

@@ -4,6 +4,8 @@ Every arriving packet is presented to the node's components in ascending
 component id. Each `check` returns True to destroy the packet; the first
 True short-circuits the rest. Packet filters look at headers only;
 signature engines (static or cell-borne) scan data payloads.
+`DefenseStack.guarded` is the set of nodes holding at least one
+component: the only nodes whose arrivals need checking.
 """
 
 from __future__ import annotations
@@ -115,6 +117,7 @@ class DefenseStack:
         # each node's components, kept in ascending component id; callers
         # may read a node's list but change it only through register/deregister
         self.at: dict[int, list] = {n: [] for n in network.nodes}
+        self.guarded: set[int] = set()  # nodes holding at least one component
         self._home: dict[int, int] = {}  # component id -> node
 
     def _components(self, node: int) -> list:
@@ -130,6 +133,7 @@ class DefenseStack:
             raise DuplicateRegistration(f"component {cid} already at node {self._home[cid]}")
         insort(at, component, key=_component_id)
         self._home[cid] = node
+        self.guarded.add(node)
 
     def deregister(self, node: int, component_id: int) -> None:
         at = self._components(node)
@@ -137,6 +141,8 @@ class DefenseStack:
             raise UnknownComponent(component_id)
         del at[bisect_left(at, component_id, key=_component_id)]
         del self._home[component_id]
+        if not at:
+            self.guarded.discard(node)
 
     def check_all(self, node: int, pkt: Packet):
         """Consult every component in id order; the first whose check

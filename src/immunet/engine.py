@@ -250,8 +250,6 @@ class World:
             self.defense.deregister(u, cargo.component.component_id)
 
     def on_arrival(self, state: TransportState, node: int, pkt, from_node: int) -> bool:
-        if not self.defense.at[node]:
-            return False
         by = self.defense.check_all(node, pkt)
         if by is None:
             return False
@@ -325,7 +323,8 @@ class World:
                 if cell.location == cell.target:
                     self._disinfect(cell)
                 else:
-                    self._move_cell(cell, self.routing.rows[cell.target][cell.location])
+                    row = self.routing.rows[cell.target]
+                    self._move_cell(cell, row[self.network.index[cell.location]])
         self._declaration_pass(state)
 
     def _random_neighbor(self, cell: ArtificialCell) -> int:
@@ -526,6 +525,7 @@ class World:
             cells=self.cells,
             evaporate=self.evaporate,
             stations=self.station_actions,
+            checked=self.defense.guarded,
         )
 
     def run(self, horizon: int | None = None) -> RunResult:

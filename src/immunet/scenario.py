@@ -169,7 +169,7 @@ class FilterRuleConfig:
 @dataclass
 class ScenarioConfig:
     name: Annotated[str, FILE_STEM] = "scenario"  # the stem of the files `run` writes
-    seed: int = 0
+    seed: int = 0  # the seed of `immunet run` when it is given no --seed
     horizon: Annotated[int, AT_LEAST_0] = 2000
     topology: TopologySpec = field(default_factory=TopologySpec)
     transport: TransportConfig = field(default_factory=TransportConfig)

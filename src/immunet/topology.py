@@ -1,13 +1,16 @@
 """Network topology: validated undirected graphs and precomputed next-hop routing.
 
-Links are unit cost (hop count). Routing is one breadth-first search per
-destination, stored as one row per destination, `rows[dst][src]` -> next
-hop: each level's frontier is visited in ascending node id, so the node
-that discovers `src` is its smallest neighbour one hop nearer `dst`, the
-tie-break that keeps every run reproducible. The same pass records each
-destination's depth, whose largest value is the diameter. No all-pairs
-hop-count table is built; `bfs_distances` gives one source's hop counts.
-`Routes` also reads the rows as a `(src, dst)` mapping.
+Each node has a dense position, its index in the sorted `Network.nodes`;
+`Network.index` maps a node id to it, so explicit topologies keep their
+sparse ids. Links are unit cost (hop count). Routing is one breadth-first
+search per destination over positions, stored as one list per
+destination, `rows[dst][network.index[src]]` -> next hop id: each level's
+frontier is visited in ascending position, which is ascending node id, so
+the node that discovers `src` is its smallest neighbour one hop nearer
+`dst`, the tie-break that keeps every run reproducible. The same pass
+records each destination's depth, whose largest value is the diameter. No
+all-pairs hop-count table is built; `bfs_distances` gives one source's hop
+counts. `Routes` also reads the rows as a `(src, dst)` mapping.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ class UnknownNode(KeyError):
 class Network:
     """Undirected connected graph with per-link bandwidth (packets per step)."""
 
-    nodes: tuple[int, ...]
+    nodes: tuple[int, ...]  # ascending id; a node's position is its index here
     links: tuple[tuple[int, int, int], ...]  # (u, v, bandwidth), u < v
+    index: dict[int, int] = field(hash=False, compare=False)  # node -> position
     adjacency: dict[int, tuple[int, ...]] = field(hash=False, compare=False)
     # node -> {neighbour: bandwidth}, each link listed from both ends
     bandwidth: dict[int, dict[int, int]] = field(hash=False, compare=False)
@@ -100,6 +104,7 @@ def build_network(nodes, links, bandwidth: int = 1) -> Network:
     net = Network(
         nodes=tuple(node_list),
         links=tuple(canon),
+        index={n: i for i, n in enumerate(node_list)},
         adjacency={n: tuple(sorted(bw_map[n])) for n in node_list},
         bandwidth=bw_map,
     )
@@ -152,75 +157,86 @@ def bfs_distances(net: Network, source: int) -> dict[int, int]:
 
 
 class Routes(Mapping):
-    """Read-only next-hop table stored per destination: `rows[dst][src]`.
+    """Read-only next-hop table stored per destination: `rows[dst]` is a
+    list indexed by source position, `rows[dst][index[src]]` -> next hop id.
 
-    Each row holds every node but `dst`; `depth[dst]` is the hop count from
-    `dst` to the nodes farthest from it. As a mapping it reads
+    A row's entry at `dst`'s own position is `dst`; `depth[dst]` is the hop
+    count from `dst` to the nodes farthest from it. As a mapping it reads
     `routes[(src, dst)]`, over each ordered pair of distinct nodes.
     """
 
-    __slots__ = ("rows", "depth")
+    __slots__ = ("rows", "depth", "index")
 
-    def __init__(self, rows: dict[int, dict[int, int]], depth: dict[int, int]):
+    def __init__(self, rows: dict[int, list[int]], depth: dict[int, int],
+                 index: dict[int, int]):
         self.rows = rows
         self.depth = depth
+        self.index = index
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         src, dst = key
-        return self.rows[dst][src]
+        if src == dst:
+            raise KeyError(key)
+        return self.rows[dst][self.index[src]]
 
     def __len__(self) -> int:
-        return sum(map(len, self.rows.values()))
+        n = len(self.index)
+        return n * (n - 1)
 
     def __iter__(self):
-        for dst, row in self.rows.items():
-            for src in row:
-                yield src, dst
+        for dst in self.rows:
+            for src in self.index:
+                if src != dst:
+                    yield src, dst
 
     def within(self, src: int, dst: int, radius: int) -> bool:
         """Whether `src` is at most `radius` hops from `dst`. A next hop lies
         on a shortest path, so walking at most `radius` of them reaches `dst`
         exactly when the distance is that small."""
-        row = self.rows[dst]
+        row, index = self.rows[dst], self.index
         for _ in range(radius):
             if src == dst:
                 return True
-            src = row[src]
+            src = row[index[src]]
         return src == dst
 
 
 def compute_routing(net: Network) -> Routes:
     """Next hop from every node to every other, one breadth-first search
-    per destination.
+    per destination over node positions.
 
     The chosen next hop lies on a minimum-hop path; among equal-length
     options the smallest neighbor id wins. Each level's frontier is walked
-    in ascending id, so the first frontier node to reach an unseen node is
-    that winner, and the row doubles as the visited set.
+    in ascending position, which is ascending id, so the first frontier
+    node to reach an unseen node is that winner. The row stores that
+    node's id and doubles as the visited set: `None` is unseen.
     """
-    adjacency = net.adjacency
-    rows: dict[int, dict[int, int]] = {}
+    nodes, index = net.nodes, net.index
+    adjacency = [tuple(index[v] for v in net.adjacency[u]) for u in nodes]
+    n = len(nodes)
+    rows: dict[int, list[int]] = {}
     depth: dict[int, int] = {}
-    for d in net.nodes:
-        row = {d: d}
-        frontier = [d]
+    for d, dpos in index.items():
+        row = [None] * n
+        row[dpos] = d
+        frontier = [dpos]
         level = 0
         while True:
             nxt = []
             for u in frontier:
+                hop = nodes[u]
                 for v in adjacency[u]:
-                    if v not in row:
-                        row[v] = u
+                    if row[v] is None:
+                        row[v] = hop
                         nxt.append(v)
             if not nxt:
                 break
             nxt.sort()
             frontier = nxt
             level += 1
-        del row[d]
         rows[d] = row
         depth[d] = level
-    return Routes(rows, depth)
+    return Routes(rows, depth, index)
 
 
 def diameter(routes: Routes) -> int:

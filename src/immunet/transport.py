@@ -7,7 +7,11 @@ checking and admission, (4) infected-node emission, (5) cell actions,
 during a step become forwardable the next step, so a packet needs
 exactly one step per hop. One dequeue loop serves both lanes in
 priority order: the immune lane, then the data lane only once the
-immune lane is empty.
+immune lane is empty. The sweep walks the nodes by position (ascending
+id) and reads each packet's next hop from its destination's routing row
+at that position. A lane stops at the first packet whose next link has
+no budget left, even when packets behind it could use other links
+(head-of-line blocking).
 
 Every packet gets onto the wire through `TransportState`, which writes
 its `Inject` line. Data packets are offered at their source node, and a
@@ -21,12 +25,14 @@ arrivals. A cure drops the node's waiting packets, which were never
 logged. Immune cargo, a cell or a sealed substance, is sent outside the
 budget and enqueued at once.
 
-The sweep calls the forward hook only for a packet with cargo; a plain
-data packet needs no per-hop work beyond its `Forward` line. Under
-`strict_checks`, fixed when the state is built, each queue also records
-its packets' enqueue order, and the sweep checks queue bounds, lane
-priority and per-lane FIFO order; a failed check raises `QueueViolation`,
-which `python -O` does not strip.
+The per-packet hooks run only where they can act. The sweep calls the
+forward hook only for a packet with cargo; a plain data packet needs no
+per-hop work beyond its `Forward` line. An arrival is checked only at a
+node in `StepHooks.checked`, and the deliver hook runs only for a packet
+with cargo or an attack id. Under `strict_checks`, fixed when the state
+is built, each queue also records its packets' enqueue order, and the
+sweep checks queue bounds, lane priority and per-lane FIFO order; a
+failed check raises `QueueViolation`, which `python -O` does not strip.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Collection
 
 from .events import Event, EventLog
 from .topology import Network, Routes, UnknownNode
@@ -103,7 +109,9 @@ class StepHooks:
 
     All callbacks run synchronously inside step() in phase order; the
     transport layer itself never consumes randomness. `on_forward` runs
-    only for a packet whose `cargo` is not None.
+    only for a packet whose `cargo` is not None, `on_arrival` only for an
+    arrival at a node in `checked`, read at the arrival, and `on_deliver`
+    only for a packet with cargo or an attack id.
     """
 
     inject: Callable = lambda state: None
@@ -114,12 +122,15 @@ class StepHooks:
     cells: Callable = lambda state: None
     evaporate: Callable = lambda state: None
     stations: Callable = lambda state: None
+    checked: Collection[int] = frozenset()  # nodes whose arrivals go to on_arrival
 
 
 class TransportState:
     """Clock, queues, routing, injection budgets and event log for one run.
 
-    `routing.rows[dst][node]` is the next hop from `node` towards `dst`.
+    `routing.rows[dst][i]` is the next hop towards `dst` from the node at
+    position `i` of `network.nodes`. Queues, budgets and waiting packets
+    are keyed by node id.
     `strict_checks` is fixed here: the FIFO check needs the enqueue order
     of every packet from the first enqueue on.
     """
@@ -241,10 +252,10 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
     queues = state.queues
     strict = state.strict_checks
 
-    # phase 2: per-node dequeue, ascending node id, immune lane strictly first
+    # phase 2: per-node dequeue by position (ascending node id), immune lane strictly first
     arrivals: list[tuple[int, int, Packet]] = []
     bandwidth = state.network.bandwidth
-    for node in state.network.nodes:
+    for i, node in enumerate(state.network.nodes):
         q = queues[node]
         immune, data = q.immune, q.data
         if not immune and not data:
@@ -254,7 +265,7 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
             last_seq = -1
             while lane:
                 pkt = lane[0]
-                nh = next_hops[pkt.dst][node]
+                nh = next_hops[pkt.dst][i]
                 if budgets[nh] <= 0:
                     break
                 budgets[nh] -= 1
@@ -276,14 +287,16 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
                 break  # strict priority: data waits while immune packets remain
 
     # phase 3: arrivals are checked, then delivered or admitted
-    on_arrival, on_deliver, enqueue = hooks.on_arrival, hooks.on_deliver, state.enqueue
+    checked, on_arrival, on_deliver = hooks.checked, hooks.on_arrival, hooks.on_deliver
+    enqueue = state.enqueue
     for from_node, node, pkt in arrivals:
-        if on_arrival(state, node, pkt, from_node):
+        if node in checked and on_arrival(state, node, pkt, from_node):
             continue  # destroyed
         if node == pkt.dst:
             append(now, "Deliver", pid=pkt.pid, node=node,
                    klass=pkt.klass, attack=pkt.attack, hops=pkt.hop_count)
-            on_deliver(state, pkt, node)
+            if pkt.cargo is not None or pkt.attack is not None:
+                on_deliver(state, pkt, node)
         else:
             enqueue(node, pkt)
     for node, pkt in state._staged:

@@ -177,6 +177,20 @@ class TestRunArguments:
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["steps"] == 0
 
+    def test_seed_defaults_to_the_scenario_seed(self, tmp_path, capsys):
+        """Without --seed, a run takes the scenario's `seed`; --seed overrides it."""
+        outputs = []
+        for seed_field, flag in ((5, []), (7, ["--seed", "5"])):
+            out = tmp_path / f"out{seed_field}"
+            path = scenario_file(tmp_path, seed=seed_field)
+            argv = ["run", "--scenario", path, "--steps", "30", "--out", str(out)] + flag
+            assert cli.main(argv) == 0
+            name = baseline_scenario().name
+            outputs.append((capsys.readouterr().out,
+                            (out / f"{name}-seed5.log").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["steps"] == 30
+
     def test_random_topology_that_never_connects(self, tmp_path, capsys):
         path = scenario_file(tmp_path, "topology", nodes=10, edge_prob=0.001)
         assert cli.main(["validate", "--scenario", path]) == 0

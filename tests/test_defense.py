@@ -146,6 +146,23 @@ class TestRegistry:
         assert stack.at[0] == []
         assert stack.at[1] == [comp]
 
+    def test_node_leaves_guarded_with_its_last_component(self):
+        stack = DefenseStack(line_network(3))
+        assert stack.guarded == set()
+        ids = PacketFilter(0, [])
+        cell = detector_component()
+        stack.register(1, ids)
+        stack.register(1, cell)
+        with pytest.raises(DuplicateRegistration):
+            stack.register(2, cell)
+        assert stack.guarded == {1}
+        stack.deregister(1, ids.component_id)
+        assert stack.guarded == {1}
+        with pytest.raises(UnknownComponent):
+            stack.deregister(1, ids.component_id)
+        stack.deregister(1, cell.component_id)
+        assert stack.guarded == set()
+
 
 class TestCheckAll:
 

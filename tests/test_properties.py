@@ -126,10 +126,17 @@ def seeded_networks():
 
 
 def check_routing(net):
-    """Rows equal the two-pass reference, the diameter networkx's, and the
-    next-hop walk of every radius agrees with the all-pairs hop counts."""
+    """The next hop of every (src, dst) pair equals the two-pass reference,
+    read from the positional row and from the mapping view; the diameter
+    equals networkx's, and the next-hop walk of every radius agrees with
+    the all-pairs hop counts."""
     routes = compute_routing(net)
-    assert routes.rows == reference_rows(net)
+    reference = reference_rows(net)
+    assert list(net.index.items()) == list(zip(net.nodes, range(len(net))))
+    assert set(routes.rows) == set(reference)
+    for d, row in routes.rows.items():
+        assert row == [d if s == d else reference[d][s] for s in net.nodes], d
+    assert {d: {s: routes[(s, d)] for s in net.nodes if s != d} for d in net.nodes} == reference
     graph = nx.Graph((u, v) for u, v, _bw in net.links)
     assert diameter(routes) == nx.diameter(graph)
     dist = hop_counts(net)

@@ -171,17 +171,23 @@ class TestRouting:
             assert oracle_nh[d] == oracle_s[d] - 1
 
 
-def check_routes(routes, nodes):
-    """The (src, dst) view of `routes` reads its per-destination rows."""
+def check_routes(routes, net):
+    """The (src, dst) view of `routes` reads its rows at source positions,
+    and holds no (d, d) pair; a row's entry at its own destination is it."""
     assert isinstance(routes, Routes)
+    nodes = net.nodes
     n = len(nodes)
     assert len(routes) == n * (n - 1)
     pairs = list(routes)
     assert sorted(pairs) == sorted((s, d) for s in nodes for d in nodes if s != d)
     for s, d in pairs:
-        assert routes[(s, d)] == routes.rows[d][s]
+        assert routes[(s, d)] == routes.rows[d][net.index[s]]
     for d in nodes:
-        assert d not in routes.rows[d]
+        assert len(routes.rows[d]) == n
+        assert routes.rows[d][net.index[d]] == d
+        assert (d, d) not in routes
+        with pytest.raises(KeyError):
+            routes[(d, d)]
     assert {**routes} == dict(routes.items())
 
 
@@ -189,15 +195,26 @@ class TestRoutes:
 
     def test_sparse_ids(self):
         net = build_network([3, 10, 42, 7], [[3, 10], [10, 42], [42, 7], [7, 3], [10, 7]])
+        assert net.index == {3: 0, 7: 1, 10: 2, 42: 3}
         routes = compute_routing(net)
-        check_routes(routes, net.nodes)
+        check_routes(routes, net)
         assert routes[(3, 42)] == 7  # 7 and 10 are both one hop from 42; the smaller wins
-        assert routes.rows[42] == {3: 7, 7: 42, 10: 42}
+        assert {s: routes[(s, 42)] for s in (3, 7, 10)} == {3: 7, 7: 42, 10: 42}
+        assert routes.rows[42] == [7, 42, 42, 42]  # sources 3, 7, 10, then 42 itself
         assert routes.depth == {3: 2, 7: 1, 10: 1, 42: 2}
 
     def test_networkx_graphs(self):
-        for _nx, net, _graph in networkx_graphs(count=10):
-            check_routes(compute_routing(net), net.nodes)
+        """Each row entry is the smallest neighbour one hop nearer, by networkx."""
+        for nx, net, graph in networkx_graphs(count=10):
+            routes = compute_routing(net)
+            check_routes(routes, net)
+            lengths = dict(nx.all_pairs_shortest_path_length(graph))
+            for d, row in routes.rows.items():
+                for s in net.nodes:
+                    if s != d:
+                        closer = [v for v in graph.neighbors(s)
+                                  if lengths[v][d] == lengths[s][d] - 1]
+                        assert row[net.index[s]] == min(closer), (s, d)
 
 
 class TestGraphStats:

@@ -153,6 +153,32 @@ class TestStep:
         assert sum(1 for ev in state.log.events if ev.kind == "Forward") > 0
         assert calls == []
 
+    def test_arrival_and_deliver_hooks_run_only_where_they_act(self):
+        """`on_arrival` sees only arrivals at a node in `checked`, and
+        `on_deliver` only packets with cargo or an attack id."""
+        state = make_state(line_network(5, bandwidth=2), capacity=16)
+        packets = [state.make_packet(0, 4, DATA), state.make_packet(0, 4, DATA, attack=1),
+                   state.make_packet(0, 2, DATA, cargo="freight"), state.make_packet(4, 2, DATA),
+                   state.make_packet(4, 1, DATA, attack=2), state.make_packet(0, 1, DATA)]
+        for pkt in packets:
+            state.enqueue(pkt.src, pkt)
+        arrived, delivered = [], []
+        hooks = StepHooks(checked={2},
+                          on_arrival=lambda st, node, pkt, frm: arrived.append((node, pkt.pid)),
+                          on_deliver=lambda st, pkt, node: delivered.append((node, pkt.pid)))
+        for _ in range(8):
+            step(state, hooks)
+        assert state.in_flight() == 0
+        events = state.log.events
+        hops = [(ev.get("dst"), ev.get("pid")) for ev in events if ev.kind == "Forward"]
+        assert {node for node, _pid in hops} == {1, 2, 3, 4}
+        assert arrived == [(node, pid) for node, pid in hops if node == 2]
+        ends = [(ev.get("node"), ev.get("pid")) for ev in events if ev.kind == "Deliver"]
+        assert len(ends) == len(packets)
+        assert delivered == [(node, pid) for node, pid in ends
+                             if packets[pid].cargo is not None or packets[pid].attack is not None]
+        assert len(delivered) == 3
+
     def test_per_link_budget(self):
         net = line_network(3, bandwidth=2)
         state = TransportState(net, routing_table(net), 16)

@@ -288,6 +288,7 @@ class TestEnginePaths:
         assert transport.conservation_audit(events) == world.state.held()
         assert registered_cells(world) == {(cell.location, cell.cell_id) for cell
                                            in world.population.of_kind(DETECTOR)}
+        assert world.defense.guarded == {n for n, at in world.defense.at.items() if at}
         check(world, events, destroyed)
 
 
