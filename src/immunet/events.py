@@ -1,12 +1,22 @@
 """Append-only event log with a stable line format.
 
 Every observable fact about a run (injections, forwards, detections,
-infections, ...) is an Event line; metrics and audits are computed from
+infections, ...) is an event line; metrics and audits are computed from
 the log alone so every run is replayable from its persisted log.
+
+An event is kept as one flat tuple, `(step, kind, keys, *values)`: `keys`
+is the tuple of its field names in line order, shared by every event with
+that key sequence, and the values follow in the same order, so field `k`
+is `rec[3 + keys.index(k)]`. Field values are ints, bools, floats,
+strings, bytes or None. The cyclic garbage collector stops tracking a
+tuple that holds only such values and untracked tuples at the first
+collection that sees it, so kept events cost later collections nothing,
+and each event is one allocation.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator
 
 # Closed set of event kinds; the line format is a stable external interface.
@@ -29,31 +39,6 @@ KINDS = (
 _KIND_SET = frozenset(KINDS)
 _KIND_TOKENS = {f"kind={kind}": kind for kind in KINDS}  # parsed events share these strings
 
-
-class Event:
-    """One logged fact: its step, its kind and its fields, a `key -> value`
-    dict in the order the line writes them. Slotted, because a run builds,
-    keeps and reads hundreds of thousands. Field values are ints, bools,
-    floats, strings, bytes or None, and a dict that holds only such values
-    is never tracked by the cyclic garbage collector, so a kept event is one
-    tracked object."""
-
-    __slots__ = ("step", "kind", "fields")
-
-    def __init__(self, step: int, kind: str, fields: dict[str, object]):
-        self.step = step
-        self.kind = kind
-        self.fields = fields
-
-    def get(self, key: str, default=None):
-        return self.fields.get(key, default)
-
-    def to_line(self) -> str:
-        return f"step={self.step} kind={self.kind}" + "".join(
-            [f" {k}={v}" if type(v) in _VERBATIM else f" {k}=-" if v is None else f" {k}={_fmt(v)}"
-             for k, v in self.fields.items()])
-
-
 _VERBATIM = frozenset({int, str})  # types whose log text is plain str(value)
 
 
@@ -65,24 +50,52 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def field(rec: tuple, key: str):
+    """Field `key` of an event record, or None when it has no such field."""
+    try:
+        return rec[3 + rec[2].index(key)]
+    except ValueError:
+        return None
+
+
 class EventLog:
-    """Ordered sequence of events for one run."""
+    """Ordered events of one run, each kept in `events` as the flat tuple
+    `(step, kind, keys, *values)`. The log owns one `keys` tuple per key
+    sequence appended, so the events of one call site share it, and a kept
+    event is a tuple the cyclic garbage collector untracks."""
 
     def __init__(self):
-        self.events: list[Event] = []
+        self.events: list[tuple] = []
+        self._keys: dict[tuple[str, ...], tuple[str, ...]] = {}
 
-    def append(self, step: int, kind: str, **fields) -> Event:
+    def append(self, step: int, kind: str, **fields) -> None:
         if kind not in _KIND_SET:
             raise ValueError(f"unknown event kind: {kind}")
-        ev = Event(step, kind, fields)  # the call's own keyword dict, in call order
-        self.events.append(ev)
-        return ev
+        keys = tuple(fields)  # the call's keyword order
+        self.events.append((step, kind, self._keys.setdefault(keys, keys), *fields.values()))
 
     def __len__(self):
         return len(self.events)
 
     def to_text(self) -> str:
-        return "\n".join([ev.to_line() for ev in self.events]) + ("\n" if self.events else "")
+        lines = []
+        put = lines.append
+        for rec in self.events:
+            line = f"step={rec[0]} kind={rec[1]}"
+            i = 3
+            for key in rec[2]:
+                value = rec[i]
+                i += 1
+                if type(value) in _VERBATIM:
+                    line += f" {key}={value}"
+                elif value is None:
+                    line += f" {key}=-"
+                else:
+                    line += f" {key}={_fmt(value)}"
+            put(line)
+        if lines:
+            put("")  # the text ends with a newline
+        return "\n".join(lines)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -99,59 +112,46 @@ class LogFormatError(ValueError):
         self.line = line
 
 
-# A parse table holds at most this many tokens: it is cleared when full, so a
-# streamed replay of any horizon holds a bounded table (a log adds a `pid=`
-# token per packet). The seed-42 benchmark logs have at most 45,320.
+# A parse table holds at most this many entries: it is cleared when full, so
+# a streamed replay of any horizon holds bounded tables (a log adds a `pid=`
+# token per packet). The seed-42 benchmark logs have at most 45,320 tokens.
 _TABLE_LIMIT = 1 << 16
 
 
-class _FieldTable(dict):
-    """Raw `key=value` token -> its parsed `(key, value)` field, each distinct
-    token parsed on first sight. A log repeats few distinct tokens many times."""
+class _ValueTable(dict):
+    """Raw `key=value` token -> its parsed value. `_KeyTable` fills it as it
+    parses a token; a token it misses was dropped when the tables were
+    cleared partway through its line, and is parsed again."""
 
-    def __missing__(self, token: str) -> tuple[str, object]:
+    def __missing__(self, token: str):
+        value = self[token] = _parse_value(token.partition("=")[2])
+        return value
+
+
+class _KeyTable(dict):
+    """Raw `key=value` token -> its key, each distinct token parsed on first
+    sight, its value going into `values`. A log repeats few distinct tokens
+    many times. Keys are interned, so equal key sequences hold the same
+    strings."""
+
+    def __init__(self):
+        super().__init__()
+        self.values = _ValueTable()
+
+    def __missing__(self, token: str) -> str:
         key, eq, raw = token.partition("=")
         if not eq:
             raise ValueError(f"field token without '=': {token!r}")
         if len(self) >= _TABLE_LIMIT:
             self.clear()
-        field = self[token] = (key, _parse_value(raw))
-        return field
-
-
-class _StepTable(dict):
-    """`step=<int>` token -> its step, parsed on first sight: a log repeats
-    each step's token on every event of that step."""
-
-    def __missing__(self, token: str) -> int:
-        if not token.startswith("step="):
-            raise ValueError(f"malformed step token: {token!r}")
-        if len(self) >= _TABLE_LIMIT:
-            self.clear()
-        step = self[token] = int(token[5:])
-        return step
-
-
-def _parse(lines) -> Iterator[Event]:
-    """Parse `step=<int> kind=<enum> key=value ...` records, skipping blank
-    lines; one field table and one step table serve every line. A bad line
-    raises `LogFormatError`."""
-    field, steps = _FieldTable().__getitem__, _StepTable()
-    for line in lines:
-        tokens = line.split()
-        if not tokens:
-            continue
+            self.values.clear()
         try:
-            kind = _KIND_TOKENS.get(tokens[1]) if len(tokens) > 1 else None
-            if kind is None:
-                raise ValueError("malformed line or unknown event kind")
-            fields = dict(map(field, tokens[2:]))
-            if len(fields) < len(tokens) - 2:
-                raise ValueError("repeated field key in line")
-            step = steps[tokens[0]]
-        except ValueError as exc:
-            raise LogFormatError(str(exc), line) from None
-        yield Event(step, kind, fields)
+            value = int(raw)  # most new tokens are a packet's `pid=`
+        except ValueError:
+            value = _parse_value(raw)
+        self.values[token] = value
+        key = self[token] = sys.intern(key)
+        return key
 
 
 def _parse_value(raw: str):
@@ -168,21 +168,59 @@ def _parse_value(raw: str):
     return raw
 
 
-def load_log(path) -> Iterator[Event]:
+def load_log(path) -> Iterator[tuple]:
     """Stream a saved log: a generator that opens the file on its first
-    `next()`, yields each event as its line is parsed and closes the file
-    when the stream ends, fails or is closed. It holds one event at a time;
+    `next()`, yields each event as its line is parsed, as the same flat
+    tuple `EventLog` keeps, and closes the file when the stream ends, fails
+    or is closed. Blank lines are skipped. It holds one event at a time;
     `list(load_log(path))` holds them all. Errors surface while the stream
     is consumed, not at the call: `OSError` for a file that cannot be
     opened, `UnicodeDecodeError` for text that is not UTF-8, and
     `LogFormatError` naming the file and the line's number for a bad line,
-    after the events of the lines before it."""
+    after the events of the lines before it.
+
+    Each distinct token is parsed once, and each distinct key sequence is
+    checked for a repeated key once and shared by the events that have it;
+    the token and key-sequence tables are cleared when full."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield from _parse(fh)
-        except LogFormatError as exc:
+        tokens = _KeyTable()
+        key_of, value_of = tokens.__getitem__, tokens.values.__getitem__
+        shared: dict[tuple[str, ...], tuple[str, ...]] = {}  # key sequence -> its one copy
+        last: dict[str, tuple[str, ...]] = {}  # kind -> its latest key sequence
+        step_token, step = None, 0
+        for line in fh:
+            words = line.split()
+            try:
+                kind = _KIND_TOKENS[words[1]]
+                fields = words[2:]
+                keys = tuple(map(key_of, fields))
+                latest = last.get(kind)
+                if keys == latest:
+                    keys = latest
+                else:
+                    seen = shared.get(keys)
+                    if seen is None:
+                        if len(set(keys)) < len(keys):
+                            raise ValueError("repeated field key in line")
+                        if len(shared) >= _TABLE_LIMIT:
+                            shared.clear()
+                        seen = shared[keys] = keys
+                    keys = last[kind] = seen
+                if words[0] != step_token:
+                    if not words[0].startswith("step="):
+                        raise ValueError(f"malformed step token: {words[0]!r}")
+                    step, step_token = int(words[0][5:]), words[0]
+            except LookupError:
+                if not words:
+                    continue
+                reason = "malformed line or unknown event kind"
+            except ValueError as exc:
+                reason = str(exc)
+            else:
+                yield (step, kind, keys, *map(value_of, fields))
+                continue
             # a line parses the same wherever it stands, so the first line
             # with the failing text is the one that failed
             fh.seek(0)
-            number = next(n for n, text in enumerate(fh, 1) if text == exc.line)
-            raise LogFormatError(exc.reason, exc.line, f"{path}:{number}: ") from None
+            number = next(n for n, text in enumerate(fh, 1) if text == line)
+            raise LogFormatError(reason, line, f"{path}:{number}: ")

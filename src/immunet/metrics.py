@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from statistics import median
 
+from .events import field
+
 
 @dataclass
 class Metrics:
@@ -35,6 +37,9 @@ class Metrics:
 
 
 def compute_metrics(events) -> Metrics:
+    """Fold event records, `(step, kind, keys, *values)` tuples as
+    `EventLog` keeps them and `load_log` yields them, into the run's
+    metrics. A field a record lacks reads as None."""
     m = Metrics()
     steps = 0
     forwards_total = 0
@@ -47,52 +52,62 @@ def compute_metrics(events) -> Metrics:
     ident_latencies: list[int] = []
     disinf_latencies: list[int] = []
 
-    for ev in events:
-        kind = ev.kind
-        if kind == "Step":
-            steps += 1
+    # the most frequent kinds come first and read their field inline, with no call
+    for rec in events:
+        kind = rec[1]
+        if kind == "Forward":
+            forwards_total += 1
+            try:
+                if rec[3 + rec[2].index("klass")] == "Immune":
+                    forwards_immune += 1
+            except ValueError:
+                pass
         elif kind == "Inject":
             m.injected_total += 1
-            if ev.get("attack") is not None:
-                m.injected_attack += 1
-        elif kind == "Forward":
-            forwards_total += 1
-            if ev.get("klass") == "Immune":
-                forwards_immune += 1
+            try:
+                if rec[3 + rec[2].index("attack")] is not None:
+                    m.injected_attack += 1
+            except ValueError:
+                pass
+        elif kind == "Deliver":
+            try:
+                if rec[3 + rec[2].index("attack")] is not None:
+                    m.delivered_attack += 1
+            except ValueError:
+                pass
+        elif kind == "Step":
+            steps += 1
         elif kind == "Detect":
-            if ev.get("attack") is not None:
+            if field(rec, "attack") is not None:
                 m.destroyed_attack += 1
             else:
                 m.false_positive_detections += 1
-        elif kind == "Deliver":
-            if ev.get("attack") is not None:
-                m.delivered_attack += 1
         elif kind == "Drop":
-            if ev.get("pid") is not None:
+            if field(rec, "pid") is not None:
                 m.dropped_total += 1
         elif kind == "Infect":
-            if ev.get("ok") != 1:
+            if field(rec, "ok") != 1:
                 continue
-            node = ev.get("node")
-            if ev.get("via") == "entry":
+            node = field(rec, "node")
+            if field(rec, "via") == "entry":
                 m.worm_entries += 1
                 entry_nodes.add(node)
             else:
                 infected_nodes.add(node)
             if node not in open_infections:
-                open_infections[node] = ev.step
+                open_infections[node] = rec[0]
         elif kind == "Identify":
-            node = ev.get("node")
+            node = field(rec, "node")
             start = open_infections.pop(node, None)
             if start is not None:
-                ident_latencies.append(ev.step - start)
-                open_identifies.setdefault(node, ev.step)
+                ident_latencies.append(rec[0] - start)
+                open_identifies.setdefault(node, rec[0])
         elif kind == "Disinfect":
-            if ev.get("ok") == 1:
-                node = ev.get("node")
+            if field(rec, "ok") == 1:
+                node = field(rec, "node")
                 ident_step = open_identifies.pop(node, None)
                 if ident_step is not None:
-                    disinf_latencies.append(ev.step - ident_step)
+                    disinf_latencies.append(rec[0] - ident_step)
             else:
                 m.false_disinfections += 1
 

@@ -42,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Collection
 
-from .events import Event, EventLog
+from .events import EventLog
 from .topology import Network, Routes, UnknownNode
 
 IMMUNE = "Immune"
@@ -324,35 +324,53 @@ def conservation_audit(events) -> dict[int, int]:
     once (Deliver, Drop, Evict or Detect). A Forward leaves the node where
     the log last put the packet, and its terminal line names that node.
     Raises ConservationViolation naming the first packet that breaks this,
-    and TypeError for a record that is not an Event.
+    and TypeError for a record that is not an event tuple
+    `(step, kind, keys, *values)`. The offsets of `pid`, `node`, `src` and
+    `dst` are found once per key sequence, and fetched again only when a
+    record's `keys` object is not the one of the record before it.
     """
     at: dict[int, int] = {}  # pid -> node, until its terminal line
     ended: set[int] = set()
-    for ev in events:
-        if not isinstance(ev, Event):
-            raise TypeError("audit wants Event records")
-        fields = ev.fields
-        pid = fields.get("pid")
-        if pid is None:
-            continue
-        kind = ev.kind
-        if kind == "Forward":
-            node = at.get(pid)
-            if node is None:
-                raise ConservationViolation(pid, "Forward outside live lifecycle")
-            if fields["src"] != node:
-                raise ConservationViolation(pid, f"Forward from {fields['src']}, logged at {node}")
-            at[pid] = fields["dst"]
-        elif kind == "Inject":
-            if pid in at or pid in ended:
-                raise ConservationViolation(pid, "injected twice")
-            at[pid] = fields["node"]
-        elif kind in _TERMINAL:
-            node = at.pop(pid, None)
-            if node is None:
-                raise ConservationViolation(pid, f"{kind} after terminal event" if pid in ended
-                                            else f"{kind} without Inject")
-            if fields["node"] != node:
-                raise ConservationViolation(pid, f"{kind} at {fields['node']}, logged at {node}")
-            ended.add(pid)
+    offsets: dict[tuple, tuple] = {}  # keys -> offsets of pid, node, src, dst
+    keys, pid_at = (), None  # a record with no fields holds no packet
+    try:
+        for rec in events:
+            if type(rec) is not tuple:
+                raise TypeError
+            if rec[2] is not keys:
+                keys = rec[2]
+                found = offsets.get(keys)
+                if found is None:
+                    if type(keys) is not tuple:
+                        raise TypeError
+                    found = offsets[keys] = tuple(3 + keys.index(k) if k in keys else None
+                                                  for k in ("pid", "node", "src", "dst"))
+                pid_at, node_at, src_at, dst_at = found
+            if pid_at is None:
+                continue
+            pid = rec[pid_at]
+            if pid is None:
+                continue
+            kind = rec[1]
+            if kind == "Forward":
+                node = at.get(pid)
+                if node is None:
+                    raise ConservationViolation(pid, "Forward outside live lifecycle")
+                if rec[src_at] != node:
+                    raise ConservationViolation(pid, f"Forward from {rec[src_at]}, logged at {node}")
+                at[pid] = rec[dst_at]
+            elif kind == "Inject":
+                if pid in at or pid in ended:
+                    raise ConservationViolation(pid, "injected twice")
+                at[pid] = rec[node_at]
+            elif kind in _TERMINAL:
+                node = at.pop(pid, None)
+                if node is None:
+                    raise ConservationViolation(pid, f"{kind} after terminal event" if pid in ended
+                                                else f"{kind} without Inject")
+                if rec[node_at] != node:
+                    raise ConservationViolation(pid, f"{kind} at {rec[node_at]}, logged at {node}")
+                ended.add(pid)
+    except (TypeError, IndexError):
+        raise TypeError("audit wants event records: (step, kind, keys, *values) tuples") from None
     return at

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from immunet.events import EventLog
 from immunet.scenario import (AntConfig, AttackConfig, DetectorConfig,
                               MonitorConfig, PheromoneConfig, ScenarioConfig,
                               StationConfig, TopologySpec, TrafficConfig,
@@ -10,6 +11,18 @@ from immunet.topology import bfs_distances, compute_routing
 
 SIG_HEX = "a3f1c08e55d2764b9900eeab1275c3d4"
 SIG = bytes.fromhex(SIG_HEX)
+
+
+def fields(rec):
+    """An event record's fields as a `key -> value` dict in line order."""
+    return dict(zip(rec[2], rec[3:]))
+
+
+def to_line(rec):
+    """An event record's log line, as `EventLog.to_text` writes it."""
+    log = EventLog()
+    log.events.append(rec)
+    return log.to_text().removesuffix("\n")
 
 
 def hop_counts(net):

@@ -7,6 +7,7 @@ import pytest
 from immunet.adversary import (AttackDef, NodeHealth, attack_payload, benign_payload,
                                inject_background, on_attack_delivery, poisson,
                                spawn_worm, worm_emit)
+from immunet.events import field
 from immunet.scenario import TrafficConfig
 from immunet.topology import UnknownNode, erdos_renyi
 from immunet.transport import DATA, TransportState
@@ -95,24 +96,24 @@ class TestWorm:
         health = all_healthy(state)
         assert spawn_worm(state, health, ATTACK, 7)
         assert health[7].infected_by == 1
-        infects = [ev for ev in state.log.events if ev.kind == "Infect"]
-        assert len(infects) == 1 and infects[0].get("ok") == 1
-        assert infects[0].step == 0
+        infects = [ev for ev in state.log.events if ev[1] == "Infect"]
+        assert len(infects) == 1 and field(infects[0], "ok") == 1
+        assert infects[0][0] == 0
 
     def test_spawn_on_patched_fails(self):
         state = fresh_state()
         health = all_healthy(state, vulnerable=False)
         assert not spawn_worm(state, health, ATTACK, 7)
         assert not health[7].infected
-        infects = [ev for ev in state.log.events if ev.kind == "Infect"]
-        assert len(infects) == 1 and infects[0].get("ok") == 0
+        infects = [ev for ev in state.log.events if ev[1] == "Infect"]
+        assert len(infects) == 1 and field(infects[0], "ok") == 0
 
     def test_double_spawn_idempotent(self):
         state = fresh_state()
         health = all_healthy(state)
         spawn_worm(state, health, ATTACK, 7)
         assert spawn_worm(state, health, ATTACK, 7)
-        assert sum(1 for ev in state.log.events if ev.kind == "Infect") == 1
+        assert sum(1 for ev in state.log.events if ev[1] == "Infect") == 1
 
     def test_spawn_unknown_node(self):
         state = fresh_state()
@@ -166,7 +167,7 @@ class TestWorm:
         pkt = state.make_packet(0, 5, DATA, payload=SIG, attack=1)
         on_attack_delivery(state, health, 5, pkt, {1: ATTACK})
         assert not health[5].infected
-        assert not [ev for ev in state.log.events if ev.kind == "Infect"]
+        assert not [ev for ev in state.log.events if ev[1] == "Infect"]
 
     def test_delivery_to_infected_no_duplicate_event(self):
         state = fresh_state()
@@ -174,5 +175,5 @@ class TestWorm:
         spawn_worm(state, health, ATTACK, 5)
         pkt = state.make_packet(0, 5, DATA, payload=SIG, attack=1)
         on_attack_delivery(state, health, 5, pkt, {1: ATTACK})
-        assert sum(1 for ev in state.log.events if ev.kind == "Infect") == 1
+        assert sum(1 for ev in state.log.events if ev[1] == "Infect") == 1
 

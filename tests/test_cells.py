@@ -5,14 +5,15 @@ import pytest
 
 from immunet.cells import DISINFECTOR, ArtificialCell, CellPopulation
 from immunet.engine import World
+from immunet.events import field
 from immunet.scenario import (AntConfig, AttackConfig, DetectorConfig,
                               MonitorConfig, StationConfig, baseline_scenario)
 
-from conftest import SIG_HEX, quiet_config, worm_config
+from conftest import SIG_HEX, quiet_config, to_line, worm_config
 
 
 def spawn_events(log, kind):
-    return [ev for ev in log.events if ev.kind == "Spawn" and ev.get("cellkind") == kind]
+    return [ev for ev in log.events if ev[1] == "Spawn" and field(ev, "cellkind") == kind]
 
 
 class TestPopulation:
@@ -79,10 +80,10 @@ class TestDetectors:
         cfg.monitors = MonitorConfig(count=0)
         world = World(cfg, seed=4)
         result = world.run()
-        det_ids = {ev.get("cell") for ev in spawn_events(result.log, "Detector")
-                   if ev.get("by") == "init"}
+        det_ids = {field(ev, "cell") for ev in spawn_events(result.log, "Detector")
+                   if field(ev, "by") == "init"}
         moves = [ev for ev in result.log.events
-                 if ev.kind == "CellMove" and ev.get("cell") in det_ids]
+                 if ev[1] == "CellMove" and field(ev, "cell") in det_ids]
         assert moves == []
 
     def test_moving_cell_rides_immune_packet(self):
@@ -91,12 +92,12 @@ class TestDetectors:
         world = World(cfg, seed=8)
         result = world.run()
         immune_injects = [ev for ev in result.log.events
-                          if ev.kind == "Inject" and ev.get("klass") == "Immune"]
-        moves = [ev for ev in result.log.events if ev.kind == "CellMove"]
+                          if ev[1] == "Inject" and field(ev, "klass") == "Immune"]
+        moves = [ev for ev in result.log.events if ev[1] == "CellMove"]
         assert immune_injects and moves
         # each completed move cost one immune packet delivery
         delivers = [ev for ev in result.log.events
-                    if ev.kind == "Deliver" and ev.get("klass") == "Immune"]
+                    if ev[1] == "Deliver" and field(ev, "klass") == "Immune"]
         assert len(delivers) == len(moves)
 
 
@@ -107,7 +108,7 @@ class TestAnts:
         cfg.ants = AntConfig(count=1, memory=2, epsilon=0.5)
         world = World(cfg, seed=3)
         result = world.run()
-        moves = [ev.get("node") for ev in result.log.events if ev.kind == "CellMove"]
+        moves = [field(ev, "node") for ev in result.log.events if ev[1] == "CellMove"]
         assert len(moves) >= 5
         for a, b in zip(moves, moves[1:]):
             assert a != b  # strict alternation on a 2-node line
@@ -118,7 +119,7 @@ class TestAnts:
         cfg.ants.memory = 0
         world = World(cfg, seed=6)
         result = world.run()
-        assert any(ev.kind == "CellMove" and ev.get("cellkind") == "Ant"
+        assert any(ev[1] == "CellMove" and field(ev, "cellkind") == "Ant"
                    for ev in result.log.events)
         ants = world.population.of_kind("Ant")
         assert ants and all(not ant.memory for ant in ants)
@@ -135,10 +136,10 @@ class TestDisinfector:
         world.health[3].infected_by = 9
         world._spawn(DISINFECTOR, 0, by="test", target=3)
         result = world.run()
-        disinfects = [ev for ev in result.log.events if ev.kind == "Disinfect"]
+        disinfects = [ev for ev in result.log.events if ev[1] == "Disinfect"]
         assert len(disinfects) == 1
-        assert disinfects[0].step == 3  # one hop per step, immune priority
-        assert disinfects[0].get("ok") == 1
+        assert disinfects[0][0] == 3  # one hop per step, immune priority
+        assert field(disinfects[0], "ok") == 1
         assert not world.health[3].infected
 
     def test_clean_target_logs_false_disinfection(self):
@@ -146,8 +147,8 @@ class TestDisinfector:
         world = World(cfg, seed=2)
         world._spawn(DISINFECTOR, 0, by="test", target=2)
         result = world.run()
-        disinfects = [ev for ev in result.log.events if ev.kind == "Disinfect"]
-        assert len(disinfects) == 1 and disinfects[0].get("ok") == 0
+        disinfects = [ev for ev in result.log.events if ev[1] == "Disinfect"]
+        assert len(disinfects) == 1 and field(disinfects[0], "ok") == 0
         assert result.metrics.false_disinfections == 1
 
     def test_emission_stops_step_after_disinfection(self):
@@ -159,14 +160,14 @@ class TestDisinfector:
         stopped_at = {}
         windows = []  # (cure step, next infection step or None at run end)
         for ev in result.log.events:
-            node = ev.get("node")
-            if ev.kind == "Disinfect" and ev.get("ok") == 1:
-                stopped_at[node] = ev.step
-            elif ev.kind == "Infect" and ev.get("ok") == 1 and node in stopped_at:
-                windows.append((stopped_at.pop(node), ev.step))
-            elif ev.kind == "Inject" and ev.get("attack") is not None:
+            node = field(ev, "node")
+            if ev[1] == "Disinfect" and field(ev, "ok") == 1:
+                stopped_at[node] = ev[0]
+            elif ev[1] == "Infect" and field(ev, "ok") == 1 and node in stopped_at:
+                windows.append((stopped_at.pop(node), ev[0]))
+            elif ev[1] == "Inject" and field(ev, "attack") is not None:
                 if node in stopped_at:
-                    assert ev.step <= stopped_at[node]  # nothing after the cure
+                    assert ev[0] <= stopped_at[node]  # nothing after the cure
         windows += [(cured, None) for cured in stopped_at.values()]
         assert windows, "no cure in the run, so the check above saw nothing"
         assert any(infected is None or infected > cured for cured, infected in windows)
@@ -181,12 +182,12 @@ class TestDisinfector:
         world.health[3].infected_by = 1
         world._spawn(DISINFECTOR, 0, by="test", target=3)
         result = world.run()
-        disinfects = [ev for ev in result.log.events if ev.kind == "Disinfect"]
-        assert len(disinfects) == 1 and disinfects[0].get("ok") == 1
-        cured = disinfects[0].step
-        emitted = [ev.step for ev in result.log.events
-                   if ev.kind == "Inject" and ev.get("attack") is not None
-                   and ev.get("node") == 3]
+        disinfects = [ev for ev in result.log.events if ev[1] == "Disinfect"]
+        assert len(disinfects) == 1 and field(disinfects[0], "ok") == 1
+        cured = disinfects[0][0]
+        emitted = [ev[0] for ev in result.log.events
+                   if ev[1] == "Inject" and field(ev, "attack") is not None
+                   and field(ev, "node") == 3]
         assert emitted and min(emitted) <= cured
         assert [step for step in emitted if step > cured] == []
 
@@ -226,32 +227,32 @@ def replay_occupancy_at_sample(events):
             sampled_step = step
 
     for ev in events:
-        pid = ev.get("pid")
-        if ev.kind == "Inject":
-            if ev.get("klass") == "Immune":
-                snapshot(ev.step)  # cells act (and sample) before enqueueing moves
-                occ[ev.get("node")] += 1
-                inqueue[pid] = ev.get("node")
+        pid = field(ev, "pid")
+        if ev[1] == "Inject":
+            if field(ev, "klass") == "Immune":
+                snapshot(ev[0])  # cells act (and sample) before enqueueing moves
+                occ[field(ev, "node")] += 1
+                inqueue[pid] = field(ev, "node")
             else:
-                pending[pid] = ev.get("node")
-        elif ev.kind == "Forward":
+                pending[pid] = field(ev, "node")
+        elif ev[1] == "Forward":
             if pid in inqueue:
                 occ[inqueue.pop(pid)] -= 1
-            arrival[pid] = ev.get("dst")
-        elif ev.kind in ("Deliver", "Detect"):
+            arrival[pid] = field(ev, "dst")
+        elif ev[1] in ("Deliver", "Detect"):
             arrival.pop(pid, None)
-        elif ev.kind == "Drop":
+        elif ev[1] == "Drop":
             if pid in pending:
                 del pending[pid]
             elif pid in arrival:
                 del arrival[pid]
             elif pid in inqueue:
                 occ[inqueue.pop(pid)] -= 1
-        elif ev.kind == "Evict":
+        elif ev[1] == "Evict":
             if pid in inqueue:
                 occ[inqueue.pop(pid)] -= 1
-        elif ev.kind == "Step":
-            snapshot(ev.step)
+        elif ev[1] == "Step":
+            snapshot(ev[0])
             commit_phase3()
     return snapshots
 
@@ -264,7 +265,7 @@ class TestMonitor:
         world = World(cfg, seed=5)
         result = world.run()
         flushes = [ev for ev in result.log.events
-                   if ev.kind == "SubstanceSend" and ev.get("what") == "monitor"]
+                   if ev[1] == "SubstanceSend" and field(ev, "what") == "monitor"]
         assert len(flushes) == 3
 
     def test_empty_network_reports_zero_occupancy(self):
@@ -303,18 +304,18 @@ class TestRetirement:
         result = World(cfg, seed=11).run()
         retired_at = {}
         for ev in result.log.events:
-            victim = ev.get("replaces") if ev.kind == "Spawn" else None
+            victim = field(ev, "replaces") if ev[1] == "Spawn" else None
             if victim is not None:
-                retired_at[victim] = ev.step
-            if ev.kind == "Disinfect":
-                retired_at[ev.get("cell")] = ev.step
+                retired_at[victim] = ev[0]
+            if ev[1] == "Disinfect":
+                retired_at[field(ev, "cell")] = ev[0]
         assert retired_at  # the run actually exercised retirement
         for ev in result.log.events:
-            cid = ev.get("cell")
-            if cid is None or ev.kind == "Spawn":
+            cid = field(ev, "cell")
+            if cid is None or ev[1] == "Spawn":
                 continue
             if cid in retired_at:
-                assert ev.step <= retired_at[cid], f"{ev.to_line()} after retirement"
+                assert ev[0] <= retired_at[cid], f"{to_line(ev)} after retirement"
 
 
 class TestNurseryCaps:
@@ -334,14 +335,14 @@ class TestNurseryCaps:
     @pytest.mark.parametrize("count, caps", [(0, {}), (0, {"Ant": 0}), (20, {"Ant": 0})])
     def test_cap_of_zero_releases_none(self, count, caps):
         world, spawns = self.ant_run(count, caps)
-        assert [ev.get("by") for ev in spawns] == ["init"] * count
+        assert [field(ev, "by") for ev in spawns] == ["init"] * count
         assert world.population.count("Ant") <= count
 
     def test_positive_cap_replaces_the_oldest(self):
         world, spawns = self.ant_run(0, {"Ant": 3})
         assert len(spawns) == 2 * 200 // 5  # both nurseries release every period
         assert world.population.count("Ant") == 3
-        assert sum(ev.get("replaces") is not None for ev in spawns) == len(spawns) - 3
+        assert sum(field(ev, "replaces") is not None for ev in spawns) == len(spawns) - 3
 
     @pytest.mark.parametrize("kind, count", [("Detector", 30), ("Ant", 20), ("Monitor", 2)])
     def test_default_cap_is_the_sections_count(self, kind, count):
@@ -351,9 +352,9 @@ class TestNurseryCaps:
         cfg.stations.caps = {}
         world = World(cfg, seed=42)
         world.run(200)
-        released = [ev for ev in spawn_events(world.log, kind) if ev.get("by") != "init"]
+        released = [ev for ev in spawn_events(world.log, kind) if field(ev, "by") != "init"]
         assert len(released) == 2 * 200 // 5
-        assert all(ev.get("replaces") is not None for ev in released)
+        assert all(field(ev, "replaces") is not None for ev in released)
         assert world.population.count(kind) == count
 
 
@@ -369,6 +370,6 @@ class TestCoverage:
         result = world.run()
         visited = set()
         for ev in result.log.events:
-            if ev.kind in ("Spawn", "CellMove"):
-                visited.add(ev.get("node"))
+            if ev[1] in ("Spawn", "CellMove"):
+                visited.add(field(ev, "node"))
         assert visited == set(world.network.nodes)

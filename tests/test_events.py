@@ -8,10 +8,10 @@ import pytest
 
 from immunet import events
 from immunet.engine import World
-from immunet.events import Event, EventLog, LogFormatError, load_log
+from immunet.events import EventLog, LogFormatError, field, load_log
 from immunet.metrics import compute_metrics
 
-from conftest import worm_config
+from conftest import fields, to_line, worm_config
 
 
 # Reference copies of the parser and the formatter as they were before the
@@ -55,9 +55,10 @@ def reference_to_line(step, kind, fields) -> str:
     return " ".join(parts)
 
 
-def typed(fields):
-    """Fields with each value's type; repr makes nan comparable to nan."""
-    return [(key, type(value), repr(value)) for key, value in fields.items()]
+def typed(rec):
+    """A record's fields with each value's type; repr makes nan comparable
+    to nan."""
+    return [(key, type(value), repr(value)) for key, value in fields(rec).items()]
 
 
 class TestReplay:
@@ -69,8 +70,8 @@ class TestReplay:
         loaded = list(load_log(path))
         assert len(loaded) == len(result.log.events) > 0
         for ran, replayed in zip(result.log.events, loaded):
-            assert (replayed.step, replayed.kind) == (ran.step, ran.kind)
-            assert typed(replayed.fields) == typed(ran.fields)
+            assert replayed[:3] == ran[:3]
+            assert typed(replayed) == typed(ran)
         assert compute_metrics(loaded) == compute_metrics(result.log.events)
 
     def test_repeated_tokens_parse_as_the_reference_does(self, tmp_path):
@@ -83,10 +84,10 @@ class TestReplay:
         loaded = list(load_log(path))
         assert len(loaded) == len(lines)
         for line, ev in zip(lines, loaded):
-            step, kind, fields = reference_parse_line(line)
-            assert (ev.step, ev.kind) == (step, kind)
-            assert typed(ev.fields) == typed(dict(fields))
-        first = list(loaded[0].fields.values())
+            step, kind, pairs = reference_parse_line(line)
+            assert ev[:2] == (step, kind)
+            assert typed(ev) == [(key, type(value), repr(value)) for key, value in pairs]
+        first = list(loaded[0][3:])
         assert first[:4] == [7, 7, -3, 1000.0] and type(first[3]) is float
         assert math.isnan(first[4]) and first[5:] == ["00ab", None, "x=y"]
 
@@ -129,36 +130,36 @@ class TestStreaming:
         stream = load_log(path)
         assert isinstance(stream, Iterator) and iter(stream) is stream
         assert opened == []
-        assert [next(stream).get("pid") for _ in good] == [0, 1, 2]
+        assert [field(next(stream), "pid") for _ in good] == [0, 1, 2]
         with pytest.raises(LogFormatError, match=re.escape(f"{path}:4: ")):
             next(stream)
         assert opened[0].closed
 
         path = tmp_path / "good.log"
         path.write_text("".join(good), encoding="utf-8")
-        assert [ev.get("pid") for ev in load_log(path)] == [0, 1, 2]
+        assert [field(ev, "pid") for ev in load_log(path)] == [0, 1, 2]
         assert opened[1].closed
 
         stream = load_log(path)
-        assert next(stream).get("pid") == 0 and not opened[2].closed
+        assert field(next(stream), "pid") == 0 and not opened[2].closed
         stream.close()
         assert opened[2].closed
 
     def test_parse_tables_stay_bounded(self, tmp_path, monkeypatch):
-        """Each line brings a new `pid=` token and every other line a new
-        step token, at least 14 times as many of each as a table may hold
-        (the limit is lowered to 2**10 to keep the log small): the events
-        still equal the reference parse, and the replay's peak holds no
-        more than about one full table of each."""
+        """Each line brings a new `pid=` token, 28 times as many as a table
+        may hold (the limit is lowered to 2**10 to keep the log small), and
+        every other line a new step: the events still equal the reference
+        parse, and the replay's peak holds no more than about one full
+        token table."""
         limit = 1 << 10
         monkeypatch.setattr(events, "_TABLE_LIMIT", limit)
         lines = [self.LINE.format(step=i // 2, pid=i) for i in range(28 * limit)]
         path = tmp_path / "pids.log"
         path.write_text("".join(lines), encoding="utf-8")
         for line, ev in zip(lines, load_log(path), strict=True):
-            step, kind, fields = reference_parse_line(line)
-            assert (ev.step, ev.kind) == (step, kind)
-            assert typed(ev.fields) == typed(dict(fields))
+            step, kind, pairs = reference_parse_line(line)
+            assert ev[:2] == (step, kind)
+            assert typed(ev) == [(key, type(value), repr(value)) for key, value in pairs]
 
         tracemalloc.start()
         try:
@@ -170,33 +171,103 @@ class TestStreaming:
         # about 0.35 MB with the tables bounded; 8 MB when they keep every token
         assert peak < 1.5e6, peak
 
+    def test_key_sequence_table_stays_bounded(self, tmp_path, monkeypatch):
+        """Each line brings a new key sequence, 28 times as many as a table
+        may hold, and three new tokens, so the token table is also cleared
+        partway through lines: the events still equal the reference parse,
+        and the replay's peak holds no more than about one full table of
+        sequences and of tokens."""
+        limit = 1 << 10
+        monkeypatch.setattr(events, "_TABLE_LIMIT", limit)
+        lines = [f"step={i // 2} kind=Inject pid={i} k{i}=1 k{i + 1}=2\n" for i in range(28 * limit)]
+        path = tmp_path / "keys.log"
+        path.write_text("".join(lines), encoding="utf-8")
+        for line, ev in zip(lines, load_log(path), strict=True):
+            step, kind, pairs = reference_parse_line(line)
+            assert ev[:2] == (step, kind)
+            assert typed(ev) == [(key, type(value), repr(value)) for key, value in pairs]
+
+        tracemalloc.start()
+        try:
+            metrics = compute_metrics(load_log(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert metrics.injected_total == len(lines)
+        # about 1.1 MB with the tables bounded; 15 MB when they keep every sequence
+        assert peak < 3e6, peak
+
 
 class TestFormat:
 
-    def test_to_line_matches_the_reference(self):
-        fields = (("i", 7), ("neg", -3), ("t", True), ("f", 0.1 + 0.2), ("big", 1e21),
-                  ("b", b"\x00\xab"), ("empty", b""), ("none", None), ("s", "Data"))
-        assert Event(3, "Inject", dict(fields)).to_line() == reference_to_line(3, "Inject", fields)
-        assert Event(0, "Step", {}).to_line() == "step=0 kind=Step"
+    def test_to_text_matches_the_reference(self):
+        pairs = (("i", 7), ("neg", -3), ("t", True), ("f", 0.1 + 0.2), ("big", 1e21),
+                 ("b", b"\x00\xab"), ("empty", b""), ("none", None), ("s", "Data"))
+        log = EventLog()
+        assert log.to_text() == ""
+        log.append(3, "Inject", **dict(pairs))
+        log.append(0, "Step")
+        assert log.to_text() == reference_to_line(3, "Inject", pairs) + "\nstep=0 kind=Step\n"
+        assert [to_line(rec) for rec in log.events] == log.to_text().splitlines()
 
 
-def line_keys(line: str) -> list[str]:
-    return [token.partition("=")[0] for token in line.split()[2:]]
+def line_keys(line: str) -> tuple[str, ...]:
+    return tuple(token.partition("=")[0] for token in line.split()[2:])
 
 
-class TestFieldStorage:
+class TestRecords:
+    """Kept and replayed events are the flat tuple `(step, kind, keys,
+    *values)`, which the cyclic garbage collector untracks."""
 
-    def test_fields_are_untracked_dicts_in_line_order(self, tmp_path):
-        """Each event adds one object the cyclic collector tracks, the Event
-        itself: its fields dict holds only untracked values, in or out of a
-        replay, and keeps the key order of its line."""
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
         result = World(worm_config(horizon=200), 6).run()
-        path = tmp_path / "run.log"
+        path = tmp_path_factory.mktemp("records") / "run.log"
         result.log.save(path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        loaded = list(load_log(path))
-        assert len(lines) == len(loaded) == len(result.log.events) > 0
-        for line, ran, replayed in zip(lines, result.log.events, loaded):
-            for ev in (ran, replayed):
-                assert type(ev.fields) is dict and not gc.is_tracked(ev.fields)
-                assert list(ev.fields) == line_keys(line)
+        assert len(lines) == len(result.log) > 0
+        return result.log.events, list(load_log(path)), lines
+
+    def test_records_are_flat_tuples_in_line_order(self, run):
+        kept, replayed, lines = run
+        assert len(replayed) == len(lines)
+        for line, *recs in zip(lines, kept, replayed):
+            step, kind = line.split()[:2]
+            for rec in recs:
+                assert type(rec) is tuple and type(rec[2]) is tuple
+                assert f"step={rec[0]}" == step and f"kind={rec[1]}" == kind
+                assert rec[2] == line_keys(line) and len(rec) == 3 + len(rec[2])
+                assert to_line(rec) == line
+
+    def test_records_are_untracked_after_a_collection(self, run):
+        kept, replayed, _ = run
+        gc.collect()
+        assert not any(map(gc.is_tracked, kept))
+        assert not any(map(gc.is_tracked, replayed))
+
+    def test_records_with_one_key_sequence_share_its_tuple(self, run):
+        kept, replayed, _ = run
+        for recs in (kept, replayed):
+            shared = {}
+            for rec in recs:
+                assert shared.setdefault(rec[2], rec[2]) is rec[2]
+            assert 10 < len(shared) < 40
+
+    def test_bytes_per_kept_record(self):
+        """What the kept log holds per event: its record tuple, its slot in
+        the list and the values only it refers to; measured at 122 bytes.
+        A full collection also empties the tuple free lists, which would
+        otherwise keep freed records counted."""
+        tracemalloc.start()
+        try:
+            log = World(worm_config(horizon=200), 6).run().log
+            count = len(log)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            log.events.clear()
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert count > 10_000
+        assert freed / count < 140, freed / count

@@ -12,12 +12,13 @@ nx = pytest.importorskip("networkx")
 from hypothesis import given, settings, strategies as st
 
 from immunet.engine import World
+from immunet.events import field
 from immunet.scenario import TopologySpec, TrafficConfig, WormConfig
 from immunet.stations import nearest_station, next_station
 from immunet.topology import (build_network, compute_routing, diameter, erdos_renyi,
                               line_network, ring_network, star_network)
 
-from conftest import hop_counts, quiet_config, worm_config
+from conftest import hop_counts, quiet_config, to_line, worm_config
 
 STEPS = 40
 
@@ -62,12 +63,12 @@ def test_strict_run_is_conserved_repeatable_and_shortest_path(topology, seed):
     assert saved_bytes(first) == saved_bytes(second)
 
     graph = nx.Graph(links)
-    source = {ev.get("pid"): ev.get("src") for ev in first.log.events if ev.kind == "Inject"}
-    delivered = [ev for ev in first.log.events if ev.kind == "Deliver"]
+    source = {field(ev, "pid"): field(ev, "src") for ev in first.log.events if ev[1] == "Inject"}
+    delivered = [ev for ev in first.log.events if ev[1] == "Deliver"]
     assert delivered
     for ev in delivered:
-        want = nx.shortest_path_length(graph, source[ev.get("pid")], ev.get("node"))
-        assert ev.get("hops") == want
+        want = nx.shortest_path_length(graph, source[field(ev, "pid")], field(ev, "node"))
+        assert field(ev, "hops") == want
 
 
 def worm_config_for(ids, links):
@@ -95,13 +96,13 @@ def test_strict_defended_run_is_conserved_repeatable_and_cures_only_the_infected
 
     infected = set()
     for ev in first.log.events:
-        node = ev.get("node")
-        if ev.kind == "Infect" and ev.get("ok") == 1:
+        node = field(ev, "node")
+        if ev[1] == "Infect" and field(ev, "ok") == 1:
             infected.add(node)
-        elif ev.kind == "Disinfect":
-            assert (node in infected) == (ev.get("ok") == 1), ev.to_line()
+        elif ev[1] == "Disinfect":
+            assert (node in infected) == (field(ev, "ok") == 1), to_line(ev)
             infected.discard(node)
-    assert any(ev.kind == "Infect" for ev in first.log.events)
+    assert any(ev[1] == "Infect" for ev in first.log.events)
 
 
 def reference_rows(net):

@@ -10,13 +10,13 @@ import pytest
 import immunet
 
 from immunet.engine import World
-from immunet.events import EventLog, load_log
+from immunet.events import EventLog, field, load_log
 from immunet.topology import UnknownNode, build_network, line_network
 from immunet.transport import (ACCEPTED, DATA, DROPPED, IMMUNE,
                                ConservationViolation, QueueViolation, StepHooks,
                                TransportState, conservation_audit, step)
 
-from conftest import quiet_config, routing_table
+from conftest import quiet_config, routing_table, to_line
 
 
 def make_state(net=None, capacity=4, strict=False):
@@ -31,7 +31,7 @@ class TestQueue:
         for _ in range(2):
             assert state.enqueue(0, state.make_packet(0, 2, DATA)) == ACCEPTED
         assert state.enqueue(0, state.make_packet(0, 2, DATA)) == DROPPED
-        kinds = [ev.kind for ev in state.log.events]
+        kinds = [ev[1] for ev in state.log.events]
         assert kinds.count("Drop") == 1
 
     def test_immune_evicts_newest_data(self):
@@ -41,9 +41,9 @@ class TestQueue:
         state.enqueue(0, first)
         state.enqueue(0, second)
         assert state.enqueue(0, state.make_packet(0, 2, IMMUNE)) == ACCEPTED
-        evicts = [ev for ev in state.log.events if ev.kind == "Evict"]
+        evicts = [ev for ev in state.log.events if ev[1] == "Evict"]
         assert len(evicts) == 1
-        assert evicts[0].get("pid") == second.pid  # newest data went
+        assert field(evicts[0], "pid") == second.pid  # newest data went
         q = state.queues[0]
         assert len(q.immune) == 1 and len(q.data) == 1
 
@@ -82,7 +82,7 @@ class TestStep:
             step(state)
         assert state.clock == 10
         assert len(state.log) == 10
-        assert all(ev.kind == "Step" for ev in state.log.events)
+        assert all(ev[1] == "Step" for ev in state.log.events)
 
     def test_one_hop_per_step_delivery(self):
         """A data packet injected at clock t for a 2-hop target arrives at t+2."""
@@ -98,10 +98,10 @@ class TestStep:
         hooks = StepHooks(inject=inject)
         for _ in range(5):
             step(state, hooks)
-        delivers = [ev for ev in state.log.events if ev.kind == "Deliver"]
+        delivers = [ev for ev in state.log.events if ev[1] == "Deliver"]
         assert len(delivers) == 1
-        assert delivers[0].step == 2
-        assert delivers[0].get("hops") == 2
+        assert delivers[0][0] == 2
+        assert field(delivers[0], "hops") == 2
 
     def test_fifo_within_lane(self):
         state = make_state()
@@ -110,7 +110,7 @@ class TestStep:
         state.enqueue(0, first)
         state.enqueue(0, second)
         step(state)
-        fwd = [ev.get("pid") for ev in state.log.events if ev.kind == "Forward"]
+        fwd = [field(ev, "pid") for ev in state.log.events if ev[1] == "Forward"]
         assert fwd == [first.pid, second.pid]
 
     def test_immune_forwarded_before_data(self):
@@ -121,11 +121,11 @@ class TestStep:
         state.enqueue(0, data)
         state.enqueue(0, imm)  # enqueued after, still goes first
         step(state)
-        fwd = [ev for ev in state.log.events if ev.kind == "Forward"]
-        assert [ev.get("pid") for ev in fwd] == [imm.pid]
+        fwd = [ev for ev in state.log.events if ev[1] == "Forward"]
+        assert [field(ev, "pid") for ev in fwd] == [imm.pid]
         step(state)
-        from_zero = [ev.get("pid") for ev in state.log.events
-                     if ev.kind == "Forward" and ev.get("src") == 0]
+        from_zero = [field(ev, "pid") for ev in state.log.events
+                     if ev[1] == "Forward" and field(ev, "src") == 0]
         assert from_zero == [imm.pid, data.pid]
 
     def test_strict_priority_blocks_data_when_immune_blocked(self):
@@ -137,8 +137,8 @@ class TestStep:
             state.enqueue(0, state.make_packet(0, 2, IMMUNE))
         state.enqueue(0, state.make_packet(0, 2, DATA))
         step(state)
-        fwd = [ev for ev in state.log.events if ev.kind == "Forward"]
-        assert len(fwd) == 1 and fwd[0].get("klass") == IMMUNE
+        fwd = [ev for ev in state.log.events if ev[1] == "Forward"]
+        assert len(fwd) == 1 and field(fwd[0], "klass") == IMMUNE
 
     def test_forward_hook_skips_packets_without_cargo(self):
         calls = []
@@ -150,7 +150,7 @@ class TestStep:
         hooks = StepHooks(inject=inject, on_forward=lambda st, pkt, u, v: calls.append(pkt))
         for _ in range(5):
             step(state, hooks)
-        assert sum(1 for ev in state.log.events if ev.kind == "Forward") > 0
+        assert sum(1 for ev in state.log.events if ev[1] == "Forward") > 0
         assert calls == []
 
     def test_arrival_and_deliver_hooks_run_only_where_they_act(self):
@@ -170,10 +170,10 @@ class TestStep:
             step(state, hooks)
         assert state.in_flight() == 0
         events = state.log.events
-        hops = [(ev.get("dst"), ev.get("pid")) for ev in events if ev.kind == "Forward"]
+        hops = [(field(ev, "dst"), field(ev, "pid")) for ev in events if ev[1] == "Forward"]
         assert {node for node, _pid in hops} == {1, 2, 3, 4}
         assert arrived == [(node, pid) for node, pid in hops if node == 2]
-        ends = [(ev.get("node"), ev.get("pid")) for ev in events if ev.kind == "Deliver"]
+        ends = [(field(ev, "node"), field(ev, "pid")) for ev in events if ev[1] == "Deliver"]
         assert len(ends) == len(packets)
         assert delivered == [(node, pid) for node, pid in ends
                              if packets[pid].cargo is not None or packets[pid].attack is not None]
@@ -185,7 +185,7 @@ class TestStep:
         for _ in range(5):
             state.enqueue(0, state.make_packet(0, 2, DATA))
         step(state)
-        assert sum(1 for ev in state.log.events if ev.kind == "Forward") == 2
+        assert sum(1 for ev in state.log.events if ev[1] == "Forward") == 2
 
 
 # two data packets at node 0, their lane reordered behind the queue's back
@@ -259,13 +259,13 @@ class TestAdmission:
         net = build_network([0, 1], [(0, 1, 4)])
         state = TransportState(net, routing_table(net), 32)
         state.offer(0, [state.make_packet(0, 1, DATA) for _ in range(10)])
-        assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 4
+        assert sum(1 for ev in state.log.events if ev[1] == "Inject") == 4
         assert len(state._deferred[0]) == 6
         assert state.in_flight() == 4  # staged packets count, deferred ones do not
         step(state)  # the next step releases more
-        assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 8
+        assert sum(1 for ev in state.log.events if ev[1] == "Inject") == 8
         step(state)
-        assert sum(1 for ev in state.log.events if ev.kind == "Inject") == 10
+        assert sum(1 for ev in state.log.events if ev[1] == "Inject") == 10
         assert len(state._deferred[0]) == 0
 
     def test_clear_deferred(self):
@@ -290,11 +290,11 @@ class TestConservation:
         cfg.traffic.distribution = "fixed"
         world = World(cfg, seed=3)
         result = world.run()
-        kinds = Counter(ev.kind for ev in result.log.events)
+        kinds = Counter(ev[1] for ev in result.log.events)
         assert kinds["Inject"] >= 980  # 10/step for 100 steps, minus gate deferrals at the end
         assert kinds["Detect"] == 0
         assert result.audit == world.state.held()
-        klass = {ev.get("pid"): ev.get("klass") for ev in result.log.events if ev.kind == "Inject"}
+        klass = {field(ev, "pid"): field(ev, "klass") for ev in result.log.events if ev[1] == "Inject"}
         assert result.audit and {klass[pid] for pid in result.audit} == {DATA}
 
     def test_deleted_deliver_is_caught(self):
@@ -305,7 +305,7 @@ class TestConservation:
         world = World(cfg, seed=3)
         world.run()
         events = world.log.events
-        del events[next(i for i, ev in enumerate(events) if ev.kind == "Deliver")]
+        del events[next(i for i, ev in enumerate(events) if ev[1] == "Deliver")]
         with pytest.raises(ConservationViolation, match="in flight") as err:
             world.run(0)
         assert err.value.pid == -1
@@ -319,12 +319,12 @@ class TestConservation:
         world = World(cfg, seed=3)
         world.run()
         events = world.log.events
-        forwards = [i for i, ev in enumerate(events) if ev.kind == "Forward"]
+        forwards = [i for i, ev in enumerate(events) if ev[1] == "Forward"]
         if which == "first":
             del events[forwards[0]]
         else:  # the latest Forward of any held packet is that packet's last
             held = world.state.held()
-            del events[max(i for i in forwards if events[i].get("pid") in held)]
+            del events[max(i for i in forwards if field(events[i], "pid") in held)]
         with pytest.raises(ConservationViolation):
             world.run(0)
 
@@ -368,7 +368,7 @@ class TestConservation:
         assert err.value.pid == 4
 
     def test_non_event_record_is_rejected(self):
-        with pytest.raises(TypeError, match="audit wants Event records"):
+        with pytest.raises(TypeError, match="audit wants event records"):
             conservation_audit([{"kind": "Inject", "pid": 0}])
 
 
@@ -398,4 +398,4 @@ class TestDeterminism:
         loaded = list(load_log(path))
         assert len(loaded) == len(lines)
         for line, ev in zip(lines, loaded):
-            assert ev.to_line() == line
+            assert to_line(ev) == line

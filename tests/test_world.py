@@ -7,6 +7,7 @@ import pytest
 from immunet import receptors, transport
 from immunet.cells import DETECTOR, ArtificialCell
 from immunet.engine import World
+from immunet.events import field
 from immunet.scenario import (AttackConfig, DetectorConfig, FilterRuleConfig, IdsConfig,
                               TopologySpec, VulnerabilityConfig, WormConfig,
                               baseline_scenario)
@@ -29,7 +30,7 @@ class TestStationAddressing:
         assert admin.node == lymph.node == 0
         assert len(admin.received) > 0
         assert not [ev for ev in result.log.events
-                    if ev.kind == "Drop" and ev.get("reason") == "ttl"]
+                    if ev[1] == "Drop" and field(ev, "reason") == "ttl"]
 
 
 class TestSubstanceRelayDrops:
@@ -41,11 +42,11 @@ class TestSubstanceRelayDrops:
         cfg.stations.substance_ttl = 1
         result = World(cfg, 6).run()
         events = result.log.events
-        ttl_drops = [ev for ev in events if ev.kind == "Drop" and ev.get("reason") == "ttl"]
-        assert ttl_drops and all(ev.get("pid") is None for ev in ttl_drops)
+        ttl_drops = [ev for ev in events if ev[1] == "Drop" and field(ev, "reason") == "ttl"]
+        assert ttl_drops and all(field(ev, "pid") is None for ev in ttl_drops)
         transport.conservation_audit(events)  # a Drop without a pid is no packet's end
         assert result.metrics.dropped_total == sum(
-            1 for ev in events if ev.kind == "Drop" and ev.get("pid") is not None)
+            1 for ev in events if ev[1] == "Drop" and field(ev, "pid") is not None)
 
     def test_no_opener_drop_after_every_station_tried(self):
         world = World(worm_config(horizon=200), 6)
@@ -55,15 +56,15 @@ class TestSubstanceRelayDrops:
         hooks = world.hooks()
         for _ in range(world.config.horizon):
             transport.step(world.state, hooks)
-            mine = [ev for ev in world.log.events if ev.get("sid") == sub.sid]
-            if any(ev.kind == "Drop" for ev in mine):
+            mine = [ev for ev in world.log.events if field(ev, "sid") == sub.sid]
+            if any(ev[1] == "Drop" for ev in mine):
                 break
-        assert [ev.get("reason") for ev in mine if ev.kind == "Drop"] == ["no-opener"]
+        assert [field(ev, "reason") for ev in mine if ev[1] == "Drop"] == ["no-opener"]
         assert sub.visited == {st.station_id for st in world.stations}
-        relays = [ev for ev in mine if ev.kind == "SubstanceSend"]
+        relays = [ev for ev in mine if ev[1] == "SubstanceSend"]
         assert len(relays) == len(world.stations) - 1
-        assert all(ev.get("what") == "relay" for ev in relays)
-        assert not [ev for ev in mine if ev.kind == "SubstanceOpen"]
+        assert all(field(ev, "what") == "relay" for ev in relays)
+        assert not [ev for ev in mine if ev[1] == "SubstanceOpen"]
 
 
 class TestReceptorRule:
@@ -81,15 +82,15 @@ class TestReceptorRule:
         events = world.run().log.events
         what = {}  # sid -> what its first send carried
         for ev in events:
-            if ev.kind == "SubstanceSend":
-                what.setdefault(ev.get("sid"), ev.get("what"))
+            if ev[1] == "SubstanceSend":
+                what.setdefault(field(ev, "sid"), field(ev, "what"))
         opened = set()
-        for ev in (ev for ev in events if ev.kind == "SubstanceOpen"):
-            sid, station = ev.get("sid"), ev.get("station")
+        for ev in (ev for ev in events if ev[1] == "SubstanceOpen"):
+            sid, station = field(ev, "sid"), field(ev, "station")
             assert sid not in opened
             opened.add(sid)
             if station is None:
-                assert ev.get("cell") is not None
+                assert field(ev, "cell") is not None
                 opener = "cell"
             else:
                 opener = world.stations[station].kind
@@ -107,7 +108,7 @@ class TestReceptorRule:
             return seal(payload, receptor, hop_ttl)
         monkeypatch.setattr(receptors, "seal", counting_seal)
         events = World(worm_config(horizon=200), seed).run().log.events
-        sends = Counter(ev.get("what") for ev in events if ev.kind == "SubstanceSend")
+        sends = Counter(field(ev, "what") for ev in events if ev[1] == "SubstanceSend")
         assert sends["immunize"] > 0 and sends["report"] > 0 and sends["monitor"] > 0
         assert Counter(sealed) == Counter(report=sends["report"], monitor=sends["monitor"])
 
@@ -142,8 +143,8 @@ class TestForwardHook:
         hooks.on_forward = on_forward
         for _ in range(world.config.horizon):
             transport.step(world.state, hooks)
-        forwards = [ev for ev in world.log.events if ev.kind == "Forward"]
-        immune = [ev.get("pid") for ev in forwards if ev.get("klass") == transport.IMMUNE]
+        forwards = [ev for ev in world.log.events if ev[1] == "Forward"]
+        immune = [field(ev, "pid") for ev in forwards if field(ev, "klass") == transport.IMMUNE]
         assert calls == immune and len(immune) > 0
         assert len(forwards) > len(immune)
 
@@ -211,8 +212,8 @@ def entry_5(cfg):
 
 
 def check_entry_5(world, events, destroyed):
-    first = next(ev for ev in events if ev.kind == "Infect")
-    assert (first.get("node"), first.get("via")) == (5, "entry")
+    first = next(ev for ev in events if ev[1] == "Infect")
+    assert (field(first, "node"), field(first, "via")) == (5, "entry")
 
 
 def listed(cfg):
@@ -221,8 +222,8 @@ def listed(cfg):
 
 
 def check_listed(world, events, destroyed):
-    spawned = [ev.get("node") for ev in events
-               if ev.kind == "Spawn" and ev.get("by") == "init" and ev.get("cellkind") == DETECTOR]
+    spawned = [field(ev, "node") for ev in events
+               if ev[1] == "Spawn" and field(ev, "by") == "init" and field(ev, "cellkind") == DETECTOR]
     assert spawned == [7, 6, 5, 4]
     assert [n for n in world.network.nodes for comp in world.defense.at[n]
             if comp.kind == "StaticIDS"] == [6, 7]
@@ -233,7 +234,7 @@ def filtered(cfg):
 
 
 def check_filtered(world, events, destroyed):
-    assert any(ev.kind == "Detect" and ev.get("bykind") == "PacketFilter" for ev in events)
+    assert any(ev[1] == "Detect" and field(ev, "bykind") == "PacketFilter" for ev in events)
     assert destroyed
     live = {cell.cell_id for cell in world.population.alive_sorted()}
     assert not live & {cell.cell_id for cell in destroyed}
@@ -247,8 +248,8 @@ class TestFailedEntry:
         cfg = worm_config(horizon=30, worm=WormConfig(entry=3, entry_step=5),
                           vulnerability=VulnerabilityConfig(probability=0.0))
         result = World(cfg, 6).run()
-        infects = [ev for ev in result.log.events if ev.kind == "Infect"]
-        assert [(ev.step, ev.get("node"), ev.get("attack"), ev.get("ok"), ev.get("via"))
+        infects = [ev for ev in result.log.events if ev[1] == "Infect"]
+        assert [(ev[0], field(ev, "node"), field(ev, "attack"), field(ev, "ok"), field(ev, "via"))
                 for ev in infects] == [(5, 3, 1, 0, "entry")]
         assert result.metrics.worm_entries == 0
         assert result.metrics.infections_total == 0
@@ -359,6 +360,30 @@ class TestSharedStores:
         assert max(len(members) for members in world._stores) == 2
 
 
+class TestPairedRuns:
+    """Random streams are keyed per subsystem, so two runs of one seed that
+    differ in one subsystem draw the rest alike (common random numbers)."""
+
+    @staticmethod
+    def arm(seed, detectors):
+        cfg = baseline_scenario()
+        cfg.horizon = 150  # the worm enters at step 100
+        cfg.detectors.count = detectors
+        events = World(cfg, seed).run().log.events
+        background = [(ev[0], field(ev, "src"), field(ev, "dst")) for ev in events
+                      if ev[1] == "Inject" and field(ev, "klass") == transport.DATA
+                      and field(ev, "attack") is None]
+        entries = [(ev[0], field(ev, "node")) for ev in events
+                   if ev[1] == "Infect" and field(ev, "via") == "entry"]
+        return background, entries
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_detector_fewer_leaves_background_injects_alike(self, seed):
+        background, entries = self.arm(seed, 30)
+        assert len(background) > 2500 and len(entries) == 1
+        assert self.arm(seed, 29) == (background, entries)
+
+
 def digest(result) -> str:
     return hashlib.sha256(result.log.to_text().encode("utf-8")).hexdigest()
 
@@ -420,9 +445,9 @@ class TestDeterminismGuard:
                           static_ids=IdsConfig(count=2))
         result = World(cfg, 2).run()
         sends = [ev for ev in result.log.events
-                 if ev.kind == "SubstanceSend" and ev.get("what") == "immunize"]
-        assert sum(ev.get("station") is not None for ev in sends) == 2
-        assert sum(ev.get("cell") is not None for ev in sends) == 145
-        assert sum(ev.kind == "Spawn" and ev.get("replaces") is not None
+                 if ev[1] == "SubstanceSend" and field(ev, "what") == "immunize"]
+        assert sum(field(ev, "station") is not None for ev in sends) == 2
+        assert sum(field(ev, "cell") is not None for ev in sends) == 145
+        assert sum(ev[1] == "Spawn" and field(ev, "replaces") is not None
                    for ev in result.log.events) == 36
         assert (digest(result), result.metrics.as_dict()) == PINNED["untrained worm seed 2"]
