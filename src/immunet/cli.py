@@ -16,7 +16,7 @@ from . import harness
 from .engine import run
 from .events import LogFormatError, load_log
 from .metrics import compute_metrics
-from .scenario import ParseError, ValidationError, load_scenario
+from .scenario import ParseError, ValidationError, load_scenario, parse_json
 from .topology import TopologyError
 
 
@@ -53,10 +53,7 @@ def _replay(path):
 
 def _load_grid(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
+        return parse_json(fh.read())
 
 
 def cmd_run(args) -> int:

@@ -1,10 +1,10 @@
 """Run orchestration: builds a world from a scenario config and steps it.
 
 Everything random is drawn from named child streams of the run seed
-(topology, vulnerability, placement, background, per-cell walks, and
-per-(node, step) worm emissions), so a run is a pure function of
-(config, seed) and paired runs stay comparable when one subsystem is
-toggled.
+(topology, vulnerability, worm entry, placement, background, per-cell
+walks, and per-(node, step) worm emissions), so a run is a pure
+function of (config, seed) and paired runs stay comparable when one
+subsystem is toggled.
 """
 
 from __future__ import annotations
@@ -305,6 +305,9 @@ class World:
         p_move = self.config.detectors.p_move
         epsilon = self.config.ants.epsilon
         flush_period = self.config.monitors.flush_period
+        # deposits happen only on arrival (phase 3) and evaporation comes
+        # after this phase, so one read serves every monitor and the declaration
+        mass = self.pheromone.out_mass()
         for cell in self.population.alive_sorted():
             if not cell.alive or cell.pending_move:
                 continue
@@ -317,7 +320,7 @@ class World:
                                   cell.memory, epsilon, cell.rng)
                 self._move_cell(cell, nxt)
             elif cell.kind == MONITOR:
-                self._monitor_collect(cell, flush_period)
+                self._monitor_collect(cell, flush_period, mass)
                 self._move_cell(cell, self._random_neighbor(cell))
             elif cell.kind == DISINFECTOR:
                 if cell.location == cell.target:
@@ -325,7 +328,7 @@ class World:
                 else:
                     row = self.routing.rows[cell.target]
                     self._move_cell(cell, row[self.network.index[cell.location]])
-        self._declaration_pass(state)
+        self._declaration_pass(state, mass)
 
     def _random_neighbor(self, cell: ArtificialCell) -> int:
         nbrs = self.network.neighbors(cell.location)
@@ -336,13 +339,14 @@ class World:
             cell.pending_move = True
         # on Drop the cell simply stays put and retries next step
 
-    def _monitor_collect(self, cell: ArtificialCell, flush_period: int) -> None:
+    def _monitor_collect(self, cell: ArtificialCell, flush_period: int,
+                         mass: dict[int, float]) -> None:
         node = cell.location
         cell.buffer.append({
             "step": self.state.clock,
             "node": node,
             "occupancy": self.state.queues[node].occupancy(),
-            "pheromone": round(self.pheromone.node_mass(node), 9),
+            "pheromone": round(mass.get(node, 0.0), 9),
         })
         if (self.state.clock - cell.born_at + 1) % flush_period == 0 and cell.buffer:
             payload = {"kind": "monitor", "cell": cell.cell_id, "rows": cell.buffer}
@@ -371,9 +375,9 @@ class World:
                             attack=None, cell=cell.cell_id)
         self.population.retire(cell.cell_id)
 
-    def _declaration_pass(self, state: TransportState) -> None:
+    def _declaration_pass(self, state: TransportState, mass: dict[int, float]) -> None:
         ants_present = Counter(cell.location for cell in self.population.of_kind(ANT))
-        declared = self.pheromone.declare(ants_present, self.config.pheromone.quorum)
+        declared = self.pheromone.declare(mass, ants_present, self.config.pheromone.quorum)
         # rate-limit per node so persistent evidence re-reports once per window
         redeclare = self.config.stations.dedup_window
         for node in declared:

@@ -5,13 +5,11 @@ where bad traffic came from; evaporation decays every level each step;
 a node whose outgoing pheromone mass crosses the declare threshold while
 enough ants sit on it is declared infected.
 
-`level` is keyed by edge. A per-node index of live out-edges, in the
-order each entered `level`, lets one node's mass be read without
-scanning every edge. Masses are summed with `+=` in that order, so a
-one-node read equals a scan of `level` bit for bit; `sum()` would not
-(from Python 3.12 it compensates rounding error). Attack tallies are
-one Counter per node, over the detections on all its out-edges; a tally
-outlives the pheromone of the edges that fed it.
+`level`, keyed by edge, is the whole field. Out-masses are summed with
+`+=` in `level`'s order, so they are the same floats on every Python
+version; `sum()` would not be (from Python 3.12 it compensates rounding
+error). Attack tallies are one Counter per node, over the detections on
+all its out-edges; a tally outlives the pheromone of the edges that fed it.
 """
 
 from __future__ import annotations
@@ -34,49 +32,31 @@ class PheromoneMap:
         self.deposit_quantum = deposit_quantum
         self.declare_threshold = declare_threshold
         self.level: dict[tuple[int, int], float] = {}
-        # node -> its live out-edges (an ordered set), and its attack tally
-        self._out: dict[int, dict[tuple[int, int], None]] = {}
         self._tallies: defaultdict[int, Counter] = defaultdict(Counter)
 
     def deposit(self, edge: tuple[int, int], attack: int | None = None) -> None:
-        if edge not in self.level:
-            self._out.setdefault(edge[0], {})[edge] = None
         self.level[edge] = self.level.get(edge, 0.0) + self.deposit_quantum
         if attack is not None:
             self._tallies[edge[0]][attack] += 1
 
     def evaporate(self) -> None:
         keep = 1.0 - self.evaporation_rate
-        dead = []
-        for edge, lvl in self.level.items():
-            lvl *= keep
-            if lvl < CLAMP_FLOOR:
-                dead.append(edge)
-            else:
-                self.level[edge] = lvl
-        for edge in dead:
-            del self.level[edge]
-            out = self._out[edge[0]]
-            del out[edge]
-            if not out:
-                del self._out[edge[0]]
+        self.level = {edge: lvl for edge, old in self.level.items()
+                      if (lvl := old * keep) >= CLAMP_FLOOR}
 
     def out_mass(self) -> dict[int, float]:
         """Outgoing pheromone mass per node that has a live out-edge."""
-        return {node: self.node_mass(node) for node in self._out}
-
-    def node_mass(self, node: int) -> float:
-        """A node's outgoing mass, summed in `level`'s order."""
-        level = self.level
-        mass = 0.0
-        for edge in self._out.get(node, ()):
-            mass += level[edge]
+        mass: dict[int, float] = {}
+        for (u, _v), lvl in self.level.items():
+            mass[u] = mass.get(u, 0.0) + lvl
         return mass
 
-    def declare(self, ants_present: dict[int, int], quorum: int) -> list[int]:
-        """Nodes whose outgoing mass crosses the threshold with an ant quorum."""
+    def declare(self, mass: dict[int, float], ants_present: dict[int, int],
+                quorum: int) -> list[int]:
+        """Nodes of an `out_mass()` table whose mass crosses the threshold
+        with an ant quorum."""
         theta = self.declare_threshold
-        return sorted(n for n, m in self.out_mass().items()
+        return sorted(n for n, m in mass.items()
                       if m >= theta and ants_present.get(n, 0) >= quorum)
 
     def dominant_attack(self, node: int) -> int | None:

@@ -360,12 +360,20 @@ def validate(config: ScenarioConfig) -> None:
             raise ValidationError(f"filters[{i}].node", "not a node of the topology")
 
 
-def loads(text: str) -> ScenarioConfig:
+def parse_json(text: str):
+    """`json.loads(text)`, with every way it rejects a text as a ParseError."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
-    return from_dict(data)
+    except ValueError as exc:  # an integer longer than int() converts from text
+        raise ParseError(str(exc).partition(":")[0]) from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply") from None
+
+
+def loads(text: str) -> ScenarioConfig:
+    return from_dict(parse_json(text))
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -295,6 +295,33 @@ class TestMonitor:
         for row in rows:
             assert snapshots[row["step"]].get(row["node"], 0) == row["occupancy"]
 
+    def test_pheromone_matches_log_fold(self):
+        """Each admin row's pheromone is its node's out-mass at the sample
+        point, folded from the log alone: signature-layer detections deposit
+        on (src, node), and each step's mass is summed before evaporation."""
+        cfg = worm_config(horizon=200)
+        world = World(cfg, seed=6)
+        result = world.run()
+        quantum, keep = cfg.pheromone.deposit, 1.0 - cfg.pheromone.evaporation
+        level: dict[tuple[int, int], float] = {}
+        snapshots = {}
+        for ev in result.log.events:
+            if ev[1] == "Detect" and field(ev, "bykind") in ("StaticIDS", "Cell"):
+                edge = (field(ev, "src"), field(ev, "node"))
+                level[edge] = level.get(edge, 0.0) + quantum
+            elif ev[1] == "Step":
+                mass = {}
+                for (u, _v), lvl in level.items():
+                    mass[u] = mass.get(u, 0.0) + lvl
+                snapshots[ev[0]] = mass
+                level = {e: v * keep for e, v in level.items()}
+                level = {e: v for e, v in level.items() if v >= 1e-6}
+        admin = [st for st in world.stations if st.kind == "Admin"][0]
+        rows = [row for payload in admin.received for row in payload["rows"]]
+        assert sum(1 for row in rows if row["pheromone"]) > 150
+        for row in rows:
+            assert row["pheromone"] == round(snapshots[row["step"]].get(row["node"], 0.0), 9)
+
 
 class TestRetirement:
 

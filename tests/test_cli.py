@@ -131,6 +131,17 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line 1: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"horizon": ' + "1" * 5000 + "}",
+        "[" * 100_000,
+    ], ids=["5000-digit-integer", "100000-nested-arrays"])
+    def test_json_that_the_decoder_refuses(self, tmp_path, capsys, command, text):
+        path = tmp_path / "refused.scenario"
+        path.write_text(text, encoding="utf-8")
+        assert invoke(command, str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("fields, where", [
         ({"background_rate": float("inf")}, "traffic.background_rate"),
         ({"background_rate": 10**400}, "traffic.background_rate"),
@@ -297,6 +308,8 @@ class TestSweepValidation:
         ({"horizon": 5}, "grid"),
         ([1], "grid"),
         pytest.param("{", "{grid}: line 1", id="{-line 1"),
+        pytest.param('{"horizon": [' + "1" * 5000 + "]}", "{grid}", id="5000-digit-integer"),
+        pytest.param("[" * 100_000, "{grid}", id="100000-nested-arrays"),
     ])
     def test_malformed_point(self, tmp_path, capsys, grid, where):
         assert self.sweep(tmp_path, grid) == 1

@@ -16,30 +16,6 @@ def declare_oracle(level, ants_present, theta, quorum):
                   if mass[n] >= theta and ants_present.get(n, 0) >= quorum)
 
 
-class TestNodeMass:
-
-    def test_equals_out_mass_entry_bit_for_bit(self):
-        rng = random.Random(4)
-        pm = PheromoneMap(deposit_quantum=0.37, evaporation_rate=0.03)
-        for _ in range(400):
-            pm.deposit((rng.randrange(6), rng.randrange(6)))
-            if rng.random() < 0.3:
-                pm.evaporate()
-        out = pm.out_mass()
-        for node in range(7):
-            assert pm.node_mass(node) == out.get(node, 0.0)
-        assert pm.node_mass(6) == 0.0
-
-
-def scan_node_mass(level, node):
-    """The scan `node_mass` made before the per-node index: every edge, in order."""
-    mass = 0.0
-    for (u, _v), lvl in level.items():
-        if u == node:
-            mass += lvl
-    return mass
-
-
 def scan_out_mass(level):
     mass = {}
     for (u, _v), lvl in level.items():
@@ -58,7 +34,8 @@ def scan_dominant_attack(tallies, node):
 
 
 class TestPerNodeIndex:
-    """One-node reads equal scans of `level` and of the attack tallies the
+    """`level` follows a reference map the test keeps, in its order, and the
+    per-node reads equal scans of `level` and of the attack tallies the
     deposits made, bit for bit, while edges die below CLAMP_FLOOR and are
     deposited again."""
 
@@ -66,7 +43,9 @@ class TestPerNodeIndex:
     def test_reads_equal_full_scans(self, seed):
         rng = random.Random(seed)
         # a small quantum and fast decay: an edge dies after ~13 passes untouched
-        pm = PheromoneMap(deposit_quantum=1e-3 * (1 + rng.random()), evaporation_rate=0.4)
+        q, rate = 1e-3 * (1 + rng.random()), 0.4
+        pm = PheromoneMap(deposit_quantum=q, evaporation_rate=rate)
+        ref: dict[tuple[int, int], float] = {}
         died = revived = 0
         ever = set()
         tallies: dict[tuple[int, int], Counter] = {}  # edge -> attacks deposited on it
@@ -78,15 +57,18 @@ class TestPerNodeIndex:
                 ever.add(edge)
                 attack = rng.choice((None, 1, 2, 3))
                 pm.deposit(edge, attack)
+                ref[edge] = ref.get(edge, 0.0) + q
                 if attack is not None:
                     tallies.setdefault(edge, Counter())[attack] += 1
             else:
                 before = len(pm.level)
                 pm.evaporate()
+                ref = {e: v * (1 - rate) for e, v in ref.items()}
+                ref = {e: v for e, v in ref.items() if v >= CLAMP_FLOOR}
                 died += before - len(pm.level)
+            assert list(pm.level.items()) == list(ref.items())
             assert pm.out_mass() == scan_out_mass(pm.level)
             for node in range(8):
-                assert pm.node_mass(node) == scan_node_mass(pm.level, node)
                 assert pm.dominant_attack(node) == scan_dominant_attack(tallies, node)
         assert died > 50 and revived > 50
 
@@ -151,13 +133,13 @@ class TestDeclare:
 
     def test_empty_map(self):
         pm = PheromoneMap(declare_threshold=5.0)
-        assert pm.declare({0: 10}, 1) == []
+        assert pm.declare(pm.out_mass(), {0: 10}, 1) == []
 
     def test_mass_and_quorum(self):
         pm = PheromoneMap(declare_threshold=5.0, deposit_quantum=25.0)
         pm.deposit((3, 0))  # outgoing mass of node 3 = 5 * theta
-        assert pm.declare({3: 2}, 2) == [3]
-        assert pm.declare({3: 1}, 2) == []
+        assert pm.declare(pm.out_mass(), {3: 2}, 2) == [3]
+        assert pm.declare(pm.out_mass(), {3: 1}, 2) == []
 
     def test_oracle_equivalence_random_maps(self):
         rng = random.Random(9)
@@ -167,7 +149,8 @@ class TestDeclare:
                 pm.deposit((rng.randrange(8), rng.randrange(8)))
             ants = {n: rng.randrange(4) for n in range(8)}
             quorum = rng.randint(1, 3)
-            assert pm.declare(ants, quorum) == declare_oracle(pm.level, ants, 2.0, quorum)
+            expected = declare_oracle(pm.level, ants, 2.0, quorum)
+            assert pm.declare(pm.out_mass(), ants, quorum) == expected
 
     def test_dominant_attack(self):
         pm = PheromoneMap()
