@@ -4,8 +4,8 @@ Every arriving packet is presented to the node's components in ascending
 component id. Each `check` returns True to destroy the packet; the first
 True short-circuits the rest. Packet filters look at headers only;
 signature engines (static or cell-borne) scan data payloads.
-`DefenseStack.guarded` is the set of nodes holding at least one
-component: the only nodes whose arrivals need checking.
+`DefenseStack.at` holds only the nodes with at least one component: the
+only nodes whose arrivals need checking.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from .topology import UnknownNode
 from .transport import DATA, Packet
 
 _component_id = attrgetter("component_id")
+
+# Filters and static IDS are numbered from 0 and detector components from
+# here, so `scenario.validate` refuses more static components than this.
+DETECTOR_IDS_FROM = 10_000
 
 
 class DuplicateRegistration(ValueError):
@@ -85,10 +89,9 @@ class DetectorComponent:
     kind = "Cell"
 
     def __init__(self, cell):
-        # ids from 10,000 stay clear of the static components (filter nodes
-        # plus IDS) while there are fewer than 10,000 of those; with at most
-        # one IDS per node, breaking that takes more than 5,000 nodes
-        self.component_id = 10_000 + cell.cell_id
+        # ids from DETECTOR_IDS_FROM stay clear of the static components (filter
+        # nodes plus IDS): `scenario.validate` allows at most that many of them
+        self.component_id = DETECTOR_IDS_FROM + cell.cell_id
         self.cell = cell
 
     @property
@@ -114,41 +117,35 @@ class DetectorComponent:
 
 class DefenseStack:
     def __init__(self, network):
-        # each node's components, kept in ascending component id; callers
-        # may read a node's list but change it only through register/deregister
-        self.at: dict[int, list] = {n: [] for n in network.nodes}
-        self.guarded: set[int] = set()  # nodes holding at least one component
+        self._index = network.index  # the nodes that may hold components
+        # the components of each node holding any, kept in ascending component
+        # id; callers may read it but change it only through register/deregister
+        self.at: dict[int, list] = {}
         self._home: dict[int, int] = {}  # component id -> node
 
-    def _components(self, node: int) -> list:
-        at = self.at.get(node)
-        if at is None:
-            raise UnknownNode(node)
-        return at
-
     def register(self, node: int, component) -> None:
-        at = self._components(node)
+        if node not in self._index:
+            raise UnknownNode(node)
         cid = component.component_id
         if cid in self._home:
             raise DuplicateRegistration(f"component {cid} already at node {self._home[cid]}")
-        insort(at, component, key=_component_id)
+        insort(self.at.setdefault(node, []), component, key=_component_id)
         self._home[cid] = node
-        self.guarded.add(node)
 
     def deregister(self, node: int, component_id: int) -> None:
-        at = self._components(node)
         if self._home.get(component_id) != node:
             raise UnknownComponent(component_id)
+        at = self.at[node]
         del at[bisect_left(at, component_id, key=_component_id)]
         del self._home[component_id]
         if not at:
-            self.guarded.discard(node)
+            del self.at[node]
 
     def check_all(self, node: int, pkt: Packet):
         """Consult every component in id order; the first whose check
         returns True destroys the packet and is returned. None means the
         packet passed every check."""
-        for component in self._components(node):
+        for component in self.at.get(node, ()):
             if component.check(pkt):
                 return component
         return None

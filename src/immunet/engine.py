@@ -529,7 +529,7 @@ class World:
             cells=self.cells,
             evaporate=self.evaporate,
             stations=self.station_actions,
-            checked=self.defense.guarded,
+            checked=self.defense.at,
         )
 
     def run(self, horizon: int | None = None) -> RunResult:

@@ -14,6 +14,12 @@ from .events import field
 
 @dataclass
 class Metrics:
+    """A run's figures. Prevalence is counted at each `Step` line, after the
+    step's stations act: `infected_node_steps` sums the infected nodes over
+    the steps, `peak_infected` is the largest count and `final_infected`
+    the count after the last line. `Infect ok=1`, worm entries included,
+    makes a node infected and `Disinfect ok=1` makes it clean."""
+
     steps: int = 0
     injected_total: int = 0
     injected_attack: int = 0
@@ -31,6 +37,9 @@ class Metrics:
     false_positive_detections: int = 0
     false_disinfections: int = 0
     dropped_total: int = 0
+    infected_node_steps: int = 0
+    peak_infected: int = 0
+    final_infected: int = 0
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -46,6 +55,7 @@ def compute_metrics(events) -> Metrics:
     forwards_immune = 0
     infected_nodes: set[int] = set()
     entry_nodes: set[int] = set()
+    infected_now: set[int] = set()  # prevalence: nodes infected at this point of the log
     # open infection episodes: node -> infect step (awaiting an Identify)
     open_infections: dict[int, int] = {}
     open_identifies: dict[int, int] = {}
@@ -77,6 +87,8 @@ def compute_metrics(events) -> Metrics:
                 pass
         elif kind == "Step":
             steps += 1
+            m.infected_node_steps += len(infected_now)
+            m.peak_infected = max(m.peak_infected, len(infected_now))
         elif kind == "Detect":
             if field(rec, "attack") is not None:
                 m.destroyed_attack += 1
@@ -89,6 +101,7 @@ def compute_metrics(events) -> Metrics:
             if field(rec, "ok") != 1:
                 continue
             node = field(rec, "node")
+            infected_now.add(node)
             if field(rec, "via") == "entry":
                 m.worm_entries += 1
                 entry_nodes.add(node)
@@ -105,6 +118,7 @@ def compute_metrics(events) -> Metrics:
         elif kind == "Disinfect":
             if field(rec, "ok") == 1:
                 node = field(rec, "node")
+                infected_now.discard(node)
                 ident_step = open_identifies.pop(node, None)
                 if ident_step is not None:
                     disinf_latencies.append(rec[0] - ident_step)
@@ -112,6 +126,7 @@ def compute_metrics(events) -> Metrics:
                 m.false_disinfections += 1
 
     m.steps = steps
+    m.final_infected = len(infected_now)
     m.infections_total = len(infected_nodes - entry_nodes)
     if m.injected_attack:
         m.prevention_rate = m.destroyed_attack / m.injected_attack

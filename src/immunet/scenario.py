@@ -19,6 +19,7 @@ from importlib import resources
 from types import UnionType
 from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
 
+from .defense import DETECTOR_IDS_FROM
 from .topology import TopologyError, build_network
 
 
@@ -358,6 +359,9 @@ def validate(config: ScenarioConfig) -> None:
     for i, rule in enumerate(config.filters):
         if rule.node not in node_ids:
             raise ValidationError(f"filters[{i}].node", "not a node of the topology")
+    if len({rule.node for rule in config.filters}) + ids.count > DETECTOR_IDS_FROM:
+        raise ValidationError("static_ids.count", f"filter nodes plus static IDS exceed "
+                              f"{DETECTOR_IDS_FROM}, where detector component ids start")
 
 
 def parse_json(text: str):

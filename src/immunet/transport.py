@@ -30,8 +30,8 @@ forward hook only for a packet with cargo; a plain data packet needs no
 per-hop work beyond its `Forward` line. An arrival is checked only at a
 node in `StepHooks.checked`, and the deliver hook runs only for a packet
 with cargo or an attack id. Under `strict_checks`, fixed when the state
-is built, each queue also records its packets' enqueue order, and the
-sweep checks queue bounds, lane priority and per-lane FIFO order; a
+is built, each enqueue stamps the packet's `seq` from one counter, and
+the sweep checks queue bounds, lane priority and per-lane FIFO order; a
 failed check raises `QueueViolation`, which `python -O` does not strip.
 """
 
@@ -80,6 +80,7 @@ class Packet:
     cargo: object = None  # in-simulation freight: a cell or a sealed substance
     # signature store -> scan verdict, shared across hops and cells
     scan_cache: dict | None = field(default=None, compare=False, repr=False)
+    seq: int = field(default=-1, compare=False, repr=False)  # enqueue order, under strict_checks
 
     def __post_init__(self):
         if self.klass not in (IMMUNE, DATA):
@@ -87,17 +88,16 @@ class Packet:
 
 
 class NodeQueue:
-    """Bounded queue with a strict-priority immune lane over the data lane."""
+    """One node's transport record: a bounded queue with a strict-priority
+    immune lane over the data lane, and the node's injection admission:
+    `cap` data packets staged per step, `budget` of them left this step,
+    and the offered packets `waiting` for budget."""
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self, cap: int):
         self.immune: deque[Packet] = deque()
         self.data: deque[Packet] = deque()
-        self._seq = 0
-        # pid -> enqueue order of queued packets; kept only under strict_checks
-        self._enq_seq: dict[int, int] = {}
+        self.cap = self.budget = cap
+        self.waiting: deque[Packet] = deque()
 
     def occupancy(self) -> int:
         return len(self.immune) + len(self.data)
@@ -122,32 +122,35 @@ class StepHooks:
     cells: Callable = lambda state: None
     evaporate: Callable = lambda state: None
     stations: Callable = lambda state: None
-    checked: Collection[int] = frozenset()  # nodes whose arrivals go to on_arrival
+    # nodes whose arrivals go to on_arrival; World passes the defence map's keys
+    checked: Collection[int] = frozenset()
 
 
 class TransportState:
-    """Clock, queues, routing, injection budgets and event log for one run.
+    """Clock, queues, routing and event log for one run.
 
     `routing.rows[dst][i]` is the next hop towards `dst` from the node at
-    position `i` of `network.nodes`. Queues, budgets and waiting packets
-    are keyed by node id.
+    position `i` of `network.nodes`. `queues` holds one `NodeQueue` per
+    node id, in ascending id, each bounded by `capacity` packets.
     `strict_checks` is fixed here: the FIFO check needs the enqueue order
     of every packet from the first enqueue on.
     """
 
     def __init__(self, network: Network, routing: Routes, capacity: int, *,
                  strict_checks: bool = False):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
         self.network = network
         self.routing = routing
+        self.capacity = capacity
         self.clock = 0
         self.log = EventLog()
-        self.queues: dict[int, NodeQueue] = {n: NodeQueue(capacity) for n in network.nodes}
+        self.queues: dict[int, NodeQueue] = {n: NodeQueue(sum(network.bandwidth[n].values()))
+                                             for n in network.nodes}
         self._pids = itertools.count()
-        self._budget_cap = {n: sum(network.bandwidth[n].values()) for n in network.nodes}
-        self._budget = dict(self._budget_cap)  # injections each node may still stage this step
-        self._deferred: dict[int, deque[Packet]] = {n: deque() for n in network.nodes}
         self._staged: list[tuple[int, Packet]] = []  # enqueued after this step's arrivals
         self._strict = strict_checks
+        self._enqueues = itertools.count()  # stamps `Packet.seq` under strict_checks
 
     @property
     def strict_checks(self) -> bool:
@@ -163,28 +166,29 @@ class TransportState:
 
     def offer(self, node: int, packets) -> None:
         """Stage data packets at `node` within its budget; the rest wait."""
-        budget = self._budget.get(node)
-        if budget is None:
+        q = self.queues.get(node)
+        if q is None:
             raise UnknownNode(node)
+        budget = q.budget
         for pkt in packets:
             if budget > 0:
                 self._log_inject(node, pkt)
                 self._staged.append((node, pkt))
                 budget -= 1
             else:
-                self._deferred[node].append(pkt)
-        self._budget[node] = budget
+                q.waiting.append(pkt)
+        q.budget = budget
 
     def _release_deferred(self) -> None:
         """Renew every budget and offer each node's waiting packets again first."""
-        self._budget = dict(self._budget_cap)
-        for node, waiting in self._deferred.items():  # built in ascending node id
-            if waiting:
-                self._deferred[node] = deque()
+        for node, q in self.queues.items():  # built in ascending node id
+            q.budget = q.cap
+            if q.waiting:
+                waiting, q.waiting = q.waiting, deque()
                 self.offer(node, waiting)
 
     def clear_deferred(self, node: int) -> None:
-        self._deferred[node].clear()
+        self.queues[node].waiting.clear()
 
     def send(self, src: int, dst: int, cargo: object) -> str:
         """Inject an immune packet carrying `cargo` into `src`'s queue now;
@@ -203,12 +207,10 @@ class TransportState:
         if q is None:
             raise UnknownNode(node)
         immune, data = q.immune, q.data
-        if len(immune) + len(data) < q.capacity:
+        if len(immune) + len(data) < self.capacity:
             (immune if pkt.klass == IMMUNE else data).append(pkt)
         elif pkt.klass == IMMUNE and data:
             victim = data.pop()
-            if self._strict:
-                q._enq_seq.pop(victim.pid, None)
             self.log.append(self.clock, "Evict", pid=victim.pid, node=node,
                             klass=victim.klass, attack=victim.attack, by=pkt.pid)
             immune.append(pkt)
@@ -217,9 +219,8 @@ class TransportState:
                             klass=pkt.klass, attack=pkt.attack, reason="overflow")
             return DROPPED
         if self._strict:
-            q._enq_seq[pkt.pid] = q._seq
-            q._seq += 1
-            if len(immune) + len(data) > q.capacity:
+            pkt.seq = next(self._enqueues)
+            if len(immune) + len(data) > self.capacity:
                 raise QueueViolation(node, "queue over capacity")
         return ACCEPTED
 
@@ -273,10 +274,9 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
                 if strict:
                     if lane is data and immune:
                         raise QueueViolation(node, "data forwarded while immune queued")
-                    seq = q._enq_seq.pop(pkt.pid, -1)  # forget the leaving packet
-                    if seq <= last_seq:
+                    if pkt.seq <= last_seq:
                         raise QueueViolation(node, f"{pkt.klass} lane FIFO violated")
-                    last_seq = seq
+                    last_seq = pkt.seq
                 pkt.hop_count += 1
                 append(now, "Forward", pid=pkt.pid, src=node, dst=nh,
                        klass=pkt.klass, attack=pkt.attack)

@@ -143,25 +143,24 @@ class TestRegistry:
         stack.register(0, comp)
         stack.deregister(0, comp.component_id)
         stack.register(1, comp)
-        assert stack.at[0] == []
-        assert stack.at[1] == [comp]
+        assert stack.at == {1: [comp]}
 
     def test_node_leaves_guarded_with_its_last_component(self):
         stack = DefenseStack(line_network(3))
-        assert stack.guarded == set()
+        assert stack.at == {}
         ids = PacketFilter(0, [])
         cell = detector_component()
         stack.register(1, ids)
         stack.register(1, cell)
         with pytest.raises(DuplicateRegistration):
             stack.register(2, cell)
-        assert stack.guarded == {1}
+        assert stack.at == {1: [ids, cell]}
         stack.deregister(1, ids.component_id)
-        assert stack.guarded == {1}
+        assert stack.at == {1: [cell]}
         with pytest.raises(UnknownComponent):
             stack.deregister(1, ids.component_id)
         stack.deregister(1, cell.component_id)
-        assert stack.guarded == set()
+        assert stack.at == {}
 
 
 class TestCheckAll:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from immunet.defense import DETECTOR_IDS_FROM
 from immunet.scenario import ValidationError, baseline_scenario, load_scenario, loads
 
 from conftest import worm_config
@@ -197,3 +198,19 @@ class TestGate:
     def test_accepted(self, changes):
         config = loads(mutated(changes))
         assert loads(json.dumps(config.to_dict())).to_dict() == config.to_dict()
+
+    @pytest.mark.parametrize("filter_nodes", [4999, 5000])
+    def test_static_components_stay_below_the_detector_ids(self, filter_nodes):
+        """Filter nodes plus static IDS are numbered from 0 and detector
+        components from 10,000: 10,000 static components fit, 10,001 do not.
+        Two rules at one node make one filter."""
+        nodes = [*range(filter_nodes), 0]
+        changes = {"topology.nodes": 5001, "static_ids.count": 5001,
+                   "filters": [{"node": n} for n in nodes]}
+        assert DETECTOR_IDS_FROM == 10_000
+        if filter_nodes + 5001 <= DETECTOR_IDS_FROM:
+            assert len(loads(mutated(changes)).filters) == filter_nodes + 1
+        else:
+            exc = rejection(changes)
+            assert str(exc) == ("static_ids.count: filter nodes plus static IDS exceed 10000, "
+                                "where detector component ids start")

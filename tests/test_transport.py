@@ -71,7 +71,7 @@ class TestQueue:
                 lane = q.immune if q.immune and rng.random() < 0.5 else q.data
                 if lane:
                     lane.popleft()
-            assert q.occupancy() <= q.capacity
+            assert q.occupancy() <= state.capacity
 
 
 class TestStep:
@@ -260,21 +260,82 @@ class TestAdmission:
         state = TransportState(net, routing_table(net), 32)
         state.offer(0, [state.make_packet(0, 1, DATA) for _ in range(10)])
         assert sum(1 for ev in state.log.events if ev[1] == "Inject") == 4
-        assert len(state._deferred[0]) == 6
+        assert len(state.queues[0].waiting) == 6
         assert state.in_flight() == 4  # staged packets count, deferred ones do not
         step(state)  # the next step releases more
         assert sum(1 for ev in state.log.events if ev[1] == "Inject") == 8
         step(state)
         assert sum(1 for ev in state.log.events if ev[1] == "Inject") == 10
-        assert len(state._deferred[0]) == 0
+        assert len(state.queues[0].waiting) == 0
 
     def test_clear_deferred(self):
         net = build_network([0, 1], [(0, 1, 2)])
         state = TransportState(net, routing_table(net), 32)
         state.offer(0, [state.make_packet(0, 1, DATA) for _ in range(5)])
-        assert len(state._deferred[0]) == 3
+        assert len(state.queues[0].waiting) == 3
         state.clear_deferred(0)
-        assert len(state._deferred[0]) == 0
+        assert len(state.queues[0].waiting) == 0
+
+    def test_injects_follow_the_admission_reference(self):
+        """Random offers in the inject and emit hooks and random clears in the
+        cells hook, at nodes staging 1 to 3 packets a step: the Inject lines
+        are the ones a reference of the admission rules predicts, in order."""
+        net = build_network(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
+        caps = {n: len(net.neighbors(n)) for n in net.nodes}
+        assert sorted(set(caps.values())) == [1, 2, 3]
+        state = TransportState(net, routing_table(net), 8, strict_checks=True)
+        rng = random.Random(2029)
+        calls = []  # (step, node, pids offered) or (step, node, None) for a clear
+
+        def offer(st, batches, size):
+            for _ in range(rng.randrange(batches + 1)):
+                node = rng.choice(net.nodes)
+                packets = [st.make_packet(node, rng.choice([n for n in net.nodes if n != node]),
+                                          DATA) for _ in range(rng.randrange(1, size + 1))]
+                calls.append((st.clock, node, [pkt.pid for pkt in packets]))
+                st.offer(node, packets)
+
+        def clear(st):
+            for node in rng.sample(net.nodes, rng.randrange(3)):
+                calls.append((st.clock, node, None))
+                st.clear_deferred(node)
+
+        hooks = StepHooks(inject=lambda st: offer(st, 3, 4), emit=lambda st: offer(st, 2, 3),
+                          cells=clear)
+        for _ in range(200):
+            step(state, hooks)
+
+        # the reference: each node stages at most its cap a step; at the start
+        # of a step its waiting packets are offered again first, in ascending
+        # node id; a clear drops them unlogged
+        waiting = {n: [] for n in net.nodes}
+        budget, injects, reoffered, cleared = {}, [], 0, 0
+
+        def admit(now, node, pids):
+            for pid in pids:
+                if budget[node] > 0:
+                    budget[node] -= 1
+                    injects.append((now, node, pid))
+                else:
+                    waiting[node].append(pid)
+        calls.reverse()
+        for now in range(200):
+            budget = dict(caps)
+            for node in sorted(waiting):
+                again, waiting[node] = waiting[node], []
+                reoffered += len(again)
+                admit(now, node, again)
+            while calls and calls[-1][0] == now:
+                _, node, pids = calls.pop()
+                if pids is None:
+                    cleared += len(waiting[node])
+                    waiting[node] = []
+                else:
+                    admit(now, node, pids)
+        assert not calls
+        assert [(ev[0], field(ev, "node"), field(ev, "pid")) for ev in state.log.events
+                if ev[1] == "Inject"] == injects
+        assert len(injects) > 500 and reoffered > 500 and cleared > 50
 
 
 class TestConservation:

@@ -113,21 +113,6 @@ class TestReceptorRule:
         assert Counter(sealed) == Counter(report=sends["report"], monitor=sends["monitor"])
 
 
-class TestQueueBookkeeping:
-
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_enqueue_order_map_holds_only_queued_packets(self, strict):
-        """Only the strict FIFO check reads the map, so it is kept only then."""
-        world = World(worm_config(horizon=200), 6, strict_checks=strict)
-        world.run()
-        queued = 0
-        for q in world.state.queues.values():
-            pids = {pkt.pid for pkt in q.immune} | {pkt.pid for pkt in q.data}
-            assert set(q._enq_seq) == (pids if strict else set())
-            queued += len(pids)
-        assert queued > 0
-
-
 class TestForwardHook:
 
     def test_hook_runs_for_every_cargo_forward_and_no_other(self):
@@ -152,7 +137,7 @@ class TestForwardHook:
 def registered_cells(world) -> set[tuple[int, int]]:
     """(node, cell id) of every detector component in the defence registry."""
     return {(node, comp.cell_id) for node in world.network.nodes
-            for comp in world.defense.at[node] if comp.kind == "Cell"}
+            for comp in world.defense.at.get(node, ()) if comp.kind == "Cell"}
 
 
 class TestCellWhereabouts:
@@ -172,7 +157,7 @@ class TestCellWhereabouts:
             if isinstance(cell, ArtificialCell) and cell.alive:
                 assert cell.location == u
                 if cell.kind == DETECTOR:
-                    assert all(comp is not cell.component for comp in world.defense.at[u])
+                    assert all(comp is not cell.component for comp in world.defense.at.get(u, ()))
                 forwarded.append(cell.cell_id)
         hooks.on_forward = on_forward
         queued_moves = 0
@@ -225,7 +210,7 @@ def check_listed(world, events, destroyed):
     spawned = [field(ev, "node") for ev in events
                if ev[1] == "Spawn" and field(ev, "by") == "init" and field(ev, "cellkind") == DETECTOR]
     assert spawned == [7, 6, 5, 4]
-    assert [n for n in world.network.nodes for comp in world.defense.at[n]
+    assert [n for n in world.network.nodes for comp in world.defense.at.get(n, ())
             if comp.kind == "StaticIDS"] == [6, 7]
 
 
@@ -253,6 +238,29 @@ class TestFailedEntry:
                 for ev in infects] == [(5, 3, 1, 0, "entry")]
         assert result.metrics.worm_entries == 0
         assert result.metrics.infections_total == 0
+
+
+class TestPrevalence:
+
+    def test_prevalence_agrees_with_a_log_fold_and_the_final_health(self):
+        """The infected set grows with each `Infect ok=1` and shrinks with
+        each `Disinfect ok=1`, and is counted at each Step line; the last
+        count is the number of nodes the run leaves infected."""
+        world = World(worm_config(horizon=200), 6)
+        result = world.run()
+        infected, counts = set(), []
+        for ev in result.log.events:
+            if ev[1] == "Infect" and field(ev, "ok") == 1:
+                infected.add(field(ev, "node"))
+            elif ev[1] == "Disinfect" and field(ev, "ok") == 1:
+                infected.discard(field(ev, "node"))
+            elif ev[1] == "Step":
+                counts.append(len(infected))
+        m = result.metrics
+        assert (m.infected_node_steps, m.peak_infected, m.final_infected) \
+            == (sum(counts), max(counts), counts[-1])
+        assert m.final_infected == sum(h.infected for h in world.health.values())
+        assert m.infected_node_steps > 0 and len(counts) == 200
 
 
 class TestEnginePaths:
@@ -289,7 +297,7 @@ class TestEnginePaths:
         assert transport.conservation_audit(events) == world.state.held()
         assert registered_cells(world) == {(cell.location, cell.cell_id) for cell
                                            in world.population.of_kind(DETECTOR)}
-        assert world.defense.guarded == {n for n, at in world.defense.at.items() if at}
+        assert all(world.defense.at.values())  # a node leaves the map with its last component
         check(world, events, destroyed)
 
 
@@ -395,10 +403,11 @@ PINNED = {
         "a95f2f6759e58990fdadc61e436849403188eace4cbd2b19ae1b902b8ae630b6",
         {"delivered_attack": 787, "destroyed_attack": 1122,
          "disinfection_latency_median": 5.0, "dropped_total": 413,
-         "false_disinfections": 0, "false_positive_detections": 0,
+         "false_disinfections": 0, "false_positive_detections": 0, "final_infected": 8,
          "identification_latency_median": 24.0, "identified_episodes": 49,
-         "infections_per_event": 7.0, "infections_total": 7, "injected_attack": 2711,
-         "injected_total": 4695, "overhead": 0.32871125611745516,
+         "infections_per_event": 7.0, "infections_total": 7, "infected_node_steps": 1327,
+         "injected_attack": 2711, "injected_total": 4695,
+         "overhead": 0.32871125611745516, "peak_infected": 8,
          "prevention_rate": 0.41386942087790485, "steps": 200,
          "unidentified_episodes": 6, "worm_entries": 1},
     ),
@@ -406,10 +415,11 @@ PINNED = {
         "f3078ca449a19fc77a56516ca009859c7a3e4c9bf4423f003125fae53f50eb38",
         {"delivered_attack": 0, "destroyed_attack": 0,
          "disinfection_latency_median": None, "dropped_total": 0,
-         "false_disinfections": 0, "false_positive_detections": 0,
+         "false_disinfections": 0, "false_positive_detections": 0, "final_infected": 0,
          "identification_latency_median": None, "identified_episodes": 0,
-         "infections_per_event": None, "infections_total": 0, "injected_attack": 0,
-         "injected_total": 5720, "overhead": 0.3932335581787521,
+         "infections_per_event": None, "infections_total": 0, "infected_node_steps": 0,
+         "injected_attack": 0, "injected_total": 5720,
+         "overhead": 0.3932335581787521, "peak_infected": 0,
          "prevention_rate": None, "steps": 100, "unidentified_episodes": 0,
          "worm_entries": 0},
     ),
@@ -419,10 +429,11 @@ PINNED = {
         "a8bc53669d1359bce6851e64bbffb7d426fea5f4d45a7a832effdc743f48cde2",
         {"delivered_attack": 488, "destroyed_attack": 1692,
          "disinfection_latency_median": 3.0, "dropped_total": 135,
-         "false_disinfections": 0, "false_positive_detections": 0,
+         "false_disinfections": 0, "false_positive_detections": 0, "final_infected": 5,
          "identification_latency_median": 22.0, "identified_episodes": 42,
-         "infections_per_event": 4.0, "infections_total": 4, "injected_attack": 2552,
-         "injected_total": 5443, "overhead": 0.3863751906456533,
+         "infections_per_event": 4.0, "infections_total": 4, "infected_node_steps": 1235,
+         "injected_attack": 2552, "injected_total": 5443,
+         "overhead": 0.3863751906456533, "peak_infected": 5,
          "prevention_rate": 0.6630094043887147, "steps": 300,
          "unidentified_episodes": 4, "worm_entries": 1},
     ),
