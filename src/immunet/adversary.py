@@ -5,7 +5,9 @@ attacks; infected nodes keep emitting attack packets until disinfected.
 Disinfection clears the infection and drops the node's deferred worm
 packets but leaves it vulnerable, so attack packets already in flight can
 reinfect it (SIS rather than SIR; the paper's abstract does not settle this).
-Packets are built here and admitted by `TransportState.offer`.
+Packets are built here and admitted by `TransportState.offer`. An attack
+is the scenario's `AttackConfig` record, as validated, and an attack-mix
+entry its `AttackMixConfig`.
 """
 
 from __future__ import annotations
@@ -14,23 +16,9 @@ from dataclasses import dataclass
 from math import exp
 from random import Random
 
-from .scenario import TrafficConfig
+from .scenario import AttackConfig, TrafficConfig
 from .topology import UnknownNode
 from .transport import DATA, Packet, TransportState
-
-
-@dataclass(frozen=True)
-class AttackDef:
-    attack_id: int
-    signature: bytes
-    infects: bool = True
-    fanout: int = 0
-
-    def __post_init__(self):
-        if not self.signature:
-            raise ValueError("attack signature must be non-empty")
-        if self.fanout < 0:
-            raise ValueError("fanout must be >= 0")
 
 
 @dataclass
@@ -73,8 +61,8 @@ def benign_payload(rng: Random, length: int, forbidden) -> bytes:
             return payload
 
 
-def attack_payload(rng: Random, attack: AttackDef, length: int) -> bytes:
-    sig = attack.signature
+def attack_payload(rng: Random, attack: AttackConfig, length: int) -> bytes:
+    sig = attack.signature_bytes()
     if length <= len(sig):
         return sig
     offset = rng.randrange(length - len(sig) + 1)
@@ -92,7 +80,7 @@ def _endpoints(rng: Random, nodes) -> tuple[int, int]:
 
 
 def inject_background(state: TransportState, traffic: TrafficConfig,
-                      attacks: dict[int, AttackDef], rng: Random, forbidden=()) -> list[Packet]:
+                      attacks: dict[int, AttackConfig], rng: Random, forbidden=()) -> list[Packet]:
     """Build this step's benign data packets (uniform distinct src != dst),
     then each `attack_mix` entry's attack packets."""
     nodes = state.network.nodes
@@ -103,8 +91,8 @@ def inject_background(state: TransportState, traffic: TrafficConfig,
         packets.append(state.make_packet(src, dst, DATA,
                                          payload=benign_payload(rng, length, forbidden)))
     for entry in traffic.attack_mix:
-        attack = attacks[entry["attack_id"]]
-        for _ in range(draw_count(rng, entry["rate"], traffic.distribution)):
+        attack = attacks[entry.attack_id]
+        for _ in range(draw_count(rng, entry.rate, traffic.distribution)):
             src, dst = _endpoints(rng, nodes)
             packets.append(state.make_packet(src, dst, DATA,
                                              payload=attack_payload(rng, attack, length),
@@ -113,7 +101,7 @@ def inject_background(state: TransportState, traffic: TrafficConfig,
 
 
 def spawn_worm(state: TransportState, health: dict[int, NodeHealth],
-               attack: AttackDef, entry: int) -> bool:
+               attack: AttackConfig, entry: int) -> bool:
     """Worm entry through a security hole; returns True when the node falls."""
     if not attack.infects:
         raise ValueError("spawn_worm needs an infecting attack")
@@ -133,7 +121,7 @@ def spawn_worm(state: TransportState, health: dict[int, NodeHealth],
 
 
 def worm_emit(state: TransportState, health: dict[int, NodeHealth], node: int,
-              attack: AttackDef, rng: Random, payload_len: int = 64) -> list[Packet]:
+              attack: AttackConfig, rng: Random, payload_len: int = 64) -> list[Packet]:
     """One step of propagation from an infected node: fanout copies to
     uniformly random other nodes, each payload carrying the signature."""
     h = health.get(node)
@@ -152,7 +140,7 @@ def worm_emit(state: TransportState, health: dict[int, NodeHealth], node: int,
 
 
 def on_attack_delivery(state: TransportState, health: dict[int, NodeHealth],
-                       node: int, pkt: Packet, attacks: dict[int, AttackDef]) -> None:
+                       node: int, pkt: Packet, attacks: dict[int, AttackConfig]) -> None:
     """An attack packet survived every check and reached its destination."""
     attack = attacks.get(pkt.attack)
     if attack is None or not attack.infects:

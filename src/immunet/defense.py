@@ -2,8 +2,9 @@
 
 Every arriving packet is presented to the node's components in ascending
 component id. Each `check` returns True to destroy the packet; the first
-True short-circuits the rest. Packet filters look at headers only;
-signature engines (static or cell-borne) scan data payloads.
+True short-circuits the rest. Packet filters look at headers only, by the
+scenario's `FilterRuleConfig` records for their node; signature engines
+(static or cell-borne) scan data payloads.
 `DefenseStack.at` holds only the nodes with at least one component: the
 only nodes whose arrivals need checking.
 """
@@ -11,7 +12,6 @@ only nodes whose arrivals need checking.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .signatures import CompressedSignatureDb, contains_signature
@@ -33,36 +33,22 @@ class UnknownComponent(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class FilterRule:
-    action: str  # "Drop" | "Accept"
-    src: frozenset[int] | None = None  # None matches any
-    dst: frozenset[int] | None = None
-    klass: str | None = None
-
-    def matches(self, pkt: Packet) -> bool:
-        if self.src is not None and pkt.src not in self.src:
-            return False
-        if self.dst is not None and pkt.dst not in self.dst:
-            return False
-        if self.klass is not None and pkt.klass != self.klass:
-            return False
-        return True
-
-
 class PacketFilter:
     kind = "PacketFilter"
     cell_id = None
 
     def __init__(self, component_id: int, rules):
         self.component_id = component_id
-        self.rules = tuple(rules)
+        self.rules = tuple(rules)  # the node's `FilterRuleConfig` records, in order
 
     def check(self, pkt: Packet) -> bool:
-        """First-match-wins over header fields: True when the first rule
-        that matches drops; False when no rule matches (default Accept)."""
+        """First-match-wins over header fields, where a rule's None matches
+        any: True when the first rule that matches drops; False when no rule
+        matches (default Accept)."""
         for rule in self.rules:
-            if rule.matches(pkt):
+            if ((rule.src is None or pkt.src in rule.src)
+                    and (rule.dst is None or pkt.dst in rule.dst)
+                    and (rule.klass is None or pkt.klass == rule.klass)):
                 return rule.action == "Drop"
         return False
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from random import Random
 
 from . import adversary, defense, receptors, stations, transport
-from .adversary import AttackDef, NodeHealth
+from .adversary import NodeHealth
 from .cells import ANT, DETECTOR, DISINFECTOR, MONITOR, ArtificialCell, CellPopulation
 from .events import EventLog
 from .metrics import Metrics, compute_metrics
 from .pheromone import PheromoneMap, choose_move
-from .scenario import ScenarioConfig, TopologySpec
+from .scenario import AttackConfig, FilterRuleConfig, ScenarioConfig, TopologySpec
 from .signatures import CompressedSignatureDb
 from .stations import ADMIN, LYMPH, NURSERY, Station, nearest_station, next_station
 from .topology import (Network, UnknownNode, bfs_distances, build_network,
@@ -87,11 +87,8 @@ class World:
                                     strict_checks=strict_checks)
         self.log = self.state.log
 
-        self.attacks: dict[int, AttackDef] = {}
-        for a in config.attacks:
-            self.attacks[a.attack_id] = AttackDef(a.attack_id, a.signature_bytes(),
-                                                  a.infects, a.fanout)
-        self.signature_set = [a.signature for a in self.attacks.values()]
+        self.attacks: dict[int, AttackConfig] = {a.attack_id: a for a in config.attacks}
+        self.signature_set = [a.signature_bytes() for a in self.attacks.values()]
         self._stores: dict[frozenset[bytes], CompressedSignatureDb | None] = {frozenset(): None}
 
         vuln_rng = self.seeds.stream("vulnerability")
@@ -135,15 +132,9 @@ class World:
     # ------------------------------------------------------------- setup
 
     def _setup_filters(self) -> None:
-        by_node: dict[int, list[defense.FilterRule]] = {}
+        by_node: dict[int, list[FilterRuleConfig]] = {}
         for rule in self.config.filters:
-            fr = defense.FilterRule(
-                action=rule.action,
-                src=frozenset(rule.src) if rule.src is not None else None,
-                dst=frozenset(rule.dst) if rule.dst is not None else None,
-                klass=rule.klass,
-            )
-            by_node.setdefault(rule.node, []).append(fr)
+            by_node.setdefault(rule.node, []).append(rule)
         for node in sorted(by_node):
             self.defense.register(node, defense.PacketFilter(next(self._component_ids),
                                                              by_node[node]))
@@ -449,7 +440,7 @@ class World:
         the holder's store for the shared store of its set plus the signature."""
         if attack is None:
             return
-        sig = self.attacks[attack].signature
+        sig = self.attacks[attack].signature_bytes()
         radius = self.config.stations.immunization_radius
         within = self.routing.within
         for cell in self.population.of_kind(DETECTOR):

@@ -3,9 +3,11 @@
 Scenarios are JSON documents validated strictly: unknown keys are
 rejected so typos cannot silently change an experiment. Each field's
 annotation is the one statement of its own rules: its type, its choices
-(`Literal`) and its bounds (`Annotated[T, rule]`), checked as the field is
-built. `validate()` holds only the rules that span fields or hold under a
-condition. Every knob of every subsystem lives here.
+(`Literal`) and its bounds (`Annotated[T, rule, ...]`), checked as the
+field is built. A field with no default must be given, and its absence is
+reported as `missing`. `validate()` holds only the rules that span fields
+or hold under a condition. Every knob of every subsystem lives here, and
+the run reads these records as they are built.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from importlib import resources
 from types import UnionType
 from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
@@ -40,11 +42,16 @@ POSITIVE = (lambda v: v > 0, "must be > 0")
 OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
 CLOSED_UNIT = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 REDUNDANT = (lambda v: v >= 2, "redundancy requires >= 2")
+# a rate is packets per step, each built in Python: far above this one step
+# cannot finish (a Poisson draw splits the rate until it recurses too deep,
+# and a "fixed" draw loops `rate` times)
+AT_MOST_1E6 = (lambda v: v <= 10**6, "must be <= 1000000 packets per step")
 FILE_STEM = (lambda v: v != "" and not any(c in v for c in "/\\\0"),
              "must be non-empty, without '/', '\\' or NUL")
 
 CellKind = Literal["Detector", "Ant", "Monitor"]
 CellCounts = dict[CellKind, Annotated[int, AT_LEAST_0]]
+Rate = Annotated[float, AT_LEAST_0, AT_MOST_1E6]
 
 
 @dataclass
@@ -83,11 +90,17 @@ class AttackConfig:
 
 
 @dataclass
+class AttackMixConfig:
+    attack_id: int
+    rate: Rate
+
+
+@dataclass
 class TrafficConfig:
-    background_rate: Annotated[float, AT_LEAST_0] = 20.0
+    background_rate: Rate = 20.0
     distribution: Literal["poisson", "fixed"] = "poisson"
     payload_len: Annotated[int, AT_LEAST_1] = 64
-    attack_mix: list[dict] = field(default_factory=list)  # {"attack_id": int, "rate": float}
+    attack_mix: list[AttackMixConfig] = field(default_factory=list)
 
 
 @dataclass
@@ -192,7 +205,8 @@ class ScenarioConfig:
 
 def _build_section(cls, data, path: str):
     """Build dataclass `cls` from a JSON object. Each value must fit its
-    field's annotation; a section, or a list of sections, is built in turn."""
+    field's annotation, and each field with no default must be given; a
+    section, or a list of sections, is built in turn."""
     if not isinstance(data, dict):
         raise ValidationError(path, "expected an object")
     hints = _field_types(cls)
@@ -202,6 +216,9 @@ def _build_section(cls, data, path: str):
         if key not in hints:
             raise ValidationError(where, "unknown key")
         kwargs[key] = _build_value(hints[key], value, where)
+    for name in _required(cls):
+        if name not in kwargs:
+            raise ValidationError(f"{path}.{name}" if path else name, "missing")
     return cls(**kwargs)
 
 
@@ -210,12 +227,19 @@ def _field_types(cls) -> dict:
     return get_type_hints(cls, include_extras=True)
 
 
+@functools.cache
+def _required(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls)
+                 if f.default is MISSING and f.default_factory is MISSING)
+
+
 def _build_value(hint, value, path: str):
-    if get_origin(hint) is Annotated:  # the inner type, then its rule; a None passes
-        inner, (test, message) = get_args(hint)
+    if get_origin(hint) is Annotated:  # the inner type, then its rules; a None passes
+        inner, *rules = get_args(hint)
         value = _build_value(inner, value, path)
-        if value is not None and not test(value):
-            raise ValidationError(path, message)
+        for test, message in rules:
+            if value is not None and not test(value):
+                raise ValidationError(path, message)
         return value
     if is_dataclass(hint):
         return _build_section(hint, value, path)
@@ -317,14 +341,8 @@ def validate(config: ScenarioConfig) -> None:
         if len(sig) > config.traffic.payload_len:
             raise ValidationError(f"attacks[{i}].signature", "longer than payload_len")
     for i, entry in enumerate(config.traffic.attack_mix):
-        if set(entry) != {"attack_id", "rate"}:
-            raise ValidationError(f"traffic.attack_mix[{i}]", "wants attack_id and rate")
-        if not _fits(entry["attack_id"], int) or entry["attack_id"] not in infects:
+        if entry.attack_id not in infects:
             raise ValidationError(f"traffic.attack_mix[{i}].attack_id", "undeclared attack")
-        if not _fits(entry["rate"], float):
-            raise ValidationError(f"traffic.attack_mix[{i}].rate", "must be a finite number")
-        if entry["rate"] < 0:
-            raise ValidationError(f"traffic.attack_mix[{i}].rate", "must be >= 0")
     if config.worm.enabled:
         if not infects.get(config.worm.attack_id):
             raise ValidationError("worm.attack_id", "not a declared attack that infects")

@@ -4,18 +4,18 @@ from collections import Counter
 
 import pytest
 
-from immunet.adversary import (AttackDef, NodeHealth, attack_payload, benign_payload,
+from immunet.adversary import (NodeHealth, attack_payload, benign_payload,
                                inject_background, on_attack_delivery, poisson,
                                spawn_worm, worm_emit)
 from immunet.events import field
-from immunet.scenario import TrafficConfig
+from immunet.scenario import AttackConfig, AttackMixConfig, TrafficConfig
 from immunet.topology import UnknownNode, erdos_renyi
 from immunet.transport import DATA, TransportState
 
 from conftest import routing_table
 
 SIG = bytes.fromhex("a3f1c08e55d2764b9900eeab1275c3d4")
-ATTACK = AttackDef(attack_id=1, signature=SIG, infects=True, fanout=3)
+ATTACK = AttackConfig(attack_id=1, signature=SIG.hex(), infects=True, fanout=3)
 
 # chi-square critical value, df=48, alpha=0.001 (standard table)
 CHI2_48_999 = 84.037
@@ -83,7 +83,7 @@ class TestBackground:
     def test_attack_mix_injects_marked_packets(self, rng):
         state = fresh_state()
         traffic = TrafficConfig(background_rate=0.0, distribution="fixed",
-                                attack_mix=[{"attack_id": 1, "rate": 4.0}])
+                                attack_mix=[AttackMixConfig(attack_id=1, rate=4.0)])
         packets = inject_background(state, traffic, {1: ATTACK}, rng)
         assert len(packets) == 4
         assert all(p.attack == 1 and SIG in p.payload for p in packets)
@@ -142,7 +142,7 @@ class TestWorm:
         state = fresh_state()
         health = all_healthy(state)
         spawn_worm(state, health, ATTACK, 0)
-        one_shot = AttackDef(attack_id=1, signature=SIG, infects=True, fanout=1)
+        one_shot = AttackConfig(attack_id=1, signature=SIG.hex(), infects=True, fanout=1)
         rng = random.Random(314)
         counts = Counter()
         trials = 2000

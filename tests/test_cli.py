@@ -155,6 +155,18 @@ class TestValidationExitCodes:
         assert err.endswith(" a finite number\n")
 
     @pytest.mark.parametrize("fields, message", [
+        ({"background_rate": 1e308},
+         "error: traffic.background_rate: must be <= 1000000 packets per step\n"),
+        ({"attack_mix": [{"attack_id": 1, "rate": 1e308}]},
+         "error: traffic.attack_mix[0].rate: must be <= 1000000 packets per step\n"),
+        ({"attack_mix": [{"attack_id": 1}]}, "error: traffic.attack_mix[0].rate: missing\n"),
+    ], ids=["background-1e308", "attack-mix-1e308", "attack-mix-without-rate"])
+    def test_rate_refused_by_the_gate(self, tmp_path, capsys, command, fields, message):
+        # refused by the gate, so `run` builds no world
+        assert invoke(command, scenario_file(tmp_path, "traffic", **fields)) == 1
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("fields, message", [
         ({"topology": 5}, "error: topology: expected an object\n"),
         ({"attacks": {}}, "error: attacks: expected a list\n"),
     ], ids=["topology", "attacks"])

@@ -4,7 +4,8 @@ import pytest
 
 from immunet.cells import ArtificialCell
 from immunet.defense import (DefenseStack, DetectorComponent, DuplicateRegistration,
-                             FilterRule, PacketFilter, StaticIDS, UnknownComponent)
+                             PacketFilter, StaticIDS, UnknownComponent)
+from immunet.scenario import FilterRuleConfig
 from immunet.signatures import CompressedSignatureDb, contains_signature
 from immunet.topology import UnknownNode, line_network
 from immunet.transport import DATA, IMMUNE, Packet
@@ -29,17 +30,17 @@ class TestFilters:
         assert PacketFilter(0, []).check(packet()) is False
 
     def test_drop_by_dst(self):
-        rules = [FilterRule(action="Drop", dst=frozenset({3}))]
+        rules = [FilterRuleConfig(action="Drop", dst=[3])]
         assert PacketFilter(0, rules).check(packet(dst=3)) is True
         assert PacketFilter(0, rules).check(packet(dst=4)) is False
 
     def test_first_match_wins(self):
-        rules = [FilterRule(action="Accept", src=frozenset({9})),
-                 FilterRule(action="Drop", src=frozenset({9}))]
+        rules = [FilterRuleConfig(action="Accept", src=[9]),
+                 FilterRuleConfig(action="Drop", src=[9])]
         assert PacketFilter(0, rules).check(packet(src=9)) is False
 
     def test_never_inspects_payload(self):
-        rules = [FilterRule(action="Drop", src=frozenset({1}))]
+        rules = [FilterRuleConfig(action="Drop", src=[1])]
         assert PacketFilter(0, rules).check(packet(src=0, payload=SIG)) is False
 
     def test_oracle_agreement_1000_random(self):
@@ -58,11 +59,11 @@ class TestFilters:
         def random_set():
             if rng.random() < 0.4:
                 return None
-            return frozenset(rng.sample(range(6), rng.randint(1, 3)))
+            return rng.sample(range(6), rng.randint(1, 3))
 
-        rules = [FilterRule(action=rng.choice(("Drop", "Accept")),
-                            src=random_set(), dst=random_set(),
-                            klass=rng.choice((None, DATA, IMMUNE)))
+        rules = [FilterRuleConfig(action=rng.choice(("Drop", "Accept")),
+                                  src=random_set(), dst=random_set(),
+                                  klass=rng.choice((None, DATA, IMMUNE)))
                  for _ in range(10)]
         for _ in range(1000):
             pkt = packet(src=rng.randrange(6), dst=rng.randrange(6),
@@ -171,7 +172,7 @@ class TestCheckAll:
 
     def test_filter_destroys_by_src(self):
         stack = DefenseStack(line_network(3))
-        stack.register(1, PacketFilter(0, [FilterRule(action="Drop", src=frozenset({9}))]))
+        stack.register(1, PacketFilter(0, [FilterRuleConfig(action="Drop", src=[9])]))
         by = stack.check_all(1, packet(src=9))
         assert by is not None and by.kind == "PacketFilter"
 
@@ -185,13 +186,13 @@ class TestCheckAll:
     def test_ascending_id_short_circuit(self):
         stack = DefenseStack(line_network(3))
         stack.register(1, detector_component(cell_id=5))
-        stack.register(1, PacketFilter(0, [FilterRule(action="Drop")]))
+        stack.register(1, PacketFilter(0, [FilterRuleConfig(action="Drop")]))
         by = stack.check_all(1, packet(payload=SIG))
         assert by.component_id == 0  # the filter (lower id) fires first
 
     def test_clean_packet_passes_everything(self, rng):
         stack = DefenseStack(line_network(3))
-        stack.register(1, PacketFilter(0, [FilterRule(action="Drop", src=frozenset({9}))]))
+        stack.register(1, PacketFilter(0, [FilterRuleConfig(action="Drop", src=[9])]))
         stack.register(1, StaticIDS(1, [SIG]))
         stack.register(1, detector_component())
         payload = rng.randbytes(64)

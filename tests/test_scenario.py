@@ -115,6 +115,17 @@ RULES = [
     ({"traffic.attack_mix": [{"attack_id": 9, "rate": 1}]}, "traffic.attack_mix[0].attack_id"),
     ({"traffic.attack_mix": [{"attack_id": 1, "rate": "1"}]}, "traffic.attack_mix[0].rate"),
     ({"traffic.attack_mix": [{"attack_id": 1, "rate": -1}]}, "traffic.attack_mix[0].rate"),
+    # an attack-mix entry is a section: both fields given, no other key
+    ({"traffic.attack_mix": [{"rate": 1}]}, "traffic.attack_mix[0].attack_id",
+     "traffic.attack_mix[0].attack_id-missing"),
+    ({"traffic.attack_mix": [{"attack_id": 1, "rate": 1, "burst": 2}]},
+     "traffic.attack_mix[0].burst"),
+    ({"traffic.attack_mix": [5]}, "traffic.attack_mix[0]", "traffic.attack_mix[0]-not-an-object"),
+    # a rate no step could finish drawing
+    ({"traffic.background_rate": 1e308}, "traffic.background_rate",
+     "traffic.background_rate-above-1e6"),
+    ({"traffic.attack_mix": [{"attack_id": 1, "rate": 1e308}]}, "traffic.attack_mix[0].rate",
+     "traffic.attack_mix[0].rate-above-1e6"),
     # a float field takes a finite number only
     ({"traffic.background_rate": float("inf")}, "traffic.background_rate",
      "traffic.background_rate-inf"),
@@ -194,6 +205,8 @@ class TestGate:
         {"filters": [{"node": 3, "action": "Accept", "klass": None, "src": [1], "dst": None}]},
         {"static_ids.count": 50},
         {"name": "..run.v2"},
+        {"traffic.background_rate": 10**6,
+         "traffic.attack_mix": [{"attack_id": 1, "rate": 1e6}]},
     ])
     def test_accepted(self, changes):
         config = loads(mutated(changes))

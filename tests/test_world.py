@@ -8,9 +8,9 @@ from immunet import receptors, transport
 from immunet.cells import DETECTOR, ArtificialCell
 from immunet.engine import World
 from immunet.events import field
-from immunet.scenario import (AttackConfig, DetectorConfig, FilterRuleConfig, IdsConfig,
-                              TopologySpec, VulnerabilityConfig, WormConfig,
-                              baseline_scenario)
+from immunet.scenario import (AttackConfig, AttackMixConfig, DetectorConfig, FilterRuleConfig,
+                              IdsConfig, TopologySpec, VulnerabilityConfig, WormConfig,
+                              baseline_scenario, from_dict)
 from immunet.stations import ADMIN, LYMPH, NURSERY
 
 from conftest import hop_counts, worm_config
@@ -314,7 +314,7 @@ class TestSharedStores:
                           static_ids=IdsConfig(count=2))
         cfg.attacks.append(AttackConfig(attack_id=2, signature="00112233445566778899aabbccddeeff",
                                         infects=False, fanout=0))
-        cfg.traffic.attack_mix = [{"attack_id": 2, "rate": 1.0}]
+        cfg.traffic.attack_mix = [AttackMixConfig(attack_id=2, rate=1.0)]
         world = World(cfg, 2, strict_checks=True)
         radius = cfg.stations.immunization_radius
         hops = hop_counts(world.network)
@@ -326,7 +326,7 @@ class TestSharedStores:
             return world.population.of_kind(DETECTOR)
 
         def checked_immunize(st, around, attack):
-            sig = world.attacks[attack].signature
+            sig = world.attacks[attack].signature_bytes()
             before = {cell.cell_id: cell.db for cell in detectors()}
             held = {id(db): (db, db.members, db._bits) for db in before.values() if db}
             immunize(st, around, attack)
@@ -437,6 +437,20 @@ PINNED = {
          "prevention_rate": 0.6630094043887147, "steps": 300,
          "unidentified_episodes": 4, "worm_entries": 1},
     ),
+    # packet filters at three nodes and a two-attack mix: the only pin whose
+    # run registers a PacketFilter and draws attack-mix packets
+    "filters and attack mix seed 6": (
+        "4a24a2ce13ebd88bced81e24833861af37653d7c3a16daef9e9b5a217cdf16dd",
+        {"delivered_attack": 801, "destroyed_attack": 2395,
+         "disinfection_latency_median": 3.0, "dropped_total": 336,
+         "false_disinfections": 5, "false_positive_detections": 154, "final_infected": 6,
+         "identification_latency_median": 35.0, "identified_episodes": 27,
+         "infections_per_event": 5.0, "infections_total": 5, "infected_node_steps": 1559,
+         "injected_attack": 3550, "injected_total": 4585,
+         "overhead": 0.08764705882352941, "peak_infected": 6,
+         "prevention_rate": 0.6746478873239437, "steps": 300,
+         "unidentified_episodes": 5, "worm_entries": 1},
+    ),
 }
 
 
@@ -462,3 +476,28 @@ class TestDeterminismGuard:
         assert sum(ev[1] == "Spawn" and field(ev, "replaces") is not None
                    for ev in result.log.events) == 36
         assert (digest(result), result.metrics.as_dict()) == PINNED["untrained worm seed 2"]
+
+    def test_filters_and_attack_mix_seed_6(self):
+        data = worm_config(horizon=300, static_ids=IdsConfig(count=2)).to_dict()
+        data["attacks"].append({"attack_id": 2, "signature": "00112233445566778899aabbccddeeff",
+                                "infects": False, "fanout": 0})
+        data["traffic"]["attack_mix"] = [{"attack_id": 2, "rate": 1.0},
+                                         {"attack_id": 1, "rate": 0.5}]
+        data["filters"] = [
+            {"node": 3, "action": "Accept", "src": [1, 2], "klass": "Data"},
+            {"node": 3, "action": "Drop", "src": [1, 4]},
+            {"node": 5, "action": "Drop", "dst": [0, 7], "klass": "Data"},
+            {"node": 6, "action": "Drop", "klass": "Immune"},
+        ]
+        result = World(from_dict(data), 6).run()
+        filtered = Counter((field(ev, "node"), field(ev, "psrc"), field(ev, "klass"))
+                           for ev in result.log.events
+                           if ev[1] == "Detect" and field(ev, "bykind") == "PacketFilter")
+        # every rule fires: node 3 accepts its data from 1 first, then drops all from 1 and 4
+        assert filtered[3, 4, "Data"] == 314 and filtered[3, 4, "Immune"] == 29
+        assert not any(node == 3 and psrc == 1 for node, psrc, _klass in filtered)
+        by_node = Counter()
+        for (node, _psrc, _klass), n in filtered.items():
+            by_node[node] += n
+        assert (by_node[5], by_node[6]) == (610, 17)
+        assert (digest(result), result.metrics.as_dict()) == PINNED["filters and attack mix seed 6"]
