@@ -1,34 +1,25 @@
-"""Traffic generation and attacks: background load, worm entry, and propagation.
+"""Traffic generation and the infection model: background load, attacks,
+and the worm's entry, delivery, propagation and cure.
 
-The adversary stresses the network with benign data packets and injects
-attacks; infected nodes keep emitting attack packets until disinfected.
-Disinfection clears the infection and drops the node's deferred worm
-packets but leaves it vulnerable, so attack packets already in flight can
-reinfect it (SIS rather than SIR; the paper's abstract does not settle this).
-Packets are built here and admitted by `TransportState.offer`. An attack
-is the scenario's `AttackConfig` record, as validated, and an attack-mix
-entry its `AttackMixConfig`.
+The world holds the infection model as a set of vulnerable nodes, only
+ever tested for membership, and a map from each infected node to its
+attack's id. The cure follows an SIS epidemic (Kephart & White, IEEE S&P
+1991): it clears the infection and drops the node's deferred worm packets
+but leaves the node vulnerable, so attack packets injected before the
+cure can reinfect it on delivery. The paper's abstract does not settle
+whether a cured host stays susceptible; this is the rule the simulator
+follows. Packets are built here and admitted by `TransportState.offer`.
+An attack is the scenario's `AttackConfig` record, as validated, and an
+attack-mix entry its `AttackMixConfig`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp
 from random import Random
 
 from .scenario import AttackConfig, TrafficConfig
-from .topology import UnknownNode
 from .transport import DATA, Packet, TransportState
-
-
-@dataclass
-class NodeHealth:
-    vulnerable: bool
-    infected_by: int | None = None
-
-    @property
-    def infected(self) -> bool:
-        return self.infected_by is not None
 
 
 def poisson(rng: Random, lam: float) -> int:
@@ -100,33 +91,25 @@ def inject_background(state: TransportState, traffic: TrafficConfig,
     return packets
 
 
-def spawn_worm(state: TransportState, health: dict[int, NodeHealth],
+def spawn_worm(state: TransportState, vulnerable: set[int], infected: dict[int, int],
                attack: AttackConfig, entry: int) -> bool:
     """Worm entry through a security hole; returns True when the node falls."""
     if not attack.infects:
         raise ValueError("spawn_worm needs an infecting attack")
-    if entry not in health:
-        raise UnknownNode(entry)
-    h = health[entry]
-    if h.infected_by == attack.attack_id:
+    if infected.get(entry) == attack.attack_id:
         return True  # repeat entry is a no-op
-    if not h.vulnerable:
-        state.log.append(state.clock, "Infect", node=entry, attack=attack.attack_id,
-                         ok=0, via="entry")
-        return False
-    h.infected_by = attack.attack_id
+    falls = entry in vulnerable
+    if falls:
+        infected[entry] = attack.attack_id
     state.log.append(state.clock, "Infect", node=entry, attack=attack.attack_id,
-                     ok=1, via="entry")
-    return True
+                     ok=int(falls), via="entry")
+    return falls
 
 
-def worm_emit(state: TransportState, health: dict[int, NodeHealth], node: int,
-              attack: AttackConfig, rng: Random, payload_len: int = 64) -> list[Packet]:
+def worm_emit(state: TransportState, node: int, attack: AttackConfig, rng: Random,
+              payload_len: int = 64) -> list[Packet]:
     """One step of propagation from an infected node: fanout copies to
     uniformly random other nodes, each payload carrying the signature."""
-    h = health.get(node)
-    if h is None or h.infected_by != attack.attack_id:
-        return []
     nodes = state.network.nodes
     packets = []
     for _ in range(attack.fanout):
@@ -139,16 +122,20 @@ def worm_emit(state: TransportState, health: dict[int, NodeHealth], node: int,
     return packets
 
 
-def on_attack_delivery(state: TransportState, health: dict[int, NodeHealth],
-                       node: int, pkt: Packet, attacks: dict[int, AttackConfig]) -> None:
+def on_attack_delivery(state: TransportState, vulnerable: set[int], infected: dict[int, int],
+                       node: int, pkt: Packet, attack: AttackConfig) -> None:
     """An attack packet survived every check and reached its destination."""
-    attack = attacks.get(pkt.attack)
-    if attack is None or not attack.infects:
-        return
-    h = health[node]
-    if not h.vulnerable or h.infected:
+    if not attack.infects or node not in vulnerable or node in infected:
         return  # absorbed harmlessly / already owned
-    h.infected_by = attack.attack_id
+    infected[node] = attack.attack_id
     state.log.append(state.clock, "Infect", node=node, attack=attack.attack_id,
                      ok=1, via="delivery", pid=pkt.pid)
 
+
+def cure(state: TransportState, infected: dict[int, int], node: int) -> int | None:
+    """Cure `node` by the SIS rule of the module docstring; returns the id
+    of the attack that held it, or None for a clean node."""
+    attack = infected.pop(node, None)
+    if attack is not None:
+        state.clear_deferred(node)
+    return attack

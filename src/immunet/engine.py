@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from random import Random
 
 from . import adversary, defense, receptors, stations, transport
-from .adversary import NodeHealth
 from .cells import ANT, DETECTOR, DISINFECTOR, MONITOR, ArtificialCell, CellPopulation
 from .events import EventLog
 from .metrics import Metrics, compute_metrics
@@ -93,15 +92,16 @@ class World:
 
         vuln_rng = self.seeds.stream("vulnerability")
         prob = config.vulnerability.probability
-        self.health = {n: NodeHealth(vulnerable=vuln_rng.random() < prob)
-                       for n in self.network.nodes}
+        # `adversary`'s infection model; no order of `vulnerable` may reach the log
+        self.vulnerable = {n for n in self.network.nodes if vuln_rng.random() < prob}
+        self.infected: dict[int, int] = {}  # infected node -> the attack holding it
 
         self.worm_entry: tuple[int, int, int] | None = None  # (step, attack_id, node)
         if config.worm.enabled and config.worm.attack_id in self.attacks:
             if config.worm.entry == "random":
                 entry = self.network.nodes[
                     self.seeds.stream("worm-entry").randrange(len(self.network.nodes))]
-                self.health[entry].vulnerable = True  # the hole the worm gets in through
+                self.vulnerable.add(entry)  # the hole the worm gets in through
             else:
                 entry = config.worm.entry
                 if not self.network.has_node(entry):
@@ -229,7 +229,8 @@ class World:
     def inject(self, state: TransportState) -> None:
         if self.worm_entry and state.clock == self.worm_entry[0]:
             _step, attack_id, entry = self.worm_entry
-            adversary.spawn_worm(state, self.health, self.attacks[attack_id], entry)
+            adversary.spawn_worm(state, self.vulnerable, self.infected,
+                                 self.attacks[attack_id], entry)
         packets = adversary.inject_background(state, self.config.traffic, self.attacks,
                                               self.background_rng, forbidden=self.signature_set)
         for pkt in packets:
@@ -266,7 +267,8 @@ class World:
             self.stations[cargo.dest].inbox.append(cargo)
             return
         if pkt.attack is not None:
-            adversary.on_attack_delivery(state, self.health, node, pkt, self.attacks)
+            adversary.on_attack_delivery(state, self.vulnerable, self.infected, node, pkt,
+                                         self.attacks[pkt.attack])
 
     def _arrive_cell(self, cell: ArtificialCell, node: int) -> None:
         cell.location = node
@@ -280,15 +282,9 @@ class World:
 
     def emit(self, state: TransportState) -> None:
         rng = self.worm_rng
-        for node in self.network.nodes:
-            h = self.health[node]
-            if not h.infected:
-                continue
-            attack = self.attacks[h.infected_by]
-            if attack.fanout <= 0:
-                continue
+        for node, attack_id in sorted(self.infected.items()):
             rng.seed(self.seeds.derive_seed("worm", node, state.clock))
-            packets = adversary.worm_emit(state, self.health, node, attack, rng,
+            packets = adversary.worm_emit(state, node, self.attacks[attack_id], rng,
                                           self.config.traffic.payload_len)
             state.offer(node, packets)
 
@@ -345,25 +341,10 @@ class World:
             self._send_substance(node, payload)
 
     def _disinfect(self, cell: ArtificialCell) -> None:
-        """Cure the target if it is infected, as in an SIS epidemic.
-
-        The cure clears the infection and drops the node's deferred worm
-        packets, so the node injects no attack packet until it is infected
-        again. It does not clear `vulnerable`: attack packets injected before
-        the cure still travel and can reinfect the node on delivery. The
-        paper's abstract does not settle whether a cured host stays
-        susceptible; this is the rule the simulator follows.
-        """
-        h = self.health[cell.target]
-        if h.infected:
-            attack = h.infected_by
-            h.infected_by = None
-            self.state.clear_deferred(cell.target)
-            self.log.append(self.state.clock, "Disinfect", node=cell.target, ok=1,
-                            attack=attack, cell=cell.cell_id)
-        else:
-            self.log.append(self.state.clock, "Disinfect", node=cell.target, ok=0,
-                            attack=None, cell=cell.cell_id)
+        """Cure the target by `adversary.cure`, log the outcome and retire the cell."""
+        attack = adversary.cure(self.state, self.infected, cell.target)
+        self.log.append(self.state.clock, "Disinfect", node=cell.target,
+                        ok=int(attack is not None), attack=attack, cell=cell.cell_id)
         self.population.retire(cell.cell_id)
 
     def _declaration_pass(self, state: TransportState, mass: dict[int, float]) -> None:

@@ -46,18 +46,26 @@ REDUNDANT = (lambda v: v >= 2, "redundancy requires >= 2")
 # cannot finish (a Poisson draw splits the rate until it recurses too deep,
 # and a "fixed" draw loops `rate` times)
 AT_MOST_1E6 = (lambda v: v <= 10**6, "must be <= 1000000 packets per step")
+# a run's routing holds a next hop per (node, destination), n**2 entries, and
+# `validate` lists every node id first; transit has 500 nodes
+AT_MOST_1E4_NODES = (lambda v: v <= 10**4, "must be <= 10000 nodes")
+# a run builds each cell with its own seeded stream; outbreak has 80 ants
+AT_MOST_1E4_CELLS = (lambda v: v <= 10**4, "must be <= 10000 cells")
+# every packet's payload is built at this length: the largest IPv4 datagram
+AT_MOST_65535 = (lambda v: v <= 65535, "must be <= 65535 bytes")
 FILE_STEM = (lambda v: v != "" and not any(c in v for c in "/\\\0"),
              "must be non-empty, without '/', '\\' or NUL")
 
 CellKind = Literal["Detector", "Ant", "Monitor"]
-CellCounts = dict[CellKind, Annotated[int, AT_LEAST_0]]
+CellCount = Annotated[int, AT_LEAST_0, AT_MOST_1E4_CELLS]
+CellCounts = dict[CellKind, CellCount]
 Rate = Annotated[float, AT_LEAST_0, AT_MOST_1E6]
 
 
 @dataclass
 class TopologySpec:
     kind: Literal["erdos_renyi", "line", "ring", "star", "explicit"] = "erdos_renyi"
-    nodes: int = 50
+    nodes: Annotated[int, AT_MOST_1E4_NODES] = 50
     edge_prob: float = 0.08
     links: list[list[int]] = field(default_factory=list)  # explicit: [u, v] or [u, v, bw]
 
@@ -99,7 +107,7 @@ class AttackMixConfig:
 class TrafficConfig:
     background_rate: Rate = 20.0
     distribution: Literal["poisson", "fixed"] = "poisson"
-    payload_len: Annotated[int, AT_LEAST_1] = 64
+    payload_len: Annotated[int, AT_LEAST_1, AT_MOST_65535] = 64
     attack_mix: list[AttackMixConfig] = field(default_factory=list)
 
 
@@ -118,7 +126,7 @@ class VulnerabilityConfig:
 
 @dataclass
 class DetectorConfig:
-    count: Annotated[int, AT_LEAST_0] = 30
+    count: CellCount = 30
     p_move: Annotated[float, CLOSED_UNIT] = 0.5
     target_fpr: Annotated[float, OPEN_UNIT] = 0.01
     initial_signatures: Literal["all", "none"] = "all"
@@ -127,7 +135,7 @@ class DetectorConfig:
 
 @dataclass
 class AntConfig:
-    count: Annotated[int, AT_LEAST_0] = 20
+    count: CellCount = 20
     # the last `memory` nodes an ant arrived at, the one it stands on
     # included; only neighbours are discounted, so 0 and 1 discount none
     memory: Annotated[int, AT_LEAST_0] = 4
@@ -136,7 +144,7 @@ class AntConfig:
 
 @dataclass
 class MonitorConfig:
-    count: Annotated[int, AT_LEAST_0] = 2
+    count: CellCount = 2
     flush_period: Annotated[int, AT_LEAST_1] = 25
 
 

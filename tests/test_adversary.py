@@ -4,12 +4,11 @@ from collections import Counter
 
 import pytest
 
-from immunet.adversary import (NodeHealth, attack_payload, benign_payload,
-                               inject_background, on_attack_delivery, poisson,
-                               spawn_worm, worm_emit)
+from immunet.adversary import (attack_payload, benign_payload, cure, inject_background,
+                               on_attack_delivery, poisson, spawn_worm, worm_emit)
 from immunet.events import field
 from immunet.scenario import AttackConfig, AttackMixConfig, TrafficConfig
-from immunet.topology import UnknownNode, erdos_renyi
+from immunet.topology import erdos_renyi
 from immunet.transport import DATA, TransportState
 
 from conftest import routing_table
@@ -27,7 +26,8 @@ def fresh_state(n=50, seed=5):
 
 
 def all_healthy(state, vulnerable=True):
-    return {n: NodeHealth(vulnerable=vulnerable) for n in state.network.nodes}
+    """Every node vulnerable (or none) and none infected."""
+    return set(state.network.nodes) if vulnerable else set(), {}
 
 
 class TestBackground:
@@ -93,61 +93,57 @@ class TestWorm:
 
     def test_spawn_on_vulnerable(self):
         state = fresh_state()
-        health = all_healthy(state)
-        assert spawn_worm(state, health, ATTACK, 7)
-        assert health[7].infected_by == 1
+        vulnerable, infected = all_healthy(state)
+        assert spawn_worm(state, vulnerable, infected, ATTACK, 7)
+        assert infected == {7: 1}
         infects = [ev for ev in state.log.events if ev[1] == "Infect"]
         assert len(infects) == 1 and field(infects[0], "ok") == 1
         assert infects[0][0] == 0
 
     def test_spawn_on_patched_fails(self):
         state = fresh_state()
-        health = all_healthy(state, vulnerable=False)
-        assert not spawn_worm(state, health, ATTACK, 7)
-        assert not health[7].infected
+        vulnerable, infected = all_healthy(state, vulnerable=False)
+        assert not spawn_worm(state, vulnerable, infected, ATTACK, 7)
+        assert infected == {}
         infects = [ev for ev in state.log.events if ev[1] == "Infect"]
         assert len(infects) == 1 and field(infects[0], "ok") == 0
 
     def test_double_spawn_idempotent(self):
         state = fresh_state()
-        health = all_healthy(state)
-        spawn_worm(state, health, ATTACK, 7)
-        assert spawn_worm(state, health, ATTACK, 7)
+        vulnerable, infected = all_healthy(state)
+        spawn_worm(state, vulnerable, infected, ATTACK, 7)
+        assert spawn_worm(state, vulnerable, infected, ATTACK, 7)
         assert sum(1 for ev in state.log.events if ev[1] == "Infect") == 1
-
-    def test_spawn_unknown_node(self):
-        state = fresh_state()
-        with pytest.raises(UnknownNode):
-            spawn_worm(state, all_healthy(state), ATTACK, 999)
 
     def test_emit_carries_signature(self, rng):
         state = fresh_state()
-        health = all_healthy(state)
-        spawn_worm(state, health, ATTACK, 7)
-        packets = worm_emit(state, health, 7, ATTACK, rng, payload_len=64)
+        packets = worm_emit(state, 7, ATTACK, rng, payload_len=64)
         assert len(packets) == 3
         for pkt in packets:
             assert SIG in pkt.payload
             assert pkt.attack == 1
             assert pkt.dst != 7
 
-    def test_disinfected_emits_nothing(self, rng):
+    def test_cure_pops_the_infection_and_waiting_packets_but_not_vulnerability(self, rng):
         state = fresh_state()
-        health = all_healthy(state)
-        spawn_worm(state, health, ATTACK, 7)
-        health[7].infected_by = None
-        assert worm_emit(state, health, 7, ATTACK, rng, 64) == []
+        vulnerable, infected = all_healthy(state)
+        spawn_worm(state, vulnerable, infected, ATTACK, 7)
+        state.queues[7].budget = 0  # the node injects nothing more this step
+        state.offer(7, worm_emit(state, 7, ATTACK, rng, 64))
+        assert len(state.queues[7].waiting) == 3
+        assert cure(state, infected, 7) == 1
+        assert infected == {} and 7 in vulnerable
+        assert not state.queues[7].waiting
+        assert cure(state, infected, 8) is None
 
     def test_emission_dst_uniform_chi_square(self):
         state = fresh_state()
-        health = all_healthy(state)
-        spawn_worm(state, health, ATTACK, 0)
         one_shot = AttackConfig(attack_id=1, signature=SIG.hex(), infects=True, fanout=1)
         rng = random.Random(314)
         counts = Counter()
         trials = 2000
         for _ in range(trials):
-            (pkt,) = worm_emit(state, health, 0, one_shot, rng, 32)
+            (pkt,) = worm_emit(state, 0, one_shot, rng, 32)
             counts[pkt.dst] += 1
         expected = trials / 49
         chi2 = sum((counts.get(n, 0) - expected) ** 2 / expected
@@ -156,24 +152,24 @@ class TestWorm:
 
     def test_delivery_infects_vulnerable(self):
         state = fresh_state()
-        health = all_healthy(state)
+        vulnerable, infected = all_healthy(state)
         pkt = state.make_packet(0, 5, DATA, payload=SIG, attack=1)
-        on_attack_delivery(state, health, 5, pkt, {1: ATTACK})
-        assert health[5].infected_by == 1
+        on_attack_delivery(state, vulnerable, infected, 5, pkt, ATTACK)
+        assert infected == {5: 1}
 
     def test_delivery_absorbed_by_patched(self):
         state = fresh_state()
-        health = all_healthy(state, vulnerable=False)
+        vulnerable, infected = all_healthy(state, vulnerable=False)
         pkt = state.make_packet(0, 5, DATA, payload=SIG, attack=1)
-        on_attack_delivery(state, health, 5, pkt, {1: ATTACK})
-        assert not health[5].infected
+        on_attack_delivery(state, vulnerable, infected, 5, pkt, ATTACK)
+        assert infected == {}
         assert not [ev for ev in state.log.events if ev[1] == "Infect"]
 
     def test_delivery_to_infected_no_duplicate_event(self):
         state = fresh_state()
-        health = all_healthy(state)
-        spawn_worm(state, health, ATTACK, 5)
+        vulnerable, infected = all_healthy(state)
+        spawn_worm(state, vulnerable, infected, ATTACK, 5)
         pkt = state.make_packet(0, 5, DATA, payload=SIG, attack=1)
-        on_attack_delivery(state, health, 5, pkt, {1: ATTACK})
+        on_attack_delivery(state, vulnerable, infected, 5, pkt, ATTACK)
         assert sum(1 for ev in state.log.events if ev[1] == "Infect") == 1
 

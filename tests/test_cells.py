@@ -132,15 +132,15 @@ class TestDisinfector:
         # an infecting attack that emits nothing, so the network stays idle
         cfg.attacks = [AttackConfig(attack_id=9, signature=SIG_HEX, infects=True, fanout=0)]
         world = World(cfg, seed=2)
-        world.health[3].vulnerable = True
-        world.health[3].infected_by = 9
+        world.vulnerable.add(3)
+        world.infected[3] = 9
         world._spawn(DISINFECTOR, 0, by="test", target=3)
         result = world.run()
         disinfects = [ev for ev in result.log.events if ev[1] == "Disinfect"]
         assert len(disinfects) == 1
         assert disinfects[0][0] == 3  # one hop per step, immune priority
         assert field(disinfects[0], "ok") == 1
-        assert not world.health[3].infected
+        assert 3 not in world.infected
 
     def test_clean_target_logs_false_disinfection(self):
         cfg = quiet_config(nodes=3, horizon=8)
@@ -178,8 +178,8 @@ class TestDisinfector:
         world = World(cfg, seed=2)
         # every other node stays invulnerable, so node 3 cannot be reinfected;
         # its injection budget is 2, so the node holds deferred packets
-        world.health[3].vulnerable = True
-        world.health[3].infected_by = 1
+        world.vulnerable.add(3)
+        world.infected[3] = 1
         world._spawn(DISINFECTOR, 0, by="test", target=3)
         result = world.run()
         disinfects = [ev for ev in result.log.events if ev[1] == "Disinfect"]

@@ -166,6 +166,19 @@ class TestValidationExitCodes:
         assert invoke(command, scenario_file(tmp_path, "traffic", **fields)) == 1
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("section, fields, message", [
+        ("topology", {"nodes": 100000}, "error: topology.nodes: must be <= 10000 nodes\n"),
+        ("detectors", {"count": 10**8}, "error: detectors.count: must be <= 10000 cells\n"),
+        ("stations", {"release_mix": {"Detector": 10**8}},
+         "error: stations.release_mix.Detector: must be <= 10000 cells\n"),
+        ("traffic", {"payload_len": 10**9}, "error: traffic.payload_len: must be <= 65535 bytes\n"),
+    ], ids=["nodes", "detectors", "release-mix", "payload"])
+    def test_resource_refused_by_the_gate(self, tmp_path, capsys, command, section, fields,
+                                          message):
+        # refused by the gate, so `run` builds no world
+        assert invoke(command, scenario_file(tmp_path, section, **fields)) == 1
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("fields, message", [
         ({"topology": 5}, "error: topology: expected an object\n"),
         ({"attacks": {}}, "error: attacks: expected a list\n"),

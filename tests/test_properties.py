@@ -90,7 +90,8 @@ def test_strict_defended_run_is_conserved_repeatable_and_cures_only_the_infected
     cfg = worm_config_for(*topology)
     # World.run ends with the conservation audit, which raises on a lifecycle
     # violation or when the packets left in flight are not the ones queued
-    first = World(cfg, seed, strict_checks=True).run()
+    world = World(cfg, seed, strict_checks=True)
+    first = world.run()
     second = World(cfg, seed, strict_checks=True).run()
     assert saved_bytes(first) == saved_bytes(second)
 
@@ -103,6 +104,8 @@ def test_strict_defended_run_is_conserved_repeatable_and_cures_only_the_infected
             assert (node in infected) == (field(ev, "ok") == 1), to_line(ev)
             infected.discard(node)
     assert any(ev[1] == "Infect" for ev in first.log.events)
+    # the live infection record is the log's fold, and only vulnerable nodes fall
+    assert infected == set(world.infected) and infected <= world.vulnerable
 
 
 def reference_rows(net):

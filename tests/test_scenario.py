@@ -87,6 +87,18 @@ BOUNDS = [
     ("horizon", -1, "must be >= 0"),
 ]
 
+# Each resource bound on a single field, as (path, bound, message): the bound
+# is accepted and one above it refused, by validation alone; no world is built.
+RESOURCE_BOUNDS = [
+    ("topology.nodes", 10**4, "must be <= 10000 nodes"),
+    ("detectors.count", 10**4, "must be <= 10000 cells"),
+    ("ants.count", 10**4, "must be <= 10000 cells"),
+    ("monitors.count", 10**4, "must be <= 10000 cells"),
+    ("stations.release_mix.Detector", 10**4, "must be <= 10000 cells"),
+    ("stations.caps.Ant", 10**4, "must be <= 10000 cells"),
+    ("traffic.payload_len", 65535, "must be <= 65535 bytes"),
+]
+
 # One bad value per other rule: (changes, the field the error names), and a
 # case id where another case names the field as well.
 RULES = [
@@ -179,6 +191,13 @@ class TestGate:
         exc = rejection({path: value})
         where = path.replace(".0.", "[0].")
         assert exc.field == where and str(exc) == f"{where}: {message}"
+
+    @pytest.mark.parametrize("path, bound, message", RESOURCE_BOUNDS,
+                             ids=[case[0] for case in RESOURCE_BOUNDS])
+    def test_resource_bound(self, path, bound, message):
+        loads(mutated({path: bound}))
+        exc = rejection({path: bound + 1})
+        assert exc.field == path and str(exc) == f"{path}: {message}"
 
     @pytest.mark.parametrize("changes, where", [case[:2] for case in RULES],
                              ids=[case[-1] for case in RULES])

@@ -12,6 +12,7 @@ from immunet.scenario import (AttackConfig, AttackMixConfig, DetectorConfig, Fil
                               IdsConfig, TopologySpec, VulnerabilityConfig, WormConfig,
                               baseline_scenario, from_dict)
 from immunet.stations import ADMIN, LYMPH, NURSERY
+from immunet.topology import UnknownNode
 
 from conftest import hop_counts, worm_config
 
@@ -239,6 +240,41 @@ class TestFailedEntry:
         assert result.metrics.worm_entries == 0
         assert result.metrics.infections_total == 0
 
+    def test_explicit_entry_outside_the_network_is_refused_at_construction(self):
+        """A config built in Python skips `validate`; the world itself
+        refuses an entry that is not one of its nodes."""
+        with pytest.raises(UnknownNode):
+            World(worm_config(worm=WormConfig(entry=999)), 1)
+
+
+class TestEntryIntoAnInfectedNode:
+    """Attack-mix packets take node 5 before the worm's entry at step 40."""
+
+    @staticmethod
+    def run(attack_id, seed):
+        cfg = worm_config(horizon=60, detectors=DetectorConfig(count=0),
+                          worm=WormConfig(entry=5, entry_step=40))
+        cfg.attacks.append(AttackConfig(attack_id=2, signature="5eed0002", infects=True, fanout=0))
+        cfg.traffic.attack_mix = [AttackMixConfig(attack_id=attack_id, rate=3.0)]
+        result = World(cfg, seed).run()
+        infects = [(ev[0], field(ev, "attack"), field(ev, "ok"), field(ev, "via"))
+                   for ev in result.log.events if ev[1] == "Infect" and field(ev, "node") == 5]
+        return infects, result.metrics
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_entry_into_a_node_its_own_attack_holds_logs_nothing(self, seed):
+        infects, metrics = self.run(1, seed)
+        assert infects[0][0] <= 5 and infects[0][1:] == (1, 1, "delivery")
+        assert not [inf for inf in infects if inf[3] == "entry"]
+        assert metrics.worm_entries == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_entry_into_a_node_another_attack_holds_takes_it(self, seed):
+        infects, metrics = self.run(2, seed)
+        assert infects[0][0] < 40 and infects[0][1:] == (2, 1, "delivery")
+        assert [inf for inf in infects if inf[3] == "entry"] == [(40, 1, 1, "entry")]
+        assert metrics.worm_entries == 1
+
 
 class TestPrevalence:
 
@@ -259,7 +295,7 @@ class TestPrevalence:
         m = result.metrics
         assert (m.infected_node_steps, m.peak_infected, m.final_infected) \
             == (sum(counts), max(counts), counts[-1])
-        assert m.final_infected == sum(h.infected for h in world.health.values())
+        assert m.final_infected == len(world.infected)
         assert m.infected_node_steps > 0 and len(counts) == 200
 
 
