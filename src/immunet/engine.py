@@ -80,7 +80,7 @@ class World:
         self.network = build_topology(config.topology, self.seeds.stream("topology"),
                                       cfg_tr.link_bandwidth)
         # next-hop rows, one breadth-first search per destination; the only
-        # hop counts kept are those from station nodes (`station_hops`)
+        # hop counts kept are those from station nodes (`Station.hops`)
         self.routing = compute_routing(self.network)
         self.state = TransportState(self.network, self.routing, cfg_tr.queue_capacity,
                                     strict_checks=strict_checks)
@@ -153,24 +153,19 @@ class World:
 
     def _setup_stations(self, trained: CompressedSignatureDb | None) -> None:
         cfg = self.config.stations
-        want = cfg.lymph + cfg.nurseries + 1  # + admin
+        # a station's id is its index in `stations`: lymph nodes, nurseries, then admin
+        kinds = [LYMPH] * cfg.lymph + [NURSERY] * cfg.nurseries + [ADMIN]
         if isinstance(cfg.placement, str):
             rng = self.seeds.stream("placement", "stations")
-            nodes = rng.sample(self.network.nodes, want)
+            nodes = rng.sample(self.network.nodes, len(kinds))
         else:
             nodes = list(cfg.placement)
         if cfg.admin_node is not None:
             nodes[-1] = cfg.admin_node
-
-        # a station's id is its index here: lymph nodes, nurseries, then admin
         self.stations: list[Station] = [
-            Station(sid, LYMPH, node) if sid < cfg.lymph
-            else Station(sid, NURSERY, node, store=trained)
-            for sid, node in enumerate(nodes[:cfg.lymph + cfg.nurseries])]
-        self.stations.append(Station(len(self.stations), ADMIN, nodes[-1]))
-        # station node -> hop counts from it, for picking the nearest station
-        self.station_hops = {st.node: bfs_distances(self.network, st.node)
-                             for st in self.stations}
+            Station(sid, kind, node, bfs_distances(self.network, node),
+                    store=trained if kind == NURSERY else None)
+            for sid, (kind, node) in enumerate(zip(kinds, nodes))]
 
         self.substance_ttl = cfg.substance_ttl
         if self.substance_ttl is None:
@@ -396,7 +391,7 @@ class World:
             self.log.append(self.state.clock, "Drop", sid=sub.sid, node=st.node,
                             reason="ttl")
             return
-        target = next_station(self.stations, st, sub, self.station_hops)
+        target = next_station(self.stations, st, sub)
         if target is None:
             self.log.append(self.state.clock, "Drop", sid=sub.sid, node=st.node,
                             reason="no-opener")
@@ -474,7 +469,7 @@ class World:
         kind = payload["kind"]
         sub = receptors.seal(payload, _OPENER[kind], self.substance_ttl)
         sub.sid = next(self._substance_ids)
-        target = nearest_station(self.stations, origin, self.station_hops)
+        target = nearest_station(self.stations, origin)
         self._transmit_substance(origin, target, sub, kind)
 
     def _transmit_substance(self, src: int, target: Station, sub: receptors.Substance,

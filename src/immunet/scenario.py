@@ -65,19 +65,17 @@ Rate = Annotated[float, AT_LEAST_0, AT_MOST_1E6]
 @dataclass
 class TopologySpec:
     kind: Literal["erdos_renyi", "line", "ring", "star", "explicit"] = "erdos_renyi"
-    nodes: Annotated[int, AT_MOST_1E4_NODES] = 50
+    nodes: Annotated[int, AT_MOST_1E4_NODES] = 50  # generated kinds only
     edge_prob: float = 0.08
-    links: list[list[int]] = field(default_factory=list)  # explicit: [u, v] or [u, v, bw]
+    # explicit: [u, v] or [u, v, bw]; the link endpoints are the nodes
+    links: list[list[int]] = field(default_factory=list)
 
     def node_ids(self) -> list[int]:
         """The ids of the network's nodes: 0..nodes-1, or for an explicit
-        topology the link endpoints, widened to 0..nodes-1 when that is larger."""
+        topology its link endpoints."""
         if self.kind != "explicit":
             return list(range(self.nodes))
-        ids = {n for link in self.links for n in link[:2]}
-        if self.nodes > len(ids):
-            ids |= set(range(self.nodes))
-        return sorted(ids)
+        return sorted({n for link in self.links for n in link[:2]})
 
 
 @dataclass
@@ -385,6 +383,8 @@ def validate(config: ScenarioConfig) -> None:
     for i, rule in enumerate(config.filters):
         if rule.node not in node_ids:
             raise ValidationError(f"filters[{i}].node", "not a node of the topology")
+        _check_nodes(f"filters[{i}].src", rule.src or (), node_ids)
+        _check_nodes(f"filters[{i}].dst", rule.dst or (), node_ids)
     if len({rule.node for rule in config.filters}) + ids.count > DETECTOR_IDS_FROM:
         raise ValidationError("static_ids.count", f"filter nodes plus static IDS exceed "
                               f"{DETECTOR_IDS_FROM}, where detector component ids start")

@@ -7,7 +7,7 @@ from immunet.scenario import (AntConfig, AttackConfig, DetectorConfig,
                               MonitorConfig, PheromoneConfig, ScenarioConfig,
                               StationConfig, TopologySpec, TrafficConfig,
                               TransportConfig, VulnerabilityConfig, WormConfig)
-from immunet.topology import bfs_distances, compute_routing
+from immunet.topology import compute_routing
 
 SIG_HEX = "a3f1c08e55d2764b9900eeab1275c3d4"
 SIG = bytes.fromhex(SIG_HEX)
@@ -26,8 +26,11 @@ def to_line(rec):
 
 
 def hop_counts(net):
-    """All-pairs hop counts dist[src][dst], one BFS per node."""
-    return {n: bfs_distances(net, n) for n in net.nodes}
+    """All-pairs hop counts dist[src][dst] by networkx, apart from the
+    program's own breadth-first search; skips the test without networkx."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph((u, v) for u, v, _bw in net.links)
+    return dict(nx.all_pairs_shortest_path_length(graph))
 
 
 def routing_table(net):

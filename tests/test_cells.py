@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -321,6 +322,79 @@ class TestMonitor:
         assert sum(1 for row in rows if row["pheromone"]) > 150
         for row in rows:
             assert row["pheromone"] == round(snapshots[row["step"]].get(row["node"], 0.0), 9)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_identify_matches_log_fold(self, seed):
+        """Every `Identify` line is predicted by `identify_fold`, which reads
+        the log and the config only; a fold with a changed rule disagrees."""
+        cfg = worm_config(horizon=200)
+        events = World(cfg, seed=seed).run().log.events
+        logged = [(ev[0], field(ev, "node"), field(ev, "attack"))
+                  for ev in events if ev[1] == "Identify"]
+        assert len(logged) > 40
+        assert identify_fold(events, cfg.pheromone, cfg.stations.dedup_window) == logged
+        if seed == 6:  # planted controls: the fold tells a changed rule apart
+            fewer = dataclasses.replace(cfg.pheromone, quorum=cfg.pheromone.quorum - 1)
+            assert identify_fold(events, fewer, cfg.stations.dedup_window) != logged
+            assert identify_fold(events, cfg.pheromone, 1) != logged
+
+
+def identify_fold(events, pheromone, dedup_window):
+    """Every `Identify` line of a run as (step, node, attack), folded from
+    its other lines and the config alone. A signature-layer `Detect`
+    deposits on (src, node) and tallies its attack at src; at each `Step`
+    the out-masses are summed and a node is declared, in ascending order,
+    when its mass reaches the threshold with a quorum of ants on it and it
+    was not identified within the dedup window; then the step's spawns
+    (phase 7, after the declaration; the initial ones at once) place ants
+    and remove the cells they replace, and the levels evaporate.
+
+    The gap: a cell killed in transit by an immune-class filter cannot be
+    named from the log, so the fold would keep counting it; no run here
+    has such a filter."""
+    keep = 1.0 - pheromone.evaporation
+    level: dict[tuple[int, int], float] = {}
+    tally: dict[int, Counter] = {}
+    ants: dict[int, int] = {}  # ant cell -> its node
+    spawns, last, lines = [], {}, []
+
+    def place(spawn):
+        ants.pop(field(spawn, "replaces"), None)
+        if field(spawn, "cellkind") == "Ant":
+            ants[field(spawn, "cell")] = field(spawn, "node")
+
+    for ev in events:
+        if ev[1] == "Detect" and field(ev, "bykind") in ("StaticIDS", "Cell"):
+            src, attack = field(ev, "src"), field(ev, "attack")
+            edge = (src, field(ev, "node"))
+            level[edge] = level.get(edge, 0.0) + pheromone.deposit
+            if attack is not None:
+                tally.setdefault(src, Counter())[attack] += 1
+        elif ev[1] == "CellMove" and field(ev, "cell") in ants:
+            ants[field(ev, "cell")] = field(ev, "node")
+        elif ev[1] == "Spawn" and field(ev, "by") == "init":  # logged before step 0 runs
+            place(ev)
+        elif ev[1] == "Spawn":
+            spawns.append(ev)
+        elif ev[1] == "Step":
+            mass: dict[int, float] = {}
+            for (u, _v), lvl in level.items():
+                mass[u] = mass.get(u, 0.0) + lvl
+            present = Counter(ants.values())
+            for node in sorted(mass):
+                if mass[node] < pheromone.threshold or present[node] < pheromone.quorum:
+                    continue
+                if node in last and ev[0] - last[node] < dedup_window:
+                    continue
+                last[node] = ev[0]
+                counts = tally.get(node)
+                lines.append((ev[0], node, min(counts, key=lambda a: (-counts[a], a))
+                              if counts else None))
+            for spawn in spawns:
+                place(spawn)
+            spawns = []
+            level = {e: v * keep for e, v in level.items() if v * keep >= 1e-6}
+    return lines
 
 
 class TestRetirement:

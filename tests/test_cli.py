@@ -106,7 +106,7 @@ class TestValidationExitCodes:
     @pytest.mark.parametrize("nodes, extra", [
         (6, [[2, 2]]),
         (6, [[1, 0]]),
-        (7, []),
+        (6, [[7, 8]]),
         (6, [[0, 2, 0]]),
         (6, [[0]]),
     ], ids=["self-loop", "duplicate", "disconnected", "bandwidth-0", "one-node-link"])
@@ -116,6 +116,15 @@ class TestValidationExitCodes:
         assert invoke(command, path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: topology.links:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rule, where", [
+        ({"node": 0, "src": [999]}, "filters[0].src[0]"),
+        ({"node": 0, "src": [1], "dst": [2, -4]}, "filters[0].dst[1]"),
+    ], ids=["src", "dst"])
+    def test_filter_rule_that_names_no_node(self, tmp_path, capsys, command, rule, where):
+        """A rule that can never match is a typo, refused before a run."""
+        assert invoke(command, scenario_file(tmp_path, filters=[rule])) == 1
+        assert capsys.readouterr().err == f"error: {where}: not a node of the topology\n"
 
     def test_worm_attack_that_does_not_infect(self, tmp_path, capsys, command):
         attack = dict(baseline_scenario().to_dict()["attacks"][0], infects=False)
@@ -226,6 +235,22 @@ class TestRunArguments:
                             (out / f"{name}-seed5.log").read_bytes()))
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][0])["steps"] == 30
+
+    def test_explicit_topology_needs_no_node_count(self, tmp_path, capsys):
+        """An explicit topology's nodes are its link endpoints: without
+        `nodes` it validates, and its run logs the same bytes as with
+        `nodes` set to the endpoint count."""
+        links = [[3, 7], [7, 40], [40, 1000], [1000, 1001], [1001, 2048], [2048, 3], [7, 1000]]
+        logs = []
+        for extra in ({}, {"nodes": 6}):
+            path = scenario_file(tmp_path, topology={"kind": "explicit", "links": links, **extra})
+            assert cli.main(["validate", "--scenario", path]) == 0
+            out = tmp_path / f"out{len(extra)}"
+            argv = ["run", "--scenario", path, "--seed", "1", "--steps", "100", "--out", str(out)]
+            assert cli.main(argv) == 0
+            logs.append((out / f"{baseline_scenario().name}-seed1.log").read_bytes())
+        capsys.readouterr()
+        assert logs[0] == logs[1] and b" kind=Deliver " in logs[0]
 
     def test_random_topology_that_never_connects(self, tmp_path, capsys):
         path = scenario_file(tmp_path, "topology", nodes=10, edge_prob=0.001)

@@ -166,15 +166,16 @@ def test_routing_matches_two_pass_reference_on_seeded_graphs():
 def test_station_rows_give_the_all_pairs_nearest_station(topology, seed):
     world = World(worm_config_for(*topology), seed)
     stations = world.stations
-    # one hop-count row per station node, and no other
-    assert set(world.station_hops) == {station.node for station in stations}
     dist = hop_counts(world.network)
+    # each station's row is networkx's hop counts from its node
+    for station in stations:
+        assert station.hops == dist[station.node]
     for origin in world.network.nodes:
         want = min(stations, key=lambda station: (dist[origin][station.node], station.station_id))
-        assert nearest_station(stations, origin, world.station_hops) is want
+        assert nearest_station(stations, origin) is want
     for current in stations:
         others = [station for station in stations if station is not current]
         want = min(others, key=lambda station: (dist[current.node][station.node],
                                                 station.station_id))
         sub = SimpleNamespace(visited=set())
-        assert next_station(stations, current, sub, world.station_hops) is want
+        assert next_station(stations, current, sub) is want

@@ -170,6 +170,9 @@ RULES = [
      "static_ids.placement-repeat"),
     ({"static_ids.count": 51}, "static_ids.count", "static_ids.count-above-nodes"),
     ({"filters": [{"node": 999}]}, "filters[0].node"),
+    # a filter rule that names no node can never match
+    ({"filters": [{"node": 0, "src": [999]}]}, "filters[0].src[0]"),
+    ({"filters": [{"node": 0, "src": [1], "dst": [2, -4]}]}, "filters[0].dst[1]"),
     # a name is a file stem under --out: not empty, no directory parts, no NUL
     ({"name": ""}, "name", "name-empty"),
     ({"name": "../escaped"}, "name", "name-slash"),
