@@ -25,14 +25,6 @@ _component_id = attrgetter("component_id")
 DETECTOR_IDS_FROM = 10_000
 
 
-class DuplicateRegistration(ValueError):
-    pass
-
-
-class UnknownComponent(KeyError):
-    pass
-
-
 class PacketFilter:
     kind = "PacketFilter"
     cell_id = None
@@ -114,13 +106,13 @@ class DefenseStack:
             raise UnknownNode(node)
         cid = component.component_id
         if cid in self._home:
-            raise DuplicateRegistration(f"component {cid} already at node {self._home[cid]}")
+            raise ValueError(f"component {cid} already at node {self._home[cid]}")
         insort(self.at.setdefault(node, []), component, key=_component_id)
         self._home[cid] = node
 
     def deregister(self, node: int, component_id: int) -> None:
         if self._home.get(component_id) != node:
-            raise UnknownComponent(component_id)
+            raise KeyError(component_id)
         at = self.at[node]
         del at[bisect_left(at, component_id, key=_component_id)]
         del self._home[component_id]

@@ -66,7 +66,6 @@ def build_topology(spec: TopologySpec, rng: Random, bandwidth: int) -> Network:
 class RunResult:
     log: EventLog
     metrics: Metrics
-    audit: dict[int, int]  # pid -> node of each packet the log leaves in flight
 
 
 class World:
@@ -104,7 +103,7 @@ class World:
                 self.vulnerable.add(entry)  # the hole the worm gets in through
             else:
                 entry = config.worm.entry
-                if not self.network.has_node(entry):
+                if entry not in self.network.index:
                     raise UnknownNode(entry)
             self.worm_entry = (config.worm.entry_step, config.worm.attack_id, entry)
 
@@ -113,9 +112,7 @@ class World:
         self.worm_rng = Random()
 
         self.defense = defense.DefenseStack(self.network)
-        self.pheromone = PheromoneMap(config.pheromone.evaporation,
-                                      config.pheromone.deposit,
-                                      config.pheromone.threshold)
+        self.pheromone = PheromoneMap(config.pheromone)
 
         self.population = CellPopulation()
         self._component_ids = itertools.count()
@@ -344,7 +341,7 @@ class World:
 
     def _declaration_pass(self, state: TransportState, mass: dict[int, float]) -> None:
         ants_present = Counter(cell.location for cell in self.population.of_kind(ANT))
-        declared = self.pheromone.declare(mass, ants_present, self.config.pheromone.quorum)
+        declared = self.pheromone.declare(mass, ants_present)
         # rate-limit per node so persistent evidence re-reports once per window
         redeclare = self.config.stations.dedup_window
         for node in declared:
@@ -512,7 +509,7 @@ class World:
                 f"the log leaves packet {pid} in flight at {audit.get(pid, '-')}, "
                 f"the transport holds it at {held.get(pid, '-')}"))
         metrics = compute_metrics(self.log.events)
-        return RunResult(self.log, metrics, audit)
+        return RunResult(self.log, metrics)
 
 
 def _members(store: CompressedSignatureDb | None) -> frozenset[bytes]:

@@ -28,9 +28,12 @@ def _grid_point(config: ScenarioConfig, knobs) -> ScenarioConfig:
 
 def grid_points(config: ScenarioConfig, grid: dict[str, list]) -> list[tuple]:
     """Every grid point as (its knob values, its scenario): grid keys
-    sorted, values in given order, each point built and validated."""
+    sorted, values in given order, each point built and validated. The
+    scenario's `seed` is no knob: each row's `seed` is its run's seed."""
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ValidationError("grid", "must map knob paths to lists of values")
+    if "seed" in grid:
+        raise ValidationError("seed", "a sweep takes its seeds from --seeds, not from the grid")
     keys = sorted(grid)
     return [(dict(zip(keys, values)), _grid_point(config, zip(keys, values)))
             for values in itertools.product(*(grid[k] for k in keys))]

@@ -3,7 +3,9 @@
 Detections deposit on the edge the malicious packet arrived on, marking
 where bad traffic came from; evaporation decays every level each step;
 a node whose outgoing pheromone mass crosses the declare threshold while
-enough ants sit on it is declared infected.
+enough ants sit on it is declared infected. The field reads its deposit,
+evaporation, threshold and quorum from the scenario's `pheromone`
+section, whose annotations state their bounds.
 
 `level`, keyed by edge, is the whole field. Out-masses are summed with
 `+=` in `level`'s order, so they are the same floats on every Python
@@ -17,30 +19,25 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from random import Random
 
+from .scenario import PheromoneConfig
+
 CLAMP_FLOOR = 1e-6
 MEMORY_NOVELTY = 0.1
 
 
 class PheromoneMap:
-    def __init__(self, evaporation_rate: float = 0.02, deposit_quantum: float = 1.0,
-                 declare_threshold: float = 5.0):
-        if not 0.0 < evaporation_rate < 1.0:
-            raise ValueError("evaporation_rate must be in (0, 1)")
-        if deposit_quantum <= 0.0 or declare_threshold <= 0.0:
-            raise ValueError("deposit_quantum and declare_threshold must be > 0")
-        self.evaporation_rate = evaporation_rate
-        self.deposit_quantum = deposit_quantum
-        self.declare_threshold = declare_threshold
+    def __init__(self, config: PheromoneConfig):
+        self.config = config
         self.level: dict[tuple[int, int], float] = {}
         self._tallies: defaultdict[int, Counter] = defaultdict(Counter)
 
     def deposit(self, edge: tuple[int, int], attack: int | None = None) -> None:
-        self.level[edge] = self.level.get(edge, 0.0) + self.deposit_quantum
+        self.level[edge] = self.level.get(edge, 0.0) + self.config.deposit
         if attack is not None:
             self._tallies[edge[0]][attack] += 1
 
     def evaporate(self) -> None:
-        keep = 1.0 - self.evaporation_rate
+        keep = 1.0 - self.config.evaporation
         self.level = {edge: lvl for edge, old in self.level.items()
                       if (lvl := old * keep) >= CLAMP_FLOOR}
 
@@ -51,11 +48,10 @@ class PheromoneMap:
             mass[u] = mass.get(u, 0.0) + lvl
         return mass
 
-    def declare(self, mass: dict[int, float], ants_present: dict[int, int],
-                quorum: int) -> list[int]:
+    def declare(self, mass: dict[int, float], ants_present: dict[int, int]) -> list[int]:
         """Nodes of an `out_mass()` table whose mass crosses the threshold
         with an ant quorum."""
-        theta = self.declare_threshold
+        theta, quorum = self.config.threshold, self.config.quorum
         return sorted(n for n, m in mass.items()
                       if m >= theta and ants_present.get(n, 0) >= quorum)
 

@@ -329,6 +329,9 @@ def validate(config: ScenarioConfig) -> None:
     if topo.kind == "erdos_renyi" and not 0.0 < topo.edge_prob <= 1.0:
         raise ValidationError("topology.edge_prob", "must be in (0, 1]")
     if topo.kind == "explicit":
+        test, message = AT_MOST_1E4_NODES  # the bound `nodes` states, on the link endpoints
+        if not test(len(node_ids)):
+            raise ValidationError("topology.links", message)
         try:
             build_network(node_ids, topo.links, config.transport.link_bandwidth)
         except TopologyError as exc:

@@ -25,10 +25,6 @@ import math
 import struct
 
 
-class EmptySignatureSet(ValueError):
-    pass
-
-
 _SALT = b"sigdb-probe-v1"
 _WORDS = struct.Struct(">16I")  # one 64-byte digest as 16 probe words
 _EACH_WORD = struct.Struct(">I").iter_unpack  # a digest's probe words, one at a time
@@ -47,9 +43,9 @@ class CompressedSignatureDb:
     def __init__(self, signatures, target_fpr: float):
         members = frozenset(bytes(s) for s in signatures)
         if not members:
-            raise EmptySignatureSet("need at least one signature")
+            raise ValueError("need at least one signature")
         if b"" in members:
-            raise EmptySignatureSet("signatures must be non-empty")
+            raise ValueError("signatures must be non-empty")
         if not 0.0 < target_fpr < 1.0:
             raise ValueError("target_fpr must be in (0, 1)")
         self.target_fpr = target_fpr

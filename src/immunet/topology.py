@@ -11,6 +11,11 @@ the node that discovers `src` is its smallest neighbour one hop nearer
 records each destination's depth, whose largest value is the diameter. No
 all-pairs hop-count table is built; `bfs_distances` gives one source's hop
 counts. `Routes` also reads the rows as a `(src, dst)` mapping.
+
+`TopologyError` is the one error for a topology that cannot be built: too
+few nodes, a malformed link, a self-loop, a duplicate link, a bandwidth
+below 1, or a graph that is not connected. `UnknownNode` names an id that
+is not a node of the network.
 """
 
 from __future__ import annotations
@@ -21,18 +26,6 @@ from random import Random
 
 
 class TopologyError(ValueError):
-    pass
-
-
-class SelfLoop(TopologyError):
-    pass
-
-
-class DuplicateLink(TopologyError):
-    pass
-
-
-class DisconnectedGraph(TopologyError):
     pass
 
 
@@ -57,12 +50,6 @@ class Network:
         except KeyError:
             raise UnknownNode(node) from None
 
-    def has_node(self, node: int) -> bool:
-        return node in self.adjacency
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def build_network(nodes, links, bandwidth: int = 1) -> Network:
     """Validate nodes/links and assemble a Network.
@@ -84,14 +71,14 @@ def build_network(nodes, links, bandwidth: int = 1) -> Network:
         u, v, bw = link if len(link) == 3 else (*link, bandwidth)
         u, v, bw = int(u), int(v), int(bw)
         if u == v:
-            raise SelfLoop(f"self-loop at node {u}")
+            raise TopologyError(f"self-loop at node {u}")
         if u not in node_set or v not in node_set:
             raise UnknownNode(u if u not in node_set else v)
         if bw < 1:
             raise TopologyError(f"bandwidth must be >= 1 on link ({u},{v})")
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise DuplicateLink(f"duplicate link ({key[0]},{key[1]})")
+            raise TopologyError(f"duplicate link ({key[0]},{key[1]})")
         seen.add(key)
         canon.append((key[0], key[1], bw))
     canon.sort()
@@ -110,7 +97,7 @@ def build_network(nodes, links, bandwidth: int = 1) -> Network:
     )
     unreachable = node_set - set(bfs_distances(net, node_list[0]))
     if unreachable:
-        raise DisconnectedGraph(f"unreachable nodes: {sorted(unreachable)}")
+        raise TopologyError(f"unreachable nodes: {sorted(unreachable)}")
     return net
 
 

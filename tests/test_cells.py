@@ -397,7 +397,44 @@ def identify_fold(events, pheromone, dedup_window):
     return lines
 
 
+def replacement_fold(events, pick=lambda live: live[0]):
+    """Each `Spawn replaces=` line as (the victim it names, the victim the
+    fold picks), from the log alone. Each kind keeps its live cell ids in
+    spawn order; a `Disinfect` line retires its `cell`, and a replacement
+    retires the victim its line names. `pick` takes the kind's live ids:
+    the first is the oldest live cell.
+
+    The gap (ROADMAP item 9): a cell killed in transit by an immune-class
+    filter cannot be named from the log, so the fold would keep it live;
+    no run here has such a filter."""
+    live: dict[str, list[int]] = {}
+    pairs = []
+    for ev in events:
+        if ev[1] == "Spawn":
+            ids = live.setdefault(field(ev, "cellkind"), [])
+            victim = field(ev, "replaces")
+            if victim is not None:
+                pairs.append((victim, pick(ids)))
+                ids.remove(victim)
+            ids.append(field(ev, "cell"))
+        elif ev[1] == "Disinfect":
+            live[DISINFECTOR].remove(field(ev, "cell"))
+    return pairs
+
+
 class TestRetirement:
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_each_replacement_names_the_oldest_live_cell(self, seed):
+        """Every `Spawn replaces=` names the oldest live cell of its kind by
+        `replacement_fold`; a fold that picks the newest disagrees."""
+        events = World(worm_config(horizon=200), seed=seed).run().log.events
+        pairs = replacement_fold(events)
+        assert len(pairs) == 24  # 4 releases by 2 nurseries of 2 detectors and 1 ant
+        assert all(logged == folded for logged, folded in pairs)
+        if seed == 6:  # planted control: the fold tells a changed rule apart
+            newest = replacement_fold(events, pick=lambda live: live[-1])
+            assert any(logged != folded for logged, folded in newest)
 
     def test_no_events_after_retirement(self):
         cfg = worm_config(horizon=250)
@@ -444,6 +481,9 @@ class TestNurseryCaps:
         assert len(spawns) == 2 * 200 // 5  # both nurseries release every period
         assert world.population.count("Ant") == 3
         assert sum(field(ev, "replaces") is not None for ev in spawns) == len(spawns) - 3
+        pairs = replacement_fold(world.log.events)
+        assert len(pairs) == len(spawns) - 3
+        assert all(logged == folded for logged, folded in pairs)
 
     @pytest.mark.parametrize("kind, count", [("Detector", 30), ("Ant", 20), ("Monitor", 2)])
     def test_default_cap_is_the_sections_count(self, kind, count):

@@ -181,7 +181,9 @@ class TestValidationExitCodes:
         ("stations", {"release_mix": {"Detector": 10**8}},
          "error: stations.release_mix.Detector: must be <= 10000 cells\n"),
         ("traffic", {"payload_len": 10**9}, "error: traffic.payload_len: must be <= 65535 bytes\n"),
-    ], ids=["nodes", "detectors", "release-mix", "payload"])
+        ("topology", {"kind": "explicit", "links": [[i, i + 1] for i in range(10**4)]},
+         "error: topology.links: must be <= 10000 nodes\n"),
+    ], ids=["nodes", "detectors", "release-mix", "payload", "explicit-nodes"])
     def test_resource_refused_by_the_gate(self, tmp_path, capsys, command, section, fields,
                                           message):
         # refused by the gate, so `run` builds no world
@@ -357,6 +359,7 @@ class TestSweepValidation:
         ({"horizon.steps": [1]}, "horizon.steps"),
         ({"horizon": 5}, "grid"),
         ([1], "grid"),
+        ({"seed": [1, 2]}, "seed"),
         pytest.param("{", "{grid}: line 1", id="{-line 1"),
         pytest.param('{"horizon": [' + "1" * 5000 + "]}", "{grid}", id="5000-digit-integer"),
         pytest.param("[" * 100_000, "{grid}", id="100000-nested-arrays"),

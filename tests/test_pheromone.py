@@ -5,6 +5,7 @@ import pytest
 
 from immunet.pheromone import (CLAMP_FLOOR, PheromoneMap, choose_move,
                                transition_weights)
+from immunet.scenario import PheromoneConfig
 
 
 def declare_oracle(level, ants_present, theta, quorum):
@@ -44,7 +45,7 @@ class TestPerNodeIndex:
         rng = random.Random(seed)
         # a small quantum and fast decay: an edge dies after ~13 passes untouched
         q, rate = 1e-3 * (1 + rng.random()), 0.4
-        pm = PheromoneMap(deposit_quantum=q, evaporation_rate=rate)
+        pm = PheromoneMap(PheromoneConfig(deposit=q, evaporation=rate))
         ref: dict[tuple[int, int], float] = {}
         died = revived = 0
         ever = set()
@@ -76,20 +77,20 @@ class TestPerNodeIndex:
 class TestDeposit:
 
     def test_single_deposit(self):
-        pm = PheromoneMap(deposit_quantum=1.0)
+        pm = PheromoneMap(PheromoneConfig(deposit=1.0))
         pm.deposit((1, 0))
         assert pm.level.get((1, 0), 0.0) == 1.0
         assert pm.level.get((0, 1), 0.0) == 0.0
 
     def test_two_deposits_same_edge(self):
-        pm = PheromoneMap(deposit_quantum=1.5)
+        pm = PheromoneMap(PheromoneConfig(deposit=1.5))
         pm.deposit((1, 0))
         pm.deposit((1, 0))
         assert pm.level.get((1, 0), 0.0) == 3.0
 
     def test_total_equals_quantum_times_events(self):
         rng = random.Random(3)
-        pm = PheromoneMap(deposit_quantum=1.0)
+        pm = PheromoneMap(PheromoneConfig(deposit=1.0))
         events = 0
         for _ in range(500):
             pm.deposit((rng.randrange(6), rng.randrange(6)))
@@ -100,19 +101,19 @@ class TestDeposit:
 class TestEvaporation:
 
     def test_single_pass(self):
-        pm = PheromoneMap(evaporation_rate=0.1)
+        pm = PheromoneMap(PheromoneConfig(evaporation=0.1))
         pm.deposit((0, 1))
         pm.evaporate()
         assert pm.level.get((0, 1), 0.0) == pytest.approx(0.9, rel=1e-12)
 
     def test_zero_stays_zero(self):
-        pm = PheromoneMap()
+        pm = PheromoneMap(PheromoneConfig())
         pm.evaporate()
         assert sum(pm.level.values()) == 0.0
 
     def test_identity_within_1e9_relative(self):
         rng = random.Random(4)
-        pm = PheromoneMap(evaporation_rate=0.02)
+        pm = PheromoneMap(PheromoneConfig(evaporation=0.02))
         for _ in range(300):
             pm.deposit((rng.randrange(10), rng.randrange(10)))
         before = sum(pm.level.values())
@@ -122,7 +123,7 @@ class TestEvaporation:
     def test_clamp_after_200_passes(self):
         # 0.9^200 ~ 7e-10 < 1e-6, so the level must clamp to exactly zero
         assert 0.9 ** 200 < CLAMP_FLOOR
-        pm = PheromoneMap(evaporation_rate=0.1)
+        pm = PheromoneMap(PheromoneConfig(evaporation=0.1))
         pm.deposit((0, 1))
         for _ in range(200):
             pm.evaporate()
@@ -132,28 +133,28 @@ class TestEvaporation:
 class TestDeclare:
 
     def test_empty_map(self):
-        pm = PheromoneMap(declare_threshold=5.0)
-        assert pm.declare(pm.out_mass(), {0: 10}, 1) == []
+        pm = PheromoneMap(PheromoneConfig(threshold=5.0, quorum=1))
+        assert pm.declare(pm.out_mass(), {0: 10}) == []
 
     def test_mass_and_quorum(self):
-        pm = PheromoneMap(declare_threshold=5.0, deposit_quantum=25.0)
+        pm = PheromoneMap(PheromoneConfig(threshold=5.0, deposit=25.0, quorum=2))
         pm.deposit((3, 0))  # outgoing mass of node 3 = 5 * theta
-        assert pm.declare(pm.out_mass(), {3: 2}, 2) == [3]
-        assert pm.declare(pm.out_mass(), {3: 1}, 2) == []
+        assert pm.declare(pm.out_mass(), {3: 2}) == [3]
+        assert pm.declare(pm.out_mass(), {3: 1}) == []
 
     def test_oracle_equivalence_random_maps(self):
         rng = random.Random(9)
         for _ in range(200):
-            pm = PheromoneMap(declare_threshold=2.0)
+            quorum = rng.randint(1, 3)
+            pm = PheromoneMap(PheromoneConfig(threshold=2.0, quorum=quorum))
             for _ in range(rng.randrange(40)):
                 pm.deposit((rng.randrange(8), rng.randrange(8)))
             ants = {n: rng.randrange(4) for n in range(8)}
-            quorum = rng.randint(1, 3)
             expected = declare_oracle(pm.level, ants, 2.0, quorum)
-            assert pm.declare(pm.out_mass(), ants, quorum) == expected
+            assert pm.declare(pm.out_mass(), ants) == expected
 
     def test_dominant_attack(self):
-        pm = PheromoneMap()
+        pm = PheromoneMap(PheromoneConfig())
         pm.deposit((5, 1), attack=7)
         pm.deposit((5, 2), attack=7)
         pm.deposit((5, 2), attack=3)
@@ -164,13 +165,13 @@ class TestDeclare:
 class TestAntWalk:
 
     def test_uniform_when_no_pheromone(self):
-        pm = PheromoneMap()
+        pm = PheromoneMap(PheromoneConfig())
         weights = transition_weights(pm, 0, [1, 2, 3, 4], [], 0.01)
         assert len(set(weights)) == 1
 
     def test_strong_edge_dominates(self):
         """One incoming edge at 10^3: it must take >= 99% of the mass."""
-        pm = PheromoneMap(deposit_quantum=1000.0)
+        pm = PheromoneMap(PheromoneConfig(deposit=1000.0))
         pm.deposit((2, 0))  # traffic came from node 2 into node 0
         neighbors = [1, 2, 3]
         weights = transition_weights(pm, 0, neighbors, [], 0.01)
@@ -182,18 +183,18 @@ class TestAntWalk:
         assert picks[2] / 2000 >= 0.99
 
     def test_single_neighbor_certain(self):
-        pm = PheromoneMap()
+        pm = PheromoneMap(PheromoneConfig())
         rng = random.Random(1)
         assert choose_move(pm, 5, [9], [], 0.01, rng) == 9
 
     def test_memory_discount(self):
-        pm = PheromoneMap()
+        pm = PheromoneMap(PheromoneConfig())
         weights = transition_weights(pm, 0, [1, 2], [1], 0.5)
         assert weights[0] == pytest.approx(0.05)
         assert weights[1] == pytest.approx(0.5)
 
     def test_star_center_empirical_uniform(self):
-        pm = PheromoneMap()
+        pm = PheromoneMap(PheromoneConfig())
         rng = random.Random(12)
         leaves = [1, 2, 3, 4, 5]
         picks = Counter(choose_move(pm, 0, leaves, [], 0.01, rng)

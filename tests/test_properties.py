@@ -19,6 +19,8 @@ from immunet.topology import (build_network, compute_routing, diameter, erdos_re
                               line_network, ring_network, star_network)
 
 from conftest import hop_counts, quiet_config, to_line, worm_config
+from test_cells import replacement_fold
+from test_transport_oracle import Run, first_disagreement
 
 STEPS = 40
 
@@ -44,10 +46,10 @@ def config_for(ids, links):
     return cfg
 
 
-def saved_bytes(result) -> bytes:
+def saved_bytes(log) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.log"
-        result.log.save(path)
+        log.save(path)
         return path.read_bytes()
 
 
@@ -57,14 +59,16 @@ def test_strict_run_is_conserved_repeatable_and_shortest_path(topology, seed):
     ids, links = topology
     cfg = config_for(ids, links)
     # World.run ends with the conservation audit, which raises on a lifecycle
-    # violation or when the packets left in flight are not the ones queued
-    first = World(cfg, seed, strict_checks=True).run()
+    # violation or when the packets left in flight are not the ones queued;
+    # the transport oracle then re-simulates every packet line of the log
+    world = World(cfg, seed, strict_checks=True)
+    assert first_disagreement(Run(world, cfg.horizon)) is None
     second = World(cfg, seed, strict_checks=True).run()
-    assert saved_bytes(first) == saved_bytes(second)
+    assert saved_bytes(world.log) == saved_bytes(second.log)
 
     graph = nx.Graph(links)
-    source = {field(ev, "pid"): field(ev, "src") for ev in first.log.events if ev[1] == "Inject"}
-    delivered = [ev for ev in first.log.events if ev[1] == "Deliver"]
+    source = {field(ev, "pid"): field(ev, "src") for ev in world.log.events if ev[1] == "Inject"}
+    delivered = [ev for ev in world.log.events if ev[1] == "Deliver"]
     assert delivered
     for ev in delivered:
         want = nx.shortest_path_length(graph, source[field(ev, "pid")], field(ev, "node"))
@@ -89,21 +93,24 @@ def worm_config_for(ids, links):
 def test_strict_defended_run_is_conserved_repeatable_and_cures_only_the_infected(topology, seed):
     cfg = worm_config_for(*topology)
     # World.run ends with the conservation audit, which raises on a lifecycle
-    # violation or when the packets left in flight are not the ones queued
+    # violation or when the packets left in flight are not the ones queued;
+    # the transport oracle then re-simulates every packet line of the log
     world = World(cfg, seed, strict_checks=True)
-    first = world.run()
+    assert first_disagreement(Run(world, cfg.horizon)) is None
     second = World(cfg, seed, strict_checks=True).run()
-    assert saved_bytes(first) == saved_bytes(second)
+    assert saved_bytes(world.log) == saved_bytes(second.log)
+    # every replacement names the oldest live cell of its kind
+    assert all(logged == folded for logged, folded in replacement_fold(world.log.events))
 
     infected = set()
-    for ev in first.log.events:
+    for ev in world.log.events:
         node = field(ev, "node")
         if ev[1] == "Infect" and field(ev, "ok") == 1:
             infected.add(node)
         elif ev[1] == "Disinfect":
             assert (node in infected) == (field(ev, "ok") == 1), to_line(ev)
             infected.discard(node)
-    assert any(ev[1] == "Infect" for ev in first.log.events)
+    assert any(ev[1] == "Infect" for ev in world.log.events)
     # the live infection record is the log's fold, and only vulnerable nodes fall
     assert infected == set(world.infected) and infected <= world.vulnerable
 
@@ -136,7 +143,7 @@ def check_routing(net):
     the all-pairs hop counts."""
     routes = compute_routing(net)
     reference = reference_rows(net)
-    assert list(net.index.items()) == list(zip(net.nodes, range(len(net))))
+    assert list(net.index.items()) == list(zip(net.nodes, range(len(net.nodes))))
     assert set(routes.rows) == set(reference)
     for d, row in routes.rows.items():
         assert row == [d if s == d else reference[d][s] for s in net.nodes], d

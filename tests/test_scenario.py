@@ -202,6 +202,18 @@ class TestGate:
         exc = rejection({path: bound + 1})
         assert exc.field == path and str(exc) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("nodes", [10**4, 10**4 + 1])
+    def test_explicit_topology_respects_the_node_bound(self, nodes):
+        """An explicit chain's link endpoints are held to the bound that
+        `topology.nodes` states: 10,000 nodes validate, 10,001 do not."""
+        changes = {"topology.kind": "explicit",
+                   "topology.links": [[i, i + 1] for i in range(nodes - 1)]}
+        if nodes <= 10**4:
+            assert len(loads(mutated(changes)).topology.node_ids()) == nodes
+        else:
+            exc = rejection(changes)
+            assert str(exc) == "topology.links: must be <= 10000 nodes"
+
     @pytest.mark.parametrize("changes, where", [case[:2] for case in RULES],
                              ids=[case[-1] for case in RULES])
     def test_rule(self, changes, where):
