@@ -505,8 +505,8 @@ class World:
         held = self.state.held()
         if audit != held:
             pid = min(p for p in audit.keys() | held.keys() if audit.get(p) != held.get(p))
-            raise transport.ConservationViolation(-1, (
-                f"the log leaves packet {pid} in flight at {audit.get(pid, '-')}, "
+            raise transport.ConservationViolation(pid, (
+                f"the log leaves it in flight at {audit.get(pid, '-')}, "
                 f"the transport holds it at {held.get(pid, '-')}"))
         metrics = compute_metrics(self.log.events)
         return RunResult(self.log, metrics)

@@ -10,13 +10,17 @@ section, whose annotations state their bounds.
 `level`, keyed by edge, is the whole field. Out-masses are summed with
 `+=` in `level`'s order, so they are the same floats on every Python
 version; `sum()` would not be (from Python 3.12 it compensates rounding
-error). Attack tallies are one Counter per node, over the detections on
-all its out-edges; a tally outlives the pheromone of the edges that fed it.
+error). The ant walk's total is likewise the last of its running sums,
+the same pass that places the draw. Attack tallies are one Counter per
+node, over the detections on all its out-edges; a tally outlives the
+pheromone of the edges that fed it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
+from itertools import accumulate
 from random import Random
 
 from .scenario import PheromoneConfig
@@ -78,12 +82,6 @@ def transition_weights(pheromone: PheromoneMap, here: int, neighbors,
 def choose_move(pheromone: PheromoneMap, here: int, neighbors, memory,
                 epsilon: float, rng: Random) -> int:
     neighbors = list(neighbors)
-    weights = transition_weights(pheromone, here, neighbors, memory, epsilon)
-    total = sum(weights)
-    point = rng.random() * total
-    acc = 0.0
-    for nbr, w in zip(neighbors, weights):
-        acc += w
-        if point < acc:
-            return nbr
-    return neighbors[-1]
+    bounds = list(accumulate(transition_weights(pheromone, here, neighbors, memory, epsilon)))
+    point = rng.random() * bounds[-1]
+    return neighbors[min(bisect_right(bounds, point), len(neighbors) - 1)]

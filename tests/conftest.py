@@ -7,7 +7,6 @@ from immunet.scenario import (AntConfig, AttackConfig, DetectorConfig,
                               MonitorConfig, PheromoneConfig, ScenarioConfig,
                               StationConfig, TopologySpec, TrafficConfig,
                               TransportConfig, VulnerabilityConfig, WormConfig)
-from immunet.topology import compute_routing
 
 SIG_HEX = "a3f1c08e55d2764b9900eeab1275c3d4"
 SIG = bytes.fromhex(SIG_HEX)
@@ -31,10 +30,6 @@ def hop_counts(net):
     nx = pytest.importorskip("networkx")
     graph = nx.Graph((u, v) for u, v, _bw in net.links)
     return dict(nx.all_pairs_shortest_path_length(graph))
-
-
-def routing_table(net):
-    return compute_routing(net)
 
 
 def quiet_config(nodes=4, links=None, capacity=8, bandwidth=2, horizon=20):

@@ -8,10 +8,8 @@ from immunet.adversary import (attack_payload, benign_payload, cure, inject_back
                                on_attack_delivery, poisson, spawn_worm, worm_emit)
 from immunet.events import field
 from immunet.scenario import AttackConfig, AttackMixConfig, TrafficConfig
-from immunet.topology import erdos_renyi
+from immunet.topology import compute_routing, erdos_renyi
 from immunet.transport import DATA, TransportState
-
-from conftest import routing_table
 
 SIG = bytes.fromhex("a3f1c08e55d2764b9900eeab1275c3d4")
 ATTACK = AttackConfig(attack_id=1, signature=SIG.hex(), infects=True, fanout=3)
@@ -22,7 +20,7 @@ CHI2_48_999 = 84.037
 
 def fresh_state(n=50, seed=5):
     net = erdos_renyi(n, 0.1, random.Random(seed))
-    return TransportState(net, routing_table(net), 32)
+    return TransportState(net, compute_routing(net), 32)
 
 
 def all_healthy(state, vulnerable=True):

@@ -96,6 +96,18 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: static_ids.count:") and err.count("\n") == 1
 
+    def test_static_components_that_reach_the_detector_ids(self, tmp_path, capsys, command):
+        """5,000 filter nodes plus 5,001 static IDS are 10,001 components,
+        one more than fit below the first detector component id."""
+        base = baseline_scenario().to_dict()
+        path = scenario_file(tmp_path, topology={**base["topology"], "nodes": 5001},
+                             static_ids={**base["static_ids"], "count": 5001},
+                             filters=[{"node": n} for n in range(5000)])
+        assert invoke(command, path) == 1
+        assert capsys.readouterr().err == (
+            "error: static_ids.count: filter nodes plus static IDS exceed 10000, "
+            "where detector component ids start\n")
+
     @pytest.mark.parametrize("entry", ["foo", "999"])
     def test_string_worm_entry(self, tmp_path, capsys, command, entry):
         path = scenario_file(tmp_path, "worm", entry=entry)
@@ -240,15 +252,19 @@ class TestRunArguments:
 
     def test_explicit_topology_needs_no_node_count(self, tmp_path, capsys):
         """An explicit topology's nodes are its link endpoints: without
-        `nodes` it validates, and its run logs the same bytes as with
-        `nodes` set to the endpoint count."""
+        `nodes` it validates, and its checked run, with a static IDS on
+        one of its sparse ids, logs the same bytes as with `nodes` set to
+        the endpoint count."""
         links = [[3, 7], [7, 40], [40, 1000], [1000, 1001], [1001, 2048], [2048, 3], [7, 1000]]
+        static_ids = {**baseline_scenario().to_dict()["static_ids"], "count": 1}
         logs = []
         for extra in ({}, {"nodes": 6}):
-            path = scenario_file(tmp_path, topology={"kind": "explicit", "links": links, **extra})
+            path = scenario_file(tmp_path, topology={"kind": "explicit", "links": links, **extra},
+                                 static_ids=static_ids)
             assert cli.main(["validate", "--scenario", path]) == 0
             out = tmp_path / f"out{len(extra)}"
-            argv = ["run", "--scenario", path, "--seed", "1", "--steps", "100", "--out", str(out)]
+            argv = ["run", "--scenario", path, "--seed", "1", "--steps", "100", "--check",
+                    "--out", str(out)]
             assert cli.main(argv) == 0
             logs.append((out / f"{baseline_scenario().name}-seed1.log").read_bytes())
         capsys.readouterr()
@@ -364,11 +380,14 @@ class TestSweepValidation:
         pytest.param('{"horizon": [' + "1" * 5000 + "]}", "{grid}", id="5000-digit-integer"),
         pytest.param("[" * 100_000, "{grid}", id="100000-nested-arrays"),
     ])
-    def test_malformed_point(self, tmp_path, capsys, grid, where):
+    def test_malformed_point(self, tmp_path, capsys, monkeypatch, grid, where):
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda *args: runs.append(args))
         assert self.sweep(tmp_path, grid) == 1
         err = capsys.readouterr().err
         where = where.format(grid=tmp_path / "grid.json")
         assert err.startswith(f"error: {where}:") and err.count("\n") == 1
+        assert runs == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seeds", ["5..1", ",", ""])
     def test_seeds_that_name_no_seed(self, tmp_path, capsys, monkeypatch, seeds):

@@ -201,3 +201,16 @@ class TestAntWalk:
                         for _ in range(5000))
         for leaf in leaves:
             assert abs(picks[leaf] / 5000 - 0.2) < 0.03
+
+    def test_draw_is_placed_by_the_same_running_sum_as_its_total(self):
+        """Weights 1, 1e-16, 1e-16: a compensated total (`sum()` from
+        Python 3.12) exceeds the last running sum, so a draw just below 1
+        would fall past every bound and pick the last neighbour."""
+        class AlmostOne:
+            def random(self):
+                return 0.9999999999999999
+
+        pm = PheromoneMap(PheromoneConfig())
+        pm.level[(1, 0)] = 1.0
+        assert transition_weights(pm, 0, [1, 2, 3], [], 1e-16) == [1.0, 1e-16, 1e-16]
+        assert choose_move(pm, 0, [1, 2, 3], [], 1e-16, AlmostOne()) == 1

@@ -11,17 +11,17 @@ import immunet
 
 from immunet.engine import World
 from immunet.events import EventLog, field, load_log
-from immunet.topology import UnknownNode, build_network, line_network
+from immunet.topology import UnknownNode, build_network, compute_routing, line_network
 from immunet.transport import (ACCEPTED, DATA, DROPPED, IMMUNE,
                                ConservationViolation, QueueViolation, StepHooks,
                                TransportState, conservation_audit, step)
 
-from conftest import quiet_config, routing_table, to_line
+from conftest import quiet_config, to_line
 
 
 def make_state(net=None, capacity=4, strict=False):
     net = net or line_network(3, bandwidth=2)
-    return TransportState(net, routing_table(net), capacity, strict_checks=strict)
+    return TransportState(net, compute_routing(net), capacity, strict_checks=strict)
 
 
 class TestQueue:
@@ -115,7 +115,7 @@ class TestStep:
 
     def test_immune_forwarded_before_data(self):
         net = line_network(3, bandwidth=1)
-        state = TransportState(net, routing_table(net), 8)
+        state = TransportState(net, compute_routing(net), 8)
         data = state.make_packet(0, 2, DATA)
         imm = state.make_packet(0, 2, IMMUNE)
         state.enqueue(0, data)
@@ -132,7 +132,7 @@ class TestStep:
         # bandwidth 1 and two immune packets: the second immune blocks the lane,
         # so no data moves at all that step
         net = line_network(3, bandwidth=1)
-        state = TransportState(net, routing_table(net), 8, strict_checks=True)
+        state = TransportState(net, compute_routing(net), 8, strict_checks=True)
         for _ in range(2):
             state.enqueue(0, state.make_packet(0, 2, IMMUNE))
         state.enqueue(0, state.make_packet(0, 2, DATA))
@@ -181,7 +181,7 @@ class TestStep:
 
     def test_per_link_budget(self):
         net = line_network(3, bandwidth=2)
-        state = TransportState(net, routing_table(net), 16)
+        state = TransportState(net, compute_routing(net), 16)
         for _ in range(5):
             state.enqueue(0, state.make_packet(0, 2, DATA))
         step(state)
@@ -257,7 +257,7 @@ class TestAdmission:
 
     def test_excess_deferred_not_lost(self):
         net = build_network([0, 1], [(0, 1, 4)])
-        state = TransportState(net, routing_table(net), 32)
+        state = TransportState(net, compute_routing(net), 32)
         state.offer(0, [state.make_packet(0, 1, DATA) for _ in range(10)])
         assert sum(1 for ev in state.log.events if ev[1] == "Inject") == 4
         assert len(state.queues[0].waiting) == 6
@@ -270,7 +270,7 @@ class TestAdmission:
 
     def test_clear_deferred(self):
         net = build_network([0, 1], [(0, 1, 2)])
-        state = TransportState(net, routing_table(net), 32)
+        state = TransportState(net, compute_routing(net), 32)
         state.offer(0, [state.make_packet(0, 1, DATA) for _ in range(5)])
         assert len(state.queues[0].waiting) == 3
         state.clear_deferred(0)
@@ -283,7 +283,7 @@ class TestAdmission:
         net = build_network(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
         caps = {n: len(net.neighbors(n)) for n in net.nodes}
         assert sorted(set(caps.values())) == [1, 2, 3]
-        state = TransportState(net, routing_table(net), 8, strict_checks=True)
+        state = TransportState(net, compute_routing(net), 8, strict_checks=True)
         rng = random.Random(2029)
         calls = []  # (step, node, pids offered) or (step, node, None) for a clear
 
@@ -367,10 +367,12 @@ class TestConservation:
         world = World(cfg, seed=3)
         world.run()
         events = world.log.events
-        del events[next(i for i, ev in enumerate(events) if ev[1] == "Deliver")]
-        with pytest.raises(ConservationViolation, match="in flight") as err:
+        deleted = events.pop(next(i for i, ev in enumerate(events) if ev[1] == "Deliver"))
+        pid = field(deleted, "pid")
+        with pytest.raises(ConservationViolation,
+                           match=f"^packet {pid}: the log leaves it in flight at ") as err:
             world.run(0)
-        assert err.value.pid == -1
+        assert err.value.pid == pid
 
     @pytest.mark.parametrize("which", ["first", "last-of-held"])
     def test_deleted_forward_is_caught(self, which):
