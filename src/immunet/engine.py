@@ -84,6 +84,9 @@ class World:
         self.state = TransportState(self.network, self.routing, cfg_tr.queue_capacity,
                                     strict_checks=strict_checks)
         self.log = self.state.log
+        self._log_detect = self.log.writer("Detect", "pid", "node", "src", "psrc", "klass",
+                                           "attack", "by", "bykind", "cell")
+        self._log_cell_move = self.log.writer("CellMove", "cell", "cellkind", "node")
 
         self.attacks: dict[int, AttackConfig] = {a.attack_id: a for a in config.attacks}
         self.signature_set = [a.signature_bytes() for a in self.attacks.values()]
@@ -237,10 +240,8 @@ class World:
         by = self.defense.check_all(node, pkt)
         if by is None:
             return False
-        state.log.append(state.clock, "Detect", pid=pkt.pid, node=node,
-                         src=from_node, psrc=pkt.src, klass=pkt.klass,
-                         attack=pkt.attack, by=by.component_id, bykind=by.kind,
-                         cell=by.cell_id)
+        self._log_detect(state.clock, pkt.pid, node, from_node, pkt.src, pkt.klass,
+                         pkt.attack, by.component_id, by.kind, by.cell_id)
         if by.kind in ("StaticIDS", "Cell"):
             # signature-layer detection feeds the ant colony
             self.pheromone.deposit((from_node, node), pkt.attack)
@@ -269,8 +270,7 @@ class World:
             cell.memory.append(node)
         if cell.kind == DETECTOR:
             self.defense.register(node, cell.component)
-        self.log.append(self.state.clock, "CellMove", cell=cell.cell_id,
-                        cellkind=cell.kind, node=node)
+        self._log_cell_move(self.state.clock, cell.cell_id, cell.kind, node)
 
     def emit(self, state: TransportState) -> None:
         rng = self.worm_rng
