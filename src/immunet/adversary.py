@@ -71,11 +71,13 @@ def _endpoints(rng: Random, nodes) -> tuple[int, int]:
 
 
 def inject_background(state: TransportState, traffic: TrafficConfig,
-                      attacks: dict[int, AttackConfig], rng: Random, forbidden=()) -> list[Packet]:
+                      attacks: dict[int, AttackConfig], rng: Random) -> list[Packet]:
     """Build this step's benign data packets (uniform distinct src != dst),
-    then each `attack_mix` entry's attack packets."""
+    free of every signature in `attacks`, then each `attack_mix` entry's
+    attack packets."""
     nodes = state.network.nodes
     length = traffic.payload_len
+    forbidden = [attack.signature_bytes() for attack in attacks.values()]
     packets = []
     for _ in range(draw_count(rng, traffic.background_rate, traffic.distribution)):
         src, dst = _endpoints(rng, nodes)
@@ -107,7 +109,7 @@ def spawn_worm(state: TransportState, vulnerable: set[int], infected: dict[int, 
 
 
 def worm_emit(state: TransportState, node: int, attack: AttackConfig, rng: Random,
-              payload_len: int = 64) -> list[Packet]:
+              payload_len: int) -> list[Packet]:
     """One step of propagation from an infected node: fanout copies to
     uniformly random other nodes, each payload carrying the signature."""
     nodes = state.network.nodes
@@ -123,8 +125,9 @@ def worm_emit(state: TransportState, node: int, attack: AttackConfig, rng: Rando
 
 
 def on_attack_delivery(state: TransportState, vulnerable: set[int], infected: dict[int, int],
-                       node: int, pkt: Packet, attack: AttackConfig) -> None:
+                       pkt: Packet, attack: AttackConfig) -> None:
     """An attack packet survived every check and reached its destination."""
+    node = pkt.dst
     if not attack.infects or node not in vulnerable or node in infected:
         return  # absorbed harmlessly / already owned
     infected[node] = attack.attack_id

@@ -42,18 +42,12 @@ class CellPopulation:
     """Registry supporting spawn and retirement without invalidating an
     in-progress iteration pass (iterate over a sorted snapshot).
 
-    Cells are added in ascending id, so the registry's insertion order is
-    id order."""
+    The World hands out cell ids from its own counter and adds cells in
+    ascending id, so the registry's insertion order is id order."""
 
     def __init__(self):
         self._cells: dict[int, ArtificialCell] = {}
-        self._next_id = 0
         self._last_id = -1  # the highest id added so far
-
-    def new_id(self) -> int:
-        cid = self._next_id
-        self._next_id += 1
-        return cid
 
     def add(self, cell: ArtificialCell) -> None:
         if cell.cell_id <= self._last_id:

@@ -98,7 +98,7 @@ class World:
         self.vulnerable = {n for n in self.network.nodes if vuln_rng.random() < prob}
         self.infected: dict[int, int] = {}  # infected node -> the attack holding it
 
-        self.worm_entry: tuple[int, int, int] | None = None  # (step, attack_id, node)
+        self.worm_entry: int | None = None  # the node `config.worm` enters at
         if config.worm.enabled and config.worm.attack_id in self.attacks:
             if config.worm.entry == "random":
                 entry = self.network.nodes[
@@ -108,7 +108,7 @@ class World:
                 entry = config.worm.entry
                 if entry not in self.network.index:
                     raise UnknownNode(entry)
-            self.worm_entry = (config.worm.entry_step, config.worm.attack_id, entry)
+            self.worm_entry = entry
 
         self.background_rng = self.seeds.stream("background")
         # reseeded per (node, step) in `emit`: the stream of `seeds.stream("worm", ...)`
@@ -118,6 +118,7 @@ class World:
         self.pheromone = PheromoneMap(config.pheromone)
 
         self.population = CellPopulation()
+        self._cell_ids = itertools.count()
         self._component_ids = itertools.count()
         self._substance_ids = itertools.count()
         self._last_identify: dict[int, int] = {}
@@ -202,7 +203,7 @@ class World:
                store=None, target: int = -1) -> ArtificialCell:
         """Release a cell of `kind` at `node`. A detector carries `store` and
         joins the node's defence stack; a disinfector heads for `target`."""
-        cid = self.population.new_id()
+        cid = next(self._cell_ids)
         cell = ArtificialCell(cell_id=cid, kind=kind, location=node,
                               rng=self.seeds.stream("cell", cid), born_at=self.state.clock)
         if kind == DETECTOR:
@@ -222,14 +223,12 @@ class World:
     # ------------------------------------------------------------- phases
 
     def inject(self, state: TransportState) -> None:
-        if self.worm_entry and state.clock == self.worm_entry[0]:
-            _step, attack_id, entry = self.worm_entry
+        worm = self.config.worm
+        if self.worm_entry is not None and state.clock == worm.entry_step:
             adversary.spawn_worm(state, self.vulnerable, self.infected,
-                                 self.attacks[attack_id], entry)
-        packets = adversary.inject_background(state, self.config.traffic, self.attacks,
-                                              self.background_rng, forbidden=self.signature_set)
-        for pkt in packets:
-            state.offer(pkt.src, (pkt,))
+                                 self.attacks[worm.attack_id], self.worm_entry)
+        state.offer(adversary.inject_background(state, self.config.traffic, self.attacks,
+                                                self.background_rng))
 
     def on_forward(self, state: TransportState, pkt, u: int, v: int) -> None:
         cargo = pkt.cargo
@@ -250,17 +249,17 @@ class World:
             self.population.retire(cargo.cell_id)
         return True
 
-    def on_deliver(self, state: TransportState, pkt, node: int) -> None:
+    def on_deliver(self, state: TransportState, pkt) -> None:
         cargo = pkt.cargo
         if isinstance(cargo, ArtificialCell):
             if cargo.alive:
-                self._arrive_cell(cargo, node)
+                self._arrive_cell(cargo, pkt.dst)
             return
         if isinstance(cargo, receptors.Substance):
             self.stations[cargo.dest].inbox.append(cargo)
             return
         if pkt.attack is not None:
-            adversary.on_attack_delivery(state, self.vulnerable, self.infected, node, pkt,
+            adversary.on_attack_delivery(state, self.vulnerable, self.infected, pkt,
                                          self.attacks[pkt.attack])
 
     def _arrive_cell(self, cell: ArtificialCell, node: int) -> None:
@@ -276,9 +275,8 @@ class World:
         rng = self.worm_rng
         for node, attack_id in sorted(self.infected.items()):
             rng.seed(self.seeds.derive_seed("worm", node, state.clock))
-            packets = adversary.worm_emit(state, node, self.attacks[attack_id], rng,
-                                          self.config.traffic.payload_len)
-            state.offer(node, packets)
+            state.offer(adversary.worm_emit(state, node, self.attacks[attack_id], rng,
+                                            self.config.traffic.payload_len))
 
     def cells(self, state: TransportState) -> None:
         p_move = self.config.detectors.p_move

@@ -133,8 +133,6 @@ class LogFormatError(ValueError):
 
     def __init__(self, reason: str, line: str, where: str = ""):
         super().__init__(f"{where}{reason}: {line.strip()!r}")
-        self.reason = reason
-        self.line = line
 
 
 # A parse table holds at most this many entries: it is cleared when full, so

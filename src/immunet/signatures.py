@@ -48,7 +48,6 @@ class CompressedSignatureDb:
             raise ValueError("signatures must be non-empty")
         if not 0.0 < target_fpr < 1.0:
             raise ValueError("target_fpr must be in (0, 1)")
-        self.target_fpr = target_fpr
         self.members = members
         n = len(members)
         self.size_bits = 2 * math.ceil(1.44 * n * -math.log2(target_fpr))

@@ -14,7 +14,7 @@ no budget left, even when packets behind it could use other links
 (head-of-line blocking).
 
 Every packet gets onto the wire through `TransportState`, which writes
-its `Inject` line. Data packets are offered at their source node, and a
+its `Inject` line. A data packet is staged at its own source, and a
 node stages at most as many per step as the sum of its link bandwidths.
 The excess waits in the node's FIFO and is logged only when staged. At
 the start of each step, before the inject hook, every budget is renewed
@@ -28,11 +28,12 @@ budget and enqueued at once.
 The per-packet hooks run only where they can act. The sweep calls the
 forward hook only for a packet with cargo; a plain data packet needs no
 per-hop work beyond its `Forward` line. An arrival is checked only at a
-node in `StepHooks.checked`, and the deliver hook runs only for a packet
-with cargo or an attack id. Under `strict_checks`, fixed when the state
-is built, each enqueue stamps the packet's `seq` from one counter, and
-the sweep checks queue bounds, lane priority and per-lane FIFO order; a
-failed check raises `QueueViolation`, which `python -O` does not strip.
+node in `StepHooks.checked`, and the deliver hook runs at the packet's
+`dst` only for a packet with cargo or an attack id. Under
+`strict_checks`, fixed when the state is built, each enqueue stamps the
+packet's `seq` from one counter, and the sweep checks queue bounds,
+lane priority and per-lane FIFO order; a failed check raises
+`QueueViolation`, which `python -O` does not strip.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class ConservationViolation(AssertionError):
     def __init__(self, pid: int, reason: str):
         super().__init__(f"packet {pid}: {reason}")
         self.pid = pid
-        self.reason = reason
 
 
 class QueueViolation(AssertionError):
@@ -65,7 +65,6 @@ class QueueViolation(AssertionError):
     def __init__(self, node: int, reason: str):
         super().__init__(f"node {node}: {reason}")
         self.node = node
-        self.reason = reason
 
 
 @dataclass(slots=True)
@@ -110,14 +109,14 @@ class StepHooks:
     All callbacks run synchronously inside step() in phase order; the
     transport layer itself never consumes randomness. `on_forward` runs
     only for a packet whose `cargo` is not None, `on_arrival` only for an
-    arrival at a node in `checked`, read at the arrival, and `on_deliver`
-    only for a packet with cargo or an attack id.
+    arrival at a node in `checked`, read at the arrival, and `on_deliver`,
+    at `pkt.dst`, only for a packet with cargo or an attack id.
     """
 
     inject: Callable = lambda state: None
     on_forward: Callable = lambda state, pkt, u, v: None
     on_arrival: Callable = lambda state, node, pkt, from_node: False  # True = destroyed
-    on_deliver: Callable = lambda state, pkt, node: None
+    on_deliver: Callable = lambda state, pkt: None
     emit: Callable = lambda state: None
     cells: Callable = lambda state: None
     evaporate: Callable = lambda state: None
@@ -155,7 +154,7 @@ class TransportState:
         self.queues: dict[int, NodeQueue] = {n: NodeQueue(sum(network.bandwidth[n].values()))
                                              for n in network.nodes}
         self._pids = itertools.count()
-        self._staged: list[tuple[int, Packet]] = []  # enqueued after this step's arrivals
+        self._staged: list[Packet] = []  # enqueued at their source after this step's arrivals
         self._strict = strict_checks
         self._enqueues = itertools.count()  # stamps `Packet.seq` under strict_checks
 
@@ -167,29 +166,30 @@ class TransportState:
                     attack: int | None = None, cargo: object = None) -> Packet:
         return Packet(next(self._pids), src, dst, klass, payload, attack, cargo=cargo)
 
-    def offer(self, node: int, packets) -> None:
-        """Stage data packets at `node` within its budget; the rest wait."""
-        q = self.queues.get(node)
-        if q is None:
-            raise UnknownNode(node)
-        budget = q.budget
+    def offer(self, packets) -> None:
+        """Stage each data packet at its source within the source's budget;
+        the rest wait there."""
+        queues, staged = self.queues, self._staged
         log_inject, now = self._log_inject, self.clock
         for pkt in packets:
-            if budget > 0:
-                log_inject(now, pkt.pid, node, pkt.src, pkt.dst, pkt.klass, pkt.attack)
-                self._staged.append((node, pkt))
-                budget -= 1
+            src = pkt.src
+            q = queues.get(src)
+            if q is None:
+                raise UnknownNode(src)
+            if q.budget > 0:
+                q.budget -= 1
+                log_inject(now, pkt.pid, src, src, pkt.dst, pkt.klass, pkt.attack)
+                staged.append(pkt)
             else:
                 q.waiting.append(pkt)
-        q.budget = budget
 
     def _release_deferred(self) -> None:
         """Renew every budget and offer each node's waiting packets again first."""
-        for node, q in self.queues.items():  # built in ascending node id
+        for q in self.queues.values():  # built in ascending node id
             q.budget = q.cap
             if q.waiting:
                 waiting, q.waiting = q.waiting, deque()
-                self.offer(node, waiting)
+                self.offer(waiting)
 
     def clear_deferred(self, node: int) -> None:
         self.queues[node].waiting.clear()
@@ -229,8 +229,8 @@ class TransportState:
 
     def held(self) -> dict[int, int]:
         """pid -> node of each packet the state holds: queued, or staged to
-        join the queue of the node it was injected at."""
-        held = {pkt.pid: node for node, pkt in self._staged}
+        join the queue of its source."""
+        held = {pkt.pid: pkt.src for pkt in self._staged}
         for node, q in self.queues.items():
             for lane in (q.immune, q.data):
                 held.update((pkt.pid, node) for pkt in lane)
@@ -298,11 +298,11 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
         if node == pkt.dst:
             log_deliver(now, pkt.pid, node, pkt.klass, pkt.attack, pkt.hop_count)
             if pkt.cargo is not None or pkt.attack is not None:
-                on_deliver(state, pkt, node)
+                on_deliver(state, pkt)
         else:
             enqueue(node, pkt)
-    for node, pkt in state._staged:
-        enqueue(node, pkt)
+    for pkt in state._staged:
+        enqueue(pkt.src, pkt)
     state._staged.clear()
 
     # phases 4-7

@@ -106,6 +106,14 @@ class TestWorm:
         infects = [ev for ev in state.log.events if ev[1] == "Infect"]
         assert len(infects) == 1 and field(infects[0], "ok") == 0
 
+    def test_spawn_of_a_non_infecting_attack_is_refused(self):
+        state = fresh_state()
+        vulnerable, infected = all_healthy(state)
+        harmless = AttackConfig(attack_id=2, signature=SIG.hex(), infects=False)
+        with pytest.raises(ValueError, match="^spawn_worm needs an infecting attack$"):
+            spawn_worm(state, vulnerable, infected, harmless, 7)
+        assert infected == {} and not state.log.events
+
     def test_double_spawn_idempotent(self):
         state = fresh_state()
         vulnerable, infected = all_healthy(state)
@@ -127,7 +135,7 @@ class TestWorm:
         vulnerable, infected = all_healthy(state)
         spawn_worm(state, vulnerable, infected, ATTACK, 7)
         state.queues[7].budget = 0  # the node injects nothing more this step
-        state.offer(7, worm_emit(state, 7, ATTACK, rng, 64))
+        state.offer(worm_emit(state, 7, ATTACK, rng, 64))
         assert len(state.queues[7].waiting) == 3
         assert cure(state, infected, 7) == 1
         assert infected == {} and 7 in vulnerable
@@ -152,14 +160,14 @@ class TestWorm:
         state = fresh_state()
         vulnerable, infected = all_healthy(state)
         pkt = state.make_packet(0, 5, DATA, payload=SIG, attack=1)
-        on_attack_delivery(state, vulnerable, infected, 5, pkt, ATTACK)
+        on_attack_delivery(state, vulnerable, infected, pkt, ATTACK)
         assert infected == {5: 1}
 
     def test_delivery_absorbed_by_patched(self):
         state = fresh_state()
         vulnerable, infected = all_healthy(state, vulnerable=False)
         pkt = state.make_packet(0, 5, DATA, payload=SIG, attack=1)
-        on_attack_delivery(state, vulnerable, infected, 5, pkt, ATTACK)
+        on_attack_delivery(state, vulnerable, infected, pkt, ATTACK)
         assert infected == {}
         assert not [ev for ev in state.log.events if ev[1] == "Infect"]
 
@@ -168,6 +176,6 @@ class TestWorm:
         vulnerable, infected = all_healthy(state)
         spawn_worm(state, vulnerable, infected, ATTACK, 5)
         pkt = state.make_packet(0, 5, DATA, payload=SIG, attack=1)
-        on_attack_delivery(state, vulnerable, infected, 5, pkt, ATTACK)
+        on_attack_delivery(state, vulnerable, infected, pkt, ATTACK)
         assert sum(1 for ev in state.log.events if ev[1] == "Infect") == 1
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -20,23 +21,23 @@ def spawn_events(log, kind):
 class TestPopulation:
 
     def test_insert_and_retire_during_iteration(self):
-        pop = CellPopulation()
+        pop, ids = CellPopulation(), itertools.count()
         for i in range(5):
-            pop.add(ArtificialCell(cell_id=pop.new_id(), kind="Detector", location=0,
+            pop.add(ArtificialCell(cell_id=next(ids), kind="Detector", location=0,
                                    rng=None, born_at=i))
         seen = []
         for cell in pop.alive_sorted():  # snapshot survives mutation
             seen.append(cell.cell_id)
             if cell.cell_id == 1:
                 pop.retire(3)
-                pop.add(ArtificialCell(cell_id=pop.new_id(), kind="Detector",
+                pop.add(ArtificialCell(cell_id=next(ids), kind="Detector",
                                        location=0, rng=None, born_at=9))
         assert seen == [0, 1, 2, 3, 4]
         assert [c.cell_id for c in pop.alive_sorted()] == [0, 1, 2, 4, 5]
 
     def test_alive_sorted_is_id_order_after_spawns_and_retirements(self):
         rng = random.Random(17)
-        pop = CellPopulation()
+        pop, ids = CellPopulation(), itertools.count()
         alive = set()
         for born in range(400):
             if alive and rng.random() < 0.45:
@@ -44,7 +45,7 @@ class TestPopulation:
                 pop.retire(victim)
                 alive.discard(victim)
             else:
-                cid = pop.new_id()
+                cid = next(ids)
                 pop.add(ArtificialCell(cell_id=cid, kind="Detector", location=0,
                                        rng=None, born_at=born))
                 alive.add(cid)
@@ -52,9 +53,9 @@ class TestPopulation:
 
     @pytest.mark.parametrize("cid", [0, 1, 2])
     def test_add_rejects_an_id_not_above_the_last(self, cid):
-        pop = CellPopulation()
+        pop, ids = CellPopulation(), itertools.count()
         for i in range(3):
-            pop.add(ArtificialCell(cell_id=pop.new_id(), kind="Detector", location=0,
+            pop.add(ArtificialCell(cell_id=next(ids), kind="Detector", location=0,
                                    rng=None, born_at=i))
         pop.retire(2)
         with pytest.raises(ValueError):
@@ -62,9 +63,9 @@ class TestPopulation:
                                    rng=None, born_at=9))
 
     def test_oldest_is_the_first_live_cell_of_the_kind(self):
-        pop = CellPopulation()
+        pop, ids = CellPopulation(), itertools.count()
         for born, kind in enumerate(("Ant", "Detector", "Detector", "Detector")):
-            pop.add(ArtificialCell(cell_id=pop.new_id(), kind=kind, location=0,
+            pop.add(ArtificialCell(cell_id=next(ids), kind=kind, location=0,
                                    rng=None, born_at=born))
         assert pop.oldest("Detector").cell_id == 1
         pop.retire(1)

@@ -74,6 +74,18 @@ class TestReplay:
             assert typed(replayed) == typed(ran)
         assert compute_metrics(loaded) == compute_metrics(result.log.events)
 
+    def test_metrics_read_a_missing_field_as_none(self):
+        """A Forward without `klass` is no immune forward, and a Deliver
+        without `attack` delivers no attack."""
+        log = EventLog()
+        log.append(0, "Forward", pid=0, src=0, dst=1)
+        log.append(0, "Forward", pid=1, src=0, dst=1, klass="Immune")
+        log.append(1, "Deliver", pid=0, node=1, hops=1)
+        log.append(1, "Deliver", pid=2, node=1, attack=1)
+        metrics = compute_metrics(log.events)
+        assert metrics.overhead == 0.5
+        assert metrics.delivered_attack == 1
+
     def test_repeated_tokens_parse_as_the_reference_does(self, tmp_path):
         raws = ["007", "7", "-3", "1e3", "nan", "00ab", "-", "x=y"]
         tokens = [f"k{i}={raw}" for i, raw in enumerate(raws)]

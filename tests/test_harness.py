@@ -1,7 +1,10 @@
 import copy
 
+import pytest
+
 from immunet import harness
 from immunet.engine import run
+from immunet.metrics import Metrics
 
 from conftest import worm_config
 
@@ -22,3 +25,9 @@ class TestSweep:
             expected.append({"pheromone.threshold": threshold, "seed": 6, **metrics})
         assert rows == expected
         assert expected[0] != {**expected[1], "pheromone.threshold": 1.0}  # the knob matters
+
+    def test_unknown_report_format_is_refused(self, tmp_path):
+        path = tmp_path / "report.xml"
+        with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+            harness.emit_report(Metrics(), "xml", path)
+        assert not path.exists()

@@ -81,6 +81,12 @@ class TestBuild:
         assert len(net.links) == 2
         assert net.neighbors(1) == (0, 2)
 
+    def test_neighbors_of_an_unknown_node(self):
+        net = build_network([0, 1, 2], [(0, 1), (1, 2)])
+        with pytest.raises(UnknownNode) as err:
+            net.neighbors(7)
+        assert err.value.args == (7,)
+
     def test_isolated_node_rejected(self):
         with pytest.raises(TopologyError, match=r"^unreachable nodes: \[2\]$"):
             build_network([0, 1, 2], [(0, 1)])

@@ -13,7 +13,7 @@ from immunet.engine import World
 from immunet.events import EventLog, field, load_log
 from immunet.topology import UnknownNode, build_network, compute_routing, line_network
 from immunet.transport import (ACCEPTED, DATA, DROPPED, IMMUNE,
-                               ConservationViolation, QueueViolation, StepHooks,
+                               ConservationViolation, Packet, QueueViolation, StepHooks,
                                TransportState, conservation_audit, step)
 
 from conftest import quiet_config, to_line
@@ -58,6 +58,14 @@ class TestQueue:
         with pytest.raises(UnknownNode):
             state.enqueue(17, state.make_packet(0, 2, DATA))
 
+    def test_bad_packet_class_is_refused(self):
+        with pytest.raises(ValueError, match="^bad packet class 'Bulk'$"):
+            Packet(0, 0, 2, "Bulk")
+
+    def test_capacity_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^capacity must be >= 1$"):
+            make_state(capacity=0)
+
     def test_capacity_never_exceeded_fuzz(self):
         """10^4 random enqueue/dequeue operations keep occupancy <= capacity."""
         rng = random.Random(5150)
@@ -93,7 +101,7 @@ class TestStep:
             if st.clock == 0:
                 pkt = st.make_packet(0, 2, DATA)
                 injected_at[pkt.pid] = st.clock
-                st.offer(0, [pkt])
+                st.offer([pkt])
 
         hooks = StepHooks(inject=inject)
         for _ in range(5):
@@ -144,7 +152,7 @@ class TestStep:
         calls = []
 
         def inject(st):
-            st.offer(0, [st.make_packet(0, 2, DATA)])
+            st.offer([st.make_packet(0, 2, DATA)])
 
         state = make_state()
         hooks = StepHooks(inject=inject, on_forward=lambda st, pkt, u, v: calls.append(pkt))
@@ -165,7 +173,7 @@ class TestStep:
         arrived, delivered = [], []
         hooks = StepHooks(checked={2},
                           on_arrival=lambda st, node, pkt, frm: arrived.append((node, pkt.pid)),
-                          on_deliver=lambda st, pkt, node: delivered.append((node, pkt.pid)))
+                          on_deliver=lambda st, pkt: delivered.append((pkt.dst, pkt.pid)))
         for _ in range(8):
             step(state, hooks)
         assert state.in_flight() == 0
@@ -258,7 +266,7 @@ class TestAdmission:
     def test_excess_deferred_not_lost(self):
         net = build_network([0, 1], [(0, 1, 4)])
         state = TransportState(net, compute_routing(net), 32)
-        state.offer(0, [state.make_packet(0, 1, DATA) for _ in range(10)])
+        state.offer([state.make_packet(0, 1, DATA) for _ in range(10)])
         assert sum(1 for ev in state.log.events if ev[1] == "Inject") == 4
         assert len(state.queues[0].waiting) == 6
         assert state.in_flight() == 4  # staged packets count, deferred ones do not
@@ -271,10 +279,20 @@ class TestAdmission:
     def test_clear_deferred(self):
         net = build_network([0, 1], [(0, 1, 2)])
         state = TransportState(net, compute_routing(net), 32)
-        state.offer(0, [state.make_packet(0, 1, DATA) for _ in range(5)])
+        state.offer([state.make_packet(0, 1, DATA) for _ in range(5)])
         assert len(state.queues[0].waiting) == 3
         state.clear_deferred(0)
         assert len(state.queues[0].waiting) == 0
+
+    def test_offer_from_an_unknown_source_is_refused(self):
+        """A packet is staged at its own source, which must be a node; the
+        packets before it in the batch are staged."""
+        state = make_state()
+        packets = [state.make_packet(0, 2, DATA), state.make_packet(17, 2, DATA)]
+        with pytest.raises(UnknownNode) as err:
+            state.offer(packets)
+        assert err.value.args == (17,)
+        assert state.held() == {packets[0].pid: 0}
 
     def test_injects_follow_the_admission_reference(self):
         """Random offers in the inject and emit hooks and random clears in the
@@ -293,7 +311,7 @@ class TestAdmission:
                 packets = [st.make_packet(node, rng.choice([n for n in net.nodes if n != node]),
                                           DATA) for _ in range(rng.randrange(1, size + 1))]
                 calls.append((st.clock, node, [pkt.pid for pkt in packets]))
-                st.offer(node, packets)
+                st.offer(packets)
 
         def clear(st):
             for node in rng.sample(net.nodes, rng.randrange(3)):
@@ -434,6 +452,31 @@ class TestConservation:
     def test_non_event_record_is_rejected(self):
         with pytest.raises(TypeError, match="audit wants event records"):
             conservation_audit([{"kind": "Inject", "pid": 0}])
+
+    @pytest.mark.parametrize("keys", [["pid", "node"], "pid node"], ids=["list", "str"])
+    def test_record_whose_keys_are_not_a_tuple_is_rejected(self, keys):
+        with pytest.raises(TypeError, match="audit wants event records"):
+            conservation_audit([(0, "Inject", keys, 4, 0)])
+
+    def test_record_without_a_packet_is_skipped(self):
+        """A line whose `pid` is `-` names no packet, so it neither ends
+        nor starts a lifecycle."""
+        log = EventLog()
+        log.append(0, "Inject", pid=4, node=0, src=0, dst=2, klass=DATA, attack=None)
+        log.append(0, "Drop", pid=None, node=1, reason="ttl")
+        assert conservation_audit(log.events) == {4: 0}
+
+    @pytest.mark.parametrize("kind", ["Deliver", "Drop", "Evict", "Detect"])
+    def test_terminal_line_away_from_the_packet_is_violation(self, kind):
+        """A packet ends where the log last put it: after its Forward to
+        node 1, a terminal line at node 2 breaks its path."""
+        log = EventLog()
+        log.append(0, "Inject", pid=4, node=0, src=0, dst=2, klass=DATA, attack=None)
+        log.append(0, "Forward", pid=4, src=0, dst=1, klass=DATA, attack=None)
+        log.append(1, kind, pid=4, node=2)
+        with pytest.raises(ConservationViolation, match=f"^packet 4: {kind} at 2, logged at 1$") as err:
+            conservation_audit(log.events)
+        assert err.value.pid == 4
 
 
 class TestDeterminism:

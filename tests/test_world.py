@@ -1,20 +1,22 @@
 import hashlib
 import json
 from collections import Counter
+from random import Random
 
 import pytest
 
 from immunet import receptors, transport
-from immunet.cells import DETECTOR, ArtificialCell
-from immunet.engine import World
+from immunet.cells import ANT, DETECTOR, ArtificialCell
+from immunet.engine import World, build_topology
 from immunet.events import field
-from immunet.scenario import (AttackConfig, AttackMixConfig, DetectorConfig, FilterRuleConfig,
-                              IdsConfig, TopologySpec, VulnerabilityConfig, WormConfig,
+from immunet.scenario import (AntConfig, AttackConfig, AttackMixConfig, DetectorConfig,
+                              FilterRuleConfig, IdsConfig, PheromoneConfig, StationConfig,
+                              TopologySpec, VulnerabilityConfig, WormConfig,
                               baseline_scenario, from_dict)
 from immunet.stations import ADMIN, LYMPH, NURSERY
 from immunet.topology import UnknownNode
 
-from conftest import hop_counts, worm_config
+from conftest import SIG_HEX, hop_counts, quiet_config, to_line, worm_config
 
 
 class TestStationAddressing:
@@ -193,13 +195,18 @@ def check_degrees(degrees):
     return check
 
 
-def entry_5(cfg):
-    cfg.worm.entry = 5
+def entry_at(node):
+    def setup(cfg):
+        cfg.worm.entry = node
+    return setup
 
 
-def check_entry_5(world, events, destroyed):
-    first = next(ev for ev in events if ev[1] == "Infect")
-    assert (field(first, "node"), field(first, "via")) == (5, "entry")
+def check_entry_at(node):
+    def check(world, events, destroyed):
+        first = next(ev for ev in events if ev[1] == "Infect")
+        assert (first[0], field(first, "node"), field(first, "via")) \
+            == (world.config.worm.entry_step, node, "entry")
+    return check
 
 
 def listed(cfg):
@@ -309,10 +316,11 @@ class TestEnginePaths:
         (shaped("line"), check_degrees([1, 1, 2, 2, 2, 2, 2, 2])),
         (shaped("ring"), check_degrees([2] * 8)),
         (shaped("star"), check_degrees([1] * 7 + [7])),
-        (entry_5, check_entry_5),
+        (entry_at(5), check_entry_at(5)),
+        (entry_at(0), check_entry_at(0)),  # node 0 is an entry like any other
         (listed, check_listed),
         (filtered, check_filtered),
-    ], ids=["line", "ring", "star", "worm-entry", "list-placements", "filters"])
+    ], ids=["line", "ring", "star", "worm-entry", "worm-entry-0", "list-placements", "filters"])
     def test_strict_run(self, setup, check):
         cfg = worm_config(horizon=200)
         setup(cfg)
@@ -335,6 +343,42 @@ class TestEnginePaths:
                                            in world.population.of_kind(DETECTOR)}
         assert all(world.defense.at.values())  # a node leaves the map with its last component
         check(world, events, destroyed)
+
+    def test_unknown_topology_kind_is_refused(self):
+        """A config built in Python skips `validate`; the builder itself
+        refuses a kind it does not know."""
+        with pytest.raises(ValueError, match="^unknown topology kind 'torus'$"):
+            build_topology(TopologySpec(kind="torus", nodes=8), Random(1), 2)
+
+
+class TestReportWithoutAttack:
+
+    def test_lymph_station_sends_a_disinfector_and_pushes_no_signature(self):
+        """Detections of packets without an attack id, false positives,
+        deposit pheromone but tally no attack, so the report of the node
+        they mark names none: `Identify attack=-`. The lymph station still
+        sends a disinfector, but immunizes neither the detector within the
+        radius nor the nursery."""
+        cfg = quiet_config(nodes=3)
+        cfg.attacks = [AttackConfig(attack_id=1, signature=SIG_HEX)]
+        cfg.detectors = DetectorConfig(count=1, placement=[1])
+        cfg.ants = AntConfig(count=1)
+        cfg.pheromone = PheromoneConfig(threshold=2.0, quorum=1)
+        cfg.stations = StationConfig(lymph=1, nurseries=1, placement=[1, 2, 0])
+        world = World(cfg, seed=1)
+        (ant,) = world.population.of_kind(ANT)
+        ant.location = 1  # the quorum, at the marked node
+        for _ in range(2):  # what `on_arrival` deposits for a packet with no attack id
+            world.pheromone.deposit((1, 0), None)
+        transport.step(world.state, world.hooks())
+        lines = [to_line(ev) for ev in world.log.events]
+        assert lines[lines.index("step=0 kind=Identify node=1 attack=-"):] == [
+            "step=0 kind=Identify node=1 attack=-",
+            "step=0 kind=SubstanceSend sid=0 src=1 dst=1 what=report station=0",
+            "step=0 kind=SubstanceOpen sid=0 station=0 node=1",
+            "step=0 kind=Spawn cell=2 cellkind=Disinfector node=1 by=0 replaces=-",
+            "step=0 kind=Step",
+        ]
 
 
 class TestSharedStores:
