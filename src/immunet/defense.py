@@ -77,12 +77,14 @@ class DetectorComponent:
         return self.cell.cell_id
 
     def check(self, pkt: Packet) -> bool:
-        """True when the cell's store matches the data payload."""
+        """True when the cell's store reports the data payload: a member
+        occurs in it, or it draws a false positive at the declared rate."""
         db: CompressedSignatureDb | None = self.cell.db
         if db is None or pkt.klass != DATA or not pkt.payload:
             return False
-        # cells holding one signature set hold one immutable store, so the
-        # store itself keys one scan per packet across hops and cells
+        # cells holding one signature set hold one immutable store, and its
+        # verdict is a function of the payload, so the store itself keys one
+        # scan per packet across hops and cells
         cache = pkt.scan_cache
         if cache is None:
             cache = pkt.scan_cache = {}

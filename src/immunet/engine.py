@@ -258,9 +258,9 @@ class World:
         if isinstance(cargo, receptors.Substance):
             self.stations[cargo.dest].inbox.append(cargo)
             return
-        if pkt.attack is not None:
-            adversary.on_attack_delivery(state, self.vulnerable, self.infected, pkt,
-                                         self.attacks[pkt.attack])
+        # transport calls this only for cargo or an attack id: no cargo, so an attack
+        adversary.on_attack_delivery(state, self.vulnerable, self.infected, pkt,
+                                     self.attacks[pkt.attack])
 
     def _arrive_cell(self, cell: ArtificialCell, node: int) -> None:
         cell.location = node

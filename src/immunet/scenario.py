@@ -126,6 +126,8 @@ class VulnerabilityConfig:
 class DetectorConfig:
     count: CellCount = 30
     p_move: Annotated[float, CLOSED_UNIT] = 0.5
+    # per-scan probability that a payload holding no signature of the
+    # detector's store is reported (`CompressedSignatureDb.scan`)
     target_fpr: Annotated[float, OPEN_UNIT] = 0.01
     initial_signatures: Literal["all", "none"] = "all"
     placement: Literal["random"] | list[int] = "random"

@@ -381,6 +381,22 @@ class TestReportWithoutAttack:
         ]
 
 
+class TestStaticIdsPlacement:
+
+    def test_a_placement_list_places_its_first_count_nodes_after_the_filters(self):
+        """Filters take component ids first, in ascending node; the IDS
+        follow in placement order, and nodes past `count` get none."""
+        data = worm_config(static_ids=IdsConfig(count=2, placement=[3, 1, 4])).to_dict()
+        data["filters"] = [{"node": 5, "action": "Drop", "src": [0]},
+                           {"node": 2, "action": "Drop", "dst": [7]}]
+        world = World(from_dict(data), 1)
+        static = sorted((comp.component_id, comp.kind, node)
+                        for node, comps in world.defense.at.items() for comp in comps
+                        if comp.kind != "Cell")
+        assert static == [(0, "PacketFilter", 2), (1, "PacketFilter", 5),
+                          (2, "StaticIDS", 3), (3, "StaticIDS", 1)]
+
+
 class TestSharedStores:
     """A run keeps one immutable store per signature set: detectors holding
     one set hold one store, immunization swaps a detector's store for the
@@ -408,7 +424,7 @@ class TestSharedStores:
         def checked_immunize(st, around, attack):
             sig = world.attacks[attack].signature_bytes()
             before = {cell.cell_id: cell.db for cell in detectors()}
-            held = {id(db): (db, db.members, db._bits) for db in before.values() if db}
+            held = {id(db): (db, db.members) for db in before.values() if db}
             immunize(st, around, attack)
             for cell in detectors():
                 old = before[cell.cell_id]
@@ -419,8 +435,8 @@ class TestSharedStores:
                 else:
                     assert cell.db is old
                     seen["kept"] += old is not None
-            for db, members, bits in held.values():
-                assert (db.members, db._bits) == (members, bits)
+            for db, members in held.values():  # a store is never changed or replaced
+                assert db.members == members and world._stores[members] is db
             for other in world.stations:
                 if other.kind == NURSERY:
                     assert sig in other.store.members
@@ -480,42 +496,42 @@ def digest(result) -> str:
 # change that means to alter behaviour pins the new values on purpose.
 PINNED = {
     "worm seed 6": (
-        "a95f2f6759e58990fdadc61e436849403188eace4cbd2b19ae1b902b8ae630b6",
-        {"delivered_attack": 787, "destroyed_attack": 1122,
-         "disinfection_latency_median": 5.0, "dropped_total": 413,
-         "false_disinfections": 0, "false_positive_detections": 0, "final_infected": 8,
-         "identification_latency_median": 24.0, "identified_episodes": 49,
-         "infections_per_event": 7.0, "infections_total": 7, "infected_node_steps": 1327,
-         "injected_attack": 2711, "injected_total": 4695,
-         "overhead": 0.32871125611745516, "peak_infected": 8,
-         "prevention_rate": 0.41386942087790485, "steps": 200,
-         "unidentified_episodes": 6, "worm_entries": 1},
+        "0e496d61e79e72d30cc10d6ab9097547fd7a6c95f4f335e398b44fa45544bf22",
+        {"delivered_attack": 751, "destroyed_attack": 1048,
+         "disinfection_latency_median": 4.0, "dropped_total": 439,
+         "false_disinfections": 0, "false_positive_detections": 3, "final_infected": 8,
+         "identification_latency_median": 22.0, "identified_episodes": 47,
+         "infections_per_event": 7.0, "infections_total": 7, "infected_node_steps": 1280,
+         "injected_attack": 2622, "injected_total": 4606,
+         "overhead": 0.33928196514801595, "peak_infected": 8,
+         "prevention_rate": 0.39969488939740655, "steps": 200,
+         "unidentified_episodes": 8, "worm_entries": 1},
     ),
     "baseline seed 42": (
-        "f3078ca449a19fc77a56516ca009859c7a3e4c9bf4423f003125fae53f50eb38",
+        "ca25382dfc46a9ac303091b2b6c6d92b46eeb5214d245f86ee728068e6989eb5",
         {"delivered_attack": 0, "destroyed_attack": 0,
          "disinfection_latency_median": None, "dropped_total": 0,
-         "false_disinfections": 0, "false_positive_detections": 0, "final_infected": 0,
+         "false_disinfections": 0, "false_positive_detections": 9, "final_infected": 0,
          "identification_latency_median": None, "identified_episodes": 0,
          "infections_per_event": None, "infections_total": 0, "infected_node_steps": 0,
          "injected_attack": 0, "injected_total": 5720,
-         "overhead": 0.3932335581787521, "peak_infected": 0,
+         "overhead": 0.3937315322921064, "peak_infected": 0,
          "prevention_rate": None, "steps": 100, "unidentified_episodes": 0,
          "worm_entries": 0},
     ),
     # no detector starts trained, so lymph stations push signatures to both
     # detector cells and nurseries, and nursery releases replace capped cells
     "untrained worm seed 2": (
-        "a8bc53669d1359bce6851e64bbffb7d426fea5f4d45a7a832effdc743f48cde2",
-        {"delivered_attack": 488, "destroyed_attack": 1692,
-         "disinfection_latency_median": 3.0, "dropped_total": 135,
-         "false_disinfections": 0, "false_positive_detections": 0, "final_infected": 5,
-         "identification_latency_median": 22.0, "identified_episodes": 42,
-         "infections_per_event": 4.0, "infections_total": 4, "infected_node_steps": 1235,
-         "injected_attack": 2552, "injected_total": 5443,
-         "overhead": 0.3863751906456533, "peak_infected": 5,
-         "prevention_rate": 0.6630094043887147, "steps": 300,
-         "unidentified_episodes": 4, "worm_entries": 1},
+        "f591c45d1e1a1969850e60d1396809ad64e9debaf496a1e79ef72e951ae35356",
+        {"delivered_attack": 545, "destroyed_attack": 1673,
+         "disinfection_latency_median": 3.0, "dropped_total": 152,
+         "false_disinfections": 0, "false_positive_detections": 4, "final_infected": 5,
+         "identification_latency_median": 23.0, "identified_episodes": 45,
+         "infections_per_event": 4.0, "infections_total": 4, "infected_node_steps": 1245,
+         "injected_attack": 2580, "injected_total": 5479,
+         "overhead": 0.3830962343096234, "peak_infected": 5,
+         "prevention_rate": 0.6484496124031007, "steps": 300,
+         "unidentified_episodes": 5, "worm_entries": 1},
     ),
     # packet filters at three nodes and a two-attack mix: the only pin whose
     # run registers a PacketFilter and draws attack-mix packets
@@ -552,7 +568,7 @@ class TestDeterminismGuard:
         sends = [ev for ev in result.log.events
                  if ev[1] == "SubstanceSend" and field(ev, "what") == "immunize"]
         assert sum(field(ev, "station") is not None for ev in sends) == 2
-        assert sum(field(ev, "cell") is not None for ev in sends) == 145
+        assert sum(field(ev, "cell") is not None for ev in sends) == 158
         assert sum(ev[1] == "Spawn" and field(ev, "replaces") is not None
                    for ev in result.log.events) == 36
         assert (digest(result), result.metrics.as_dict()) == PINNED["untrained worm seed 2"]
