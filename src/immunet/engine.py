@@ -78,8 +78,9 @@ class World:
 
         self.network = build_topology(config.topology, self.seeds.stream("topology"),
                                       cfg_tr.link_bandwidth)
-        # next-hop rows, one breadth-first search per destination; the only
-        # hop counts kept are those from station nodes (`Station.hops`)
+        # next-hop rows, from one bit-parallel breadth-first sweep over all
+        # nodes; the only hop counts kept are those from station nodes
+        # (`Station.hops`)
         self.routing = compute_routing(self.network)
         self.state = TransportState(self.network, self.routing, cfg_tr.queue_capacity,
                                     strict_checks=strict_checks)

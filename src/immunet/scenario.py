@@ -47,7 +47,10 @@ REDUNDANT = (lambda v: v >= 2, "redundancy requires >= 2")
 # and a "fixed" draw loops `rate` times)
 AT_MOST_1E6 = (lambda v: v <= 10**6, "must be <= 1000000 packets per step")
 # a run's routing holds a next hop per (node, destination), n**2 entries, and
-# `validate` lists every node id first; transit has 500 nodes
+# `validate` lists every node id first; transit has 500 nodes. Transit with
+# `nodes` n and `edge_prob` 8/n, seed 1, built in a fresh process (Python
+# 3.11, 2-core host): `compute_routing` takes 0.41 s at 2,000 nodes and
+# 2.6-2.8 s at 5,000, and the process peaks at 69 MB and 296-297 MB RSS
 AT_MOST_1E4_NODES = (lambda v: v <= 10**4, "must be <= 10000 nodes")
 # a run builds each cell with its own seeded stream; outbreak has 80 ants
 AT_MOST_1E4_CELLS = (lambda v: v <= 10**4, "must be <= 10000 cells")

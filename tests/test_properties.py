@@ -171,6 +171,35 @@ def test_routing_matches_two_pass_reference_on_seeded_graphs():
         check_routing(net)
 
 
+def larger_networks():
+    """G(n, p) at 255, 256 and 257 nodes, a star whose hub has degree 299, a
+    line of 299 levels, and 300 sparse ids above 65,535."""
+    rng = random.Random(38)
+    nets = [erdos_renyi(n, 0.03, rng) for n in (255, 256, 257)]
+    nets += [star_network(300), line_network(300)]
+    ids = rng.sample(range(65536, 10**6), 300)
+    links = {tuple(sorted((ids[i], ids[rng.randrange(i)]))) for i in range(1, len(ids))}
+    links |= {tuple(sorted(rng.sample(ids, 2))) for _ in range(150)}
+    nets.append(build_network(ids, sorted(links)))
+    return nets
+
+
+def test_routing_matches_two_pass_reference_on_larger_graphs():
+    """Each row is an exact-length list of the network's own id objects,
+    equal to the two-pass reference; each depth is the node's eccentricity."""
+    for net in larger_networks():
+        n = len(net.nodes)
+        routes = compute_routing(net)
+        reference = reference_rows(net)
+        assert list(routes.rows) == list(net.nodes)
+        for d, row in routes.rows.items():
+            assert type(row) is list and len(row) == n, (n, d)
+            assert row == [d if s == d else reference[d][s] for s in net.nodes], (n, d)
+            assert all(hop is net.nodes[net.index[hop]] for hop in row), (n, d)
+        dist = hop_counts(net)
+        assert routes.depth == {d: max(dist[d].values()) for d in net.nodes}, n
+
+
 @settings(max_examples=30, deadline=None)
 @given(topology=sparse_topologies(min_nodes=5), seed=st.integers(0, 2**16))
 def test_station_rows_give_the_all_pairs_nearest_station(topology, seed):

@@ -1,9 +1,11 @@
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
-from immunet.topology import (Routes, TopologyError, UnknownNode, betweenness,
+from immunet.topology import (Network, Routes, TopologyError, UnknownNode, betweenness,
                               build_network, compute_routing, diameter,
                               erdos_renyi, line_network, ring_network,
                               star_network, top_betweenness)
@@ -147,6 +149,16 @@ class TestRouting:
         table = compute_routing(net)
         assert table[(0, 2)] == 1
 
+    def test_disconnected_network_raises(self):
+        """A `Network` assembled without `build_network` can be in pieces:
+        the sweep refuses it rather than searching for ever."""
+        adjacency = {0: (1,), 1: (0,), 2: (3,), 3: (2,)}
+        net = Network(nodes=(0, 1, 2, 3), links=((0, 1, 1), (2, 3, 1)),
+                      index={n: n for n in range(4)}, adjacency=adjacency,
+                      bandwidth={u: dict.fromkeys(vs, 1) for u, vs in adjacency.items()})
+        with pytest.raises(TopologyError, match="unreachable nodes from node 0"):
+            compute_routing(net)
+
     def test_bellman_ford_oracle_200_graphs(self):
         """Following next-hops reaches the target in exactly the oracle distance."""
         rng = random.Random(4242)
@@ -222,6 +234,34 @@ class TestRoutes:
                         closer = [v for v in graph.neighbors(s)
                                   if lengths[v][d] == lengths[s][d] - 1]
                         assert row[net.index[s]] == min(closer), (s, d)
+
+    def test_build_memory_is_what_it_keeps_and_a_bounded_transient(self):
+        """At 1,000 nodes the build keeps about 1,000 exact-size lists of
+        the network's own ids, and its peak stays within `PEAK_OVER_KEPT` of
+        that. Rows of fresh ints keep 3.0 times as much and over-allocated
+        lists 1.12 times; transposing every column into tuples before
+        mapping them peaks at 4.2 times what is kept."""
+        net = erdos_renyi(1000, 0.008, random.Random(38))
+        n = len(net.nodes)
+        lists = n * sys.getsizeof([None] * n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            routes = compute_routing(net)
+            kept, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert all(len(row) == n and sys.getsizeof(row) == sys.getsizeof([None] * n)
+                   for row in routes.rows.values())
+        assert lists <= kept <= 1.05 * lists, kept / lists
+        assert peak <= PEAK_OVER_KEPT * kept, peak / kept
+
+
+# measured peak / kept of `compute_routing` at 1,000 nodes: 1.32 on Python
+# 3.10-3.13, because the 2-byte columns, a quarter of the rows in size, live
+# until the transpose ends
+PEAK_OVER_KEPT = 1.6
 
 
 class TestGraphStats:
