@@ -83,15 +83,13 @@ class DetectorComponent:
         if db is None or pkt.klass != DATA or not pkt.payload:
             return False
         # cells holding one signature set hold one immutable store, and its
-        # verdict is a function of the payload, so the store itself keys one
-        # scan per packet across hops and cells
-        cache = pkt.scan_cache
-        if cache is None:
-            cache = pkt.scan_cache = {}
-        verdict = cache.get(db)
-        if verdict is None:
-            verdict = db.scan(pkt.payload)
-            cache[db] = verdict
+        # verdict is a function of the payload, so a packet keeps the last store's
+        # verdict: one scan across hops and cells, and another only for another store
+        scan = pkt.scan
+        if scan is not None and scan[0] is db:
+            return scan[1]
+        verdict = db.scan(pkt.payload)
+        pkt.scan = (db, verdict)
         return verdict
 
 

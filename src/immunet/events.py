@@ -45,16 +45,6 @@ KINDS = (
 _KIND_SET = frozenset(KINDS)
 _KIND_TOKENS = {f"kind={kind}": kind for kind in KINDS}  # parsed events share these strings
 
-_VERBATIM = frozenset({int, str})  # types whose log text is plain str(value)
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return format(value, ".6g")
-    if isinstance(value, bytes):
-        return value.hex() or "-"
-    return str(value)
-
 
 def field(rec: tuple, key: str):
     """Field `key` of an event record, or None when it has no such field."""
@@ -111,12 +101,14 @@ class EventLog:
             for key in rec[2]:
                 value = rec[i]
                 i += 1
-                if type(value) in _VERBATIM:
-                    line += f" {key}={value}"
-                elif value is None:
+                if value is None:
                     line += f" {key}=-"
+                elif type(value) is float:
+                    line += f" {key}={value:.6g}"
+                elif type(value) is bytes:
+                    line += f" {key}={value.hex() or '-'}"
                 else:
-                    line += f" {key}={_fmt(value)}"
+                    line += f" {key}={value}"
             put(line)
         if lines:
             put("")  # the text ends with a newline
@@ -168,11 +160,7 @@ class _KeyTable(dict):
         if len(self) >= _TABLE_LIMIT:
             self.clear()
             self.values.clear()
-        try:
-            value = int(raw)  # most new tokens are a packet's `pid=`
-        except ValueError:
-            value = _parse_value(raw)
-        self.values[token] = value
+        self.values[token] = _parse_value(raw)
         key = self[token] = sys.intern(key)
         return key
 

@@ -8,8 +8,8 @@ integer bitset over positions, so a level costs one big-integer OR per
 link end. It is stored as one list per destination,
 `rows[dst][network.index[src]]` -> next hop id, the smallest neighbour of
 `src` one hop nearer `dst`: the tie-break that keeps every run
-reproducible. The same sweep records each node's depth, whose largest
-value is the diameter. No all-pairs hop-count table is built;
+reproducible. The sweep's last level is the diameter. No all-pairs
+hop-count table is built;
 `bfs_distances` gives one source's hop counts. `Routes` also reads the
 rows as a `(src, dst)` mapping.
 
@@ -32,6 +32,9 @@ from random import Random
 # `to_bytes` in the host's byte order makes each lane a native integer for
 # `memoryview.cast`; a big-endian host then lists the lanes last position first
 _LANE_STEP = 1 if sys.byteorder == "little" else -1
+
+
+ER_TRIES = 1000  # `erdos_renyi` gives up after this many disconnected samples
 
 
 class TopologyError(ValueError):
@@ -101,7 +104,7 @@ def build_network(nodes, links, bandwidth: int = 1) -> Network:
         nodes=tuple(node_list),
         links=tuple(canon),
         index={n: i for i, n in enumerate(node_list)},
-        adjacency={n: tuple(sorted(bw_map[n])) for n in node_list},
+        adjacency={n: tuple(bw_map[n]) for n in node_list},  # `canon` is sorted
         bandwidth=bw_map,
     )
     unreachable = node_set - set(bfs_distances(net, node_list[0]))
@@ -110,19 +113,19 @@ def build_network(nodes, links, bandwidth: int = 1) -> Network:
     return net
 
 
-def erdos_renyi(n: int, p: float, rng: Random, bandwidth: int = 1, max_tries: int = 1000) -> Network:
-    """Sample G(n, p) repeatedly until connected.
+def erdos_renyi(n: int, p: float, rng: Random, bandwidth: int = 1) -> Network:
+    """Sample G(n, p) repeatedly until connected, at most `ER_TRIES` times.
 
     Each try draws one `rng.random()` per pair, `u` ascending then `v`.
     """
     draw = rng.random
-    for _ in range(max_tries):
+    for _ in range(ER_TRIES):
         links = [(u, v, bandwidth) for u in range(n) for v in range(u + 1, n) if draw() < p]
         try:
             return build_network(range(n), links)
         except TopologyError:
             continue
-    raise TopologyError(f"no connected G({n},{p}) sample in {max_tries} tries")
+    raise TopologyError(f"no connected G({n},{p}) sample in {ER_TRIES} tries")
 
 
 def line_network(n: int, bandwidth: int = 1) -> Network:
@@ -156,17 +159,16 @@ class Routes(Mapping):
     """Read-only next-hop table stored per destination: `rows[dst]` is a
     list indexed by source position, `rows[dst][index[src]]` -> next hop id.
 
-    A row's entry at `dst`'s own position is `dst`; `depth[dst]` is the hop
-    count from `dst` to the nodes farthest from it. As a mapping it reads
+    A row's entry at `dst`'s own position is `dst`; `diameter` is the
+    largest hop count between two nodes. As a mapping it reads
     `routes[(src, dst)]`, over each ordered pair of distinct nodes.
     """
 
-    __slots__ = ("rows", "depth", "index")
+    __slots__ = ("rows", "diameter", "index")
 
-    def __init__(self, rows: dict[int, list[int]], depth: dict[int, int],
-                 index: dict[int, int]):
+    def __init__(self, rows: dict[int, list[int]], diameter: int, index: dict[int, int]):
         self.rows = rows
-        self.depth = depth
+        self.diameter = diameter
         self.index = index
 
     def __getitem__(self, key: tuple[int, int]) -> int:
@@ -209,9 +211,8 @@ def compute_routing(net: Network) -> Routes:
     ascending position, which is ascending id, and each takes what it holds
     of what is still unassigned, so every destination goes to the smallest
     neighbour one hop nearer it: the tie-break that keeps every run
-    reproducible. The last level at which `new` is non-empty is `u`'s
-    depth; the graph is undirected, so that is also the depth of the search
-    from `u` as a destination.
+    reproducible. The sweep ends when every set is full, so its last level
+    is the largest hop count between two nodes, the diameter.
 
     Each source's shares then become its column of next-hop positions by a
     spread in C: a share written as `n` binary digits and encoded as UTF-16
@@ -230,7 +231,6 @@ def compute_routing(net: Network) -> Routes:
     everyone = (1 << n) - 1
     # shares[u][k]: the positions whose next hop from `u` is adjacency[u][k]
     shares = [[0] * len(adj) for adj in adjacency]
-    depth = [0] * n
     searching = range(n)
     level = 0
     while searching:
@@ -246,7 +246,6 @@ def compute_routing(net: Network) -> Routes:
             if not new:  # a disconnected graph, assembled without `build_network`
                 raise TopologyError(f"unreachable nodes from node {nodes[u]}")
             grown[u] |= new
-            depth[u] = level
             share = shares[u]
             for k, v in enumerate(adj):
                 taken = new & reach[v]
@@ -280,12 +279,12 @@ def compute_routing(net: Network) -> Routes:
         column -= zeros * total
         cols.append(memoryview(column.to_bytes(2 * n, sys.byteorder)).cast("H")[::_LANE_STEP])
     rows = {nodes[d]: list(itemgetter(*hops)(nodes)) for d, hops in enumerate(zip(*cols))}
-    return Routes(rows, dict(zip(nodes, depth)), index)
+    return Routes(rows, level, index)
 
 
 def diameter(routes: Routes) -> int:
-    """Largest hop count between two nodes: the deepest search of `routes`."""
-    return max(routes.depth.values())
+    """Largest hop count between two nodes: the sweep's last level."""
+    return routes.diameter
 
 
 def betweenness(net: Network) -> dict[int, float]:

@@ -77,9 +77,9 @@ class Packet:
     attack: int | None = None
     hop_count: int = 0
     cargo: object = None  # in-simulation freight: a cell or a sealed substance
-    # signature store -> scan verdict, shared across hops and cells: a verdict,
-    # false positives included, depends only on the store and the payload
-    scan_cache: dict | None = field(default=None, compare=False, repr=False)
+    # (store, verdict) of the last store to scan the payload, kept across hops and
+    # cells: a verdict, false positives included, depends only on those two
+    scan: tuple | None = field(default=None, compare=False, repr=False)
     seq: int = field(default=-1, compare=False, repr=False)  # enqueue order, under strict_checks
 
     def __post_init__(self):

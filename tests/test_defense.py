@@ -198,3 +198,21 @@ class TestCheckAll:
         while contains_signature([SIG], payload):
             payload = rng.randbytes(64)
         assert stack.check_all(1, packet(payload=payload)) is None
+
+
+class TestVerdictMemo:
+
+    def test_a_packet_gets_the_verdict_of_the_store_that_checks_it(self, monkeypatch):
+        """Two detectors whose stores disagree on a payload check one packet
+        in the order A, B, A, A: it gets A's verdict, then B's, then A's,
+        and only the repeat by the same store is not scanned again."""
+        a = detector_component(cell_id=0, signatures=(SIG,), fpr=1e-12)
+        b = detector_component(cell_id=1, signatures=(b"\x01\x02\x03\x04",), fpr=1e-12)
+        pkt = packet(payload=b"ab" + SIG)
+        assert (a.cell.db.scan(pkt.payload), b.cell.db.scan(pkt.payload)) == (True, False)
+        scans = []
+        scan = CompressedSignatureDb.scan
+        monkeypatch.setattr(CompressedSignatureDb, "scan",
+                            lambda db, payload: scans.append(db) or scan(db, payload))
+        assert [c.check(pkt) for c in (a, b, a, a)] == [True, False, True, True]
+        assert scans == [a.cell.db, b.cell.db, a.cell.db]

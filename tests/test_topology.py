@@ -83,6 +83,24 @@ class TestBuild:
         assert len(net.links) == 2
         assert net.neighbors(1) == (0, 2)
 
+    def test_neighbours_ascend_whatever_the_link_order(self):
+        """Each node's neighbours are listed in ascending id, and its
+        bandwidth map holds them in that order, for links given descending,
+        shuffled, or as 3-tuples with bandwidths."""
+        rng = random.Random(17)
+        ids = rng.sample(range(1000), 40)
+        links = {tuple(sorted((ids[i], ids[rng.randrange(i)]))) for i in range(1, len(ids))}
+        links |= {tuple(sorted(rng.sample(ids, 2))) for _ in range(60)}
+        descending = sorted(((v, u) for u, v in links), reverse=True)
+        shuffled = rng.sample(sorted(links), len(links))
+        weighted = [(v, u, rng.randint(1, 5)) for u, v in shuffled]
+        ascending = {n: tuple(sorted({v for link in links if n in link for v in link} - {n}))
+                     for n in ids}
+        for given in (descending, shuffled, weighted):
+            net = build_network(ids, given)
+            assert net.adjacency == ascending
+            assert all(net.adjacency[n] == tuple(net.bandwidth[n]) for n in ids)
+
     def test_neighbors_of_an_unknown_node(self):
         net = build_network([0, 1, 2], [(0, 1), (1, 2)])
         with pytest.raises(UnknownNode) as err:
@@ -218,7 +236,7 @@ class TestRoutes:
         assert routes[(3, 42)] == 7  # 7 and 10 are both one hop from 42; the smaller wins
         assert {s: routes[(s, 42)] for s in (3, 7, 10)} == {3: 7, 7: 42, 10: 42}
         assert routes.rows[42] == [7, 42, 42, 42]  # sources 3, 7, 10, then 42 itself
-        assert routes.depth == {3: 2, 7: 1, 10: 1, 42: 2}
+        assert routes.diameter == 2  # 3 to 42
 
     def test_networkx_graphs(self):
         """Each row entry is the smallest neighbour one hop nearer, and the
