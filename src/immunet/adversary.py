@@ -44,52 +44,70 @@ def draw_count(rng: Random, rate: float, distribution: str) -> int:
     return poisson(rng, rate)
 
 
-def benign_payload(rng: Random, length: int, forbidden) -> bytes:
-    """Random bytes rejection-sampled to contain no configured signature."""
-    while True:
-        payload = rng.randbytes(length)
-        if not any(sig in payload for sig in forbidden):
-            return payload
+def uniform_index(rng: Random, n: int) -> int:
+    """A uniform int in [0, n), n >= 1: the value `Random.randrange(n)`
+    draws from the same state, by the same rejection loop over
+    `getrandbits` (CPython 3.10-3.13), without its three stdlib frames."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def attack_payload(rng: Random, attack: AttackConfig, length: int) -> bytes:
     sig = attack.signature_bytes()
     if length <= len(sig):
         return sig
-    offset = rng.randrange(length - len(sig) + 1)
-    filler = rng.randbytes(length - len(sig))
+    size = length - len(sig)
+    offset = uniform_index(rng, size + 1)
+    filler = rng.getrandbits(8 * size).to_bytes(size, "little")  # `Random.randbytes(size)`
     return filler[:offset] + sig + filler[offset:]
-
-
-def _endpoints(rng: Random, nodes) -> tuple[int, int]:
-    """A uniform source and a uniform destination other than it."""
-    src = nodes[rng.randrange(len(nodes))]
-    dst = src
-    while dst == src:
-        dst = nodes[rng.randrange(len(nodes))]
-    return src, dst
 
 
 def inject_background(state: TransportState, traffic: TrafficConfig,
                       attacks: dict[int, AttackConfig], rng: Random) -> list[Packet]:
-    """Build this step's benign data packets (uniform distinct src != dst),
-    free of every signature in `attacks`, then each `attack_mix` entry's
-    attack packets."""
+    """Build this step's benign data packets, then each `attack_mix` entry's
+    attack packets. Each packet has a uniform source and a uniform
+    destination other than it. A benign payload is uniform random bytes,
+    drawn again while it holds any signature in `attacks`.
+
+    The benign loop runs once per background packet, so it draws in place
+    what `uniform_index` and `Random.randbytes` would draw."""
     nodes = state.network.nodes
+    n = len(nodes)
+    k = n.bit_length()
     length = traffic.payload_len
+    bits = 8 * length
     forbidden = [attack.signature_bytes() for attack in attacks.values()]
+    getrandbits, make_packet = rng.getrandbits, state.make_packet
     packets = []
     for _ in range(draw_count(rng, traffic.background_rate, traffic.distribution)):
-        src, dst = _endpoints(rng, nodes)
-        packets.append(state.make_packet(src, dst, DATA,
-                                         payload=benign_payload(rng, length, forbidden)))
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        j = i
+        while j == i:
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+        while True:
+            payload = getrandbits(bits).to_bytes(length, "little")
+            for sig in forbidden:
+                if sig in payload:
+                    break
+            else:
+                break
+        packets.append(make_packet(nodes[i], nodes[j], DATA, payload))
     for entry in traffic.attack_mix:
         attack = attacks[entry.attack_id]
         for _ in range(draw_count(rng, entry.rate, traffic.distribution)):
-            src, dst = _endpoints(rng, nodes)
-            packets.append(state.make_packet(src, dst, DATA,
-                                             payload=attack_payload(rng, attack, length),
-                                             attack=attack.attack_id))
+            i = uniform_index(rng, n)
+            j = i
+            while j == i:
+                j = uniform_index(rng, n)
+            packets.append(make_packet(nodes[i], nodes[j], DATA,
+                                       attack_payload(rng, attack, length), attack.attack_id))
     return packets
 
 
@@ -117,7 +135,7 @@ def worm_emit(state: TransportState, node: int, attack: AttackConfig, rng: Rando
     for _ in range(attack.fanout):
         dst = node
         while dst == node:
-            dst = nodes[rng.randrange(len(nodes))]
+            dst = nodes[uniform_index(rng, len(nodes))]
         packets.append(state.make_packet(node, dst, DATA,
                                          payload=attack_payload(rng, attack, payload_len),
                                          attack=attack.attack_id))

@@ -4,7 +4,10 @@ Everything random is drawn from named child streams of the run seed
 (topology, vulnerability, worm entry, placement, background, per-cell
 walks, and per-(node, step) worm emissions), so a run is a pure
 function of (config, seed) and paired runs stay comparable when one
-subsystem is toggled.
+subsystem is toggled. A log depends only on CPython's `Random.seed(int)`,
+`random()`, `getrandbits()` and `sample()`: uniform indices and payload
+bytes are drawn from `getrandbits` (`adversary.uniform_index`), so a
+change to `randrange` or `randbytes` cannot move a log.
 """
 
 from __future__ import annotations
@@ -85,9 +88,9 @@ class World:
         self.state = TransportState(self.network, self.routing, cfg_tr.queue_capacity,
                                     strict_checks=strict_checks)
         self.log = self.state.log
-        self._log_detect = self.log.writer("Detect", "pid", "node", "src", "psrc", "klass",
-                                           "attack", "by", "bykind", "cell")
-        self._log_cell_move = self.log.writer("CellMove", "cell", "cellkind", "node")
+        self._detect_keys = self.log.keys("Detect", "pid", "node", "src", "psrc", "klass",
+                                          "attack", "by", "bykind", "cell")
+        self._cell_move_keys = self.log.keys("CellMove", "cell", "cellkind", "node")
 
         self.attacks: dict[int, AttackConfig] = {a.attack_id: a for a in config.attacks}
         self.signature_set = [a.signature_bytes() for a in self.attacks.values()]
@@ -102,8 +105,8 @@ class World:
         self.worm_entry: int | None = None  # the node `config.worm` enters at
         if config.worm.enabled and config.worm.attack_id in self.attacks:
             if config.worm.entry == "random":
-                entry = self.network.nodes[
-                    self.seeds.stream("worm-entry").randrange(len(self.network.nodes))]
+                entry = self.network.nodes[adversary.uniform_index(
+                    self.seeds.stream("worm-entry"), len(self.network.nodes))]
                 self.vulnerable.add(entry)  # the hole the worm gets in through
             else:
                 entry = config.worm.entry
@@ -178,7 +181,7 @@ class World:
             return list(placement)[:count]
         rng = self.seeds.stream("placement", label)
         pool = self.network.nodes
-        return [pool[rng.randrange(len(pool))] for _ in range(count)]
+        return [pool[adversary.uniform_index(rng, len(pool))] for _ in range(count)]
 
     def _section(self, kind: str):
         """The scenario section of a kind a run starts with: its `count` is
@@ -240,8 +243,9 @@ class World:
         by = self.defense.check_all(node, pkt)
         if by is None:
             return False
-        self._log_detect(state.clock, pkt.pid, node, from_node, pkt.src, pkt.klass,
-                         pkt.attack, by.component_id, by.kind, by.cell_id)
+        self.log.events.append((state.clock, "Detect", self._detect_keys, pkt.pid, node,
+                                from_node, pkt.src, pkt.klass, pkt.attack, by.component_id,
+                                by.kind, by.cell_id))
         if by.kind in ("StaticIDS", "Cell"):
             # signature-layer detection feeds the ant colony
             self.pheromone.deposit((from_node, node), pkt.attack)
@@ -270,7 +274,8 @@ class World:
             cell.memory.append(node)
         if cell.kind == DETECTOR:
             self.defense.register(node, cell.component)
-        self._log_cell_move(self.state.clock, cell.cell_id, cell.kind, node)
+        self.log.events.append((self.state.clock, "CellMove", self._cell_move_keys,
+                                cell.cell_id, cell.kind, node))
 
     def emit(self, state: TransportState) -> None:
         rng = self.worm_rng
@@ -310,7 +315,7 @@ class World:
 
     def _random_neighbor(self, cell: ArtificialCell) -> int:
         nbrs = self.network.neighbors(cell.location)
-        return nbrs[cell.rng.randrange(len(nbrs))]
+        return nbrs[adversary.uniform_index(cell.rng, len(nbrs))]
 
     def _move_cell(self, cell: ArtificialCell, to: int) -> None:
         if self.state.send(cell.location, to, cell) == transport.ACCEPTED:

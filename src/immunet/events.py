@@ -13,17 +13,18 @@ tuple that holds only such values and untracked tuples at the first
 collection that sees it, so kept events cost later collections nothing,
 and each event is one allocation.
 
-A call site that always logs the same keys takes a writer once, with
-`EventLog.writer(kind, *keys)`, and logs each event with
-`write(step, *values)`. `EventLog.append(step, kind, **fields)` serves the
-sites whose keys vary per call, tests and `perfbench/tracer.py`; both
-build the same record with the same shared `keys`.
+A call site that always logs the same keys takes its `keys` once, with
+`EventLog.keys(kind, *keys)`, and appends each event to `EventLog.events`
+itself as `(step, kind, keys, *values)`: one tuple and no call frame per
+event. `EventLog.append(step, kind, **fields)` serves the sites whose keys
+vary per call, tests and `perfbench/tracer.py`; both build the same
+record with the same shared `keys`.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterator
+from typing import Iterator
 
 # Closed set of event kinds; the line format is a stable external interface.
 KINDS = (
@@ -60,9 +61,10 @@ class EventLog:
     sequence logged, so the events of one call site share it, and a kept
     event is a tuple the cyclic garbage collector untracks.
 
-    Fixed-key sites log through a `writer`, which checks the kind and the
-    keys once. `append` checks the kind and looks up the keys per call; it
-    serves sites whose keys vary, tests and `perfbench/tracer.py`."""
+    A fixed-key site checks its kind and keys once, through `keys`, and
+    appends its records to `events` itself. `append` checks the kind and
+    looks up the keys per call; it serves sites whose keys vary, tests and
+    `perfbench/tracer.py`."""
 
     def __init__(self):
         self.events: list[tuple] = []
@@ -74,20 +76,16 @@ class EventLog:
         keys = tuple(fields)  # the call's keyword order
         self.events.append((step, kind, self._keys.setdefault(keys, keys), *fields.values()))
 
-    def writer(self, kind: str, *keys: str) -> Callable[..., None]:
-        """`write(step, *values)`, which logs a `kind` event whose fields are
-        `keys` in order and `values` in the same order. Raises ValueError
-        for an unknown kind or a repeated key, which no log may hold."""
+    def keys(self, kind: str, *keys: str) -> tuple[str, ...]:
+        """The log's shared `keys` tuple, for records `(step, kind, keys,
+        *values)` a caller appends to `events` with the values in `keys`'
+        order. Raises ValueError for an unknown kind or a repeated key,
+        which no log may hold."""
         if kind not in _KIND_SET:
             raise ValueError(f"unknown event kind: {kind}")
         if len(set(keys)) < len(keys):
             raise ValueError(f"repeated field key in {keys}")
-        keys = self._keys.setdefault(keys, keys)
-        put = self.events.append
-
-        def write(step: int, *values) -> None:
-            put((step, kind, keys) + values)
-        return write
+        return self._keys.setdefault(keys, keys)
 
     def __len__(self):
         return len(self.events)

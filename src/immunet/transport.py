@@ -91,7 +91,11 @@ class NodeQueue:
     """One node's transport record: a bounded queue with a strict-priority
     immune lane over the data lane, and the node's injection admission:
     `cap` data packets staged per step, `budget` of them left this step,
-    and the offered packets `waiting` for budget."""
+    and the offered packets `waiting` for budget.
+
+    `waiting` has no bound: a node offered more than its budget each step
+    holds ever more packets, none of them in the log until it is staged.
+    A cure (`clear_deferred`) discards them with no log line."""
 
     def __init__(self, cap: int):
         self.immune: deque[Packet] = deque()
@@ -145,13 +149,13 @@ class TransportState:
         self.capacity = capacity
         self.clock = 0
         self.log = log = EventLog()
-        # one writer per fixed-key event this module logs; Evict stays on
-        # `append`, whose calls perfbench/tracer.py counts as evictions
-        self._log_inject = log.writer("Inject", "pid", "node", "src", "dst", "klass", "attack")
-        self._log_forward = log.writer("Forward", "pid", "src", "dst", "klass", "attack")
-        self._log_deliver = log.writer("Deliver", "pid", "node", "klass", "attack", "hops")
-        self._log_overflow = log.writer("Drop", "pid", "node", "klass", "attack", "reason")
-        self._log_step = log.writer("Step")
+        # the keys of each fixed-key event this module appends in place; Evict
+        # stays on `append`, whose calls perfbench/tracer.py counts as evictions
+        self._inject_keys = log.keys("Inject", "pid", "node", "src", "dst", "klass", "attack")
+        self._forward_keys = log.keys("Forward", "pid", "src", "dst", "klass", "attack")
+        self._deliver_keys = log.keys("Deliver", "pid", "node", "klass", "attack", "hops")
+        self._overflow_keys = log.keys("Drop", "pid", "node", "klass", "attack", "reason")
+        self._step_keys = log.keys("Step")
         self.queues: dict[int, NodeQueue] = {n: NodeQueue(sum(network.bandwidth[n].values()))
                                              for n in network.nodes}
         self._pids = itertools.count()
@@ -171,7 +175,7 @@ class TransportState:
         """Stage each data packet at its source within the source's budget;
         the rest wait there."""
         queues, staged = self.queues, self._staged
-        log_inject, now = self._log_inject, self.clock
+        put, keys, now = self.log.events.append, self._inject_keys, self.clock
         for pkt in packets:
             src = pkt.src
             q = queues.get(src)
@@ -179,7 +183,7 @@ class TransportState:
                 raise UnknownNode(src)
             if q.budget > 0:
                 q.budget -= 1
-                log_inject(now, pkt.pid, src, src, pkt.dst, pkt.klass, pkt.attack)
+                put((now, "Inject", keys, pkt.pid, src, src, pkt.dst, pkt.klass, pkt.attack))
                 staged.append(pkt)
             else:
                 q.waiting.append(pkt)
@@ -199,7 +203,8 @@ class TransportState:
         """Inject an immune packet carrying `cargo` into `src`'s queue now;
         returns Accepted or Dropped."""
         pkt = self.make_packet(src, dst, IMMUNE, cargo=cargo)
-        self._log_inject(self.clock, pkt.pid, src, pkt.src, pkt.dst, pkt.klass, pkt.attack)
+        self.log.events.append((self.clock, "Inject", self._inject_keys, pkt.pid, src, src, dst,
+                                IMMUNE, None))
         return self.enqueue(src, pkt)
 
     def enqueue(self, node: int, pkt: Packet) -> str:
@@ -220,7 +225,8 @@ class TransportState:
                             klass=victim.klass, attack=victim.attack, by=pkt.pid)
             immune.append(pkt)
         else:
-            self._log_overflow(self.clock, pkt.pid, node, pkt.klass, pkt.attack, "overflow")
+            self.log.events.append((self.clock, "Drop", self._overflow_keys, pkt.pid, node,
+                                    pkt.klass, pkt.attack, "overflow"))
             return DROPPED
         if self._strict:
             pkt.seq = next(self._enqueues)
@@ -251,8 +257,9 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
     hooks.inject(state)
 
     # bound once per step: the sweep below runs once per forwarded packet,
-    # and each forward and delivery writes its fixed-key line
-    log_forward, log_deliver = state._log_forward, state._log_deliver
+    # and each forward and delivery appends its fixed-key record in place
+    put = state.log.events.append
+    forward_keys, deliver_keys = state._forward_keys, state._deliver_keys
     on_forward = hooks.on_forward
     next_hops = state.routing.rows
     queues = state.queues
@@ -283,7 +290,7 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
                         raise QueueViolation(node, f"{pkt.klass} lane FIFO violated")
                     last_seq = pkt.seq
                 pkt.hop_count += 1
-                log_forward(now, pkt.pid, node, nh, pkt.klass, pkt.attack)
+                put((now, "Forward", forward_keys, pkt.pid, node, nh, pkt.klass, pkt.attack))
                 if pkt.cargo is not None:
                     on_forward(state, pkt, node, nh)
                 arrivals.append((node, nh, pkt))
@@ -297,7 +304,8 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
         if node in checked and on_arrival(state, node, pkt, from_node):
             continue  # destroyed
         if node == pkt.dst:
-            log_deliver(now, pkt.pid, node, pkt.klass, pkt.attack, pkt.hop_count)
+            put((now, "Deliver", deliver_keys, pkt.pid, node, pkt.klass, pkt.attack,
+                 pkt.hop_count))
             if pkt.cargo is not None or pkt.attack is not None:
                 on_deliver(state, pkt)
         else:
@@ -312,7 +320,7 @@ def step(state: TransportState, hooks: StepHooks | None = None) -> None:
     hooks.evaporate(state)
     hooks.stations(state)
 
-    state._log_step(now)
+    put((now, "Step", state._step_keys))
     state.clock += 1
 
 

@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from immunet.adversary import (attack_payload, benign_payload, cure, inject_background,
-                               on_attack_delivery, poisson, spawn_worm, worm_emit)
+from immunet.adversary import (attack_payload, cure, draw_count, inject_background,
+                               on_attack_delivery, poisson, spawn_worm, uniform_index, worm_emit)
 from immunet.events import field
 from immunet.scenario import AttackConfig, AttackMixConfig, TrafficConfig
 from immunet.topology import compute_routing, erdos_renyi
@@ -74,9 +74,13 @@ class TestBackground:
             assert pkt.klass == DATA
 
     def test_benign_payload_avoids_signatures(self, rng):
-        for _ in range(1000):
-            payload = benign_payload(rng, 64, [SIG, b"\x00\x00"])
-            assert SIG not in payload and b"\x00\x00" not in payload
+        # a one-byte signature turns about a fifth of the 64-byte draws away
+        attacks = {1: ATTACK, 2: AttackConfig(attack_id=2, signature="00")}
+        traffic = TrafficConfig(background_rate=1000.0, distribution="fixed")
+        packets = inject_background(fresh_state(), traffic, attacks, rng)
+        assert len(packets) == 1000
+        for pkt in packets:
+            assert SIG not in pkt.payload and b"\x00" not in pkt.payload
 
     def test_attack_mix_injects_marked_packets(self, rng):
         state = fresh_state()
@@ -85,6 +89,96 @@ class TestBackground:
         packets = inject_background(state, traffic, {1: ATTACK}, rng)
         assert len(packets) == 4
         assert all(p.attack == 1 and SIG in p.payload for p in packets)
+
+
+# Reference copies of the draws as they were made through `Random.randrange`
+# and `Random.randbytes`: the packets they build are the ones the logs pin.
+def reference_attack_payload(rng, attack, length):
+    sig = attack.signature_bytes()
+    if length <= len(sig):
+        return sig
+    offset = rng.randrange(length - len(sig) + 1)
+    filler = rng.randbytes(length - len(sig))
+    return filler[:offset] + sig + filler[offset:]
+
+
+def reference_endpoints(rng, nodes):
+    src = nodes[rng.randrange(len(nodes))]
+    dst = src
+    while dst == src:
+        dst = nodes[rng.randrange(len(nodes))]
+    return src, dst
+
+
+def reference_background(nodes, traffic, attacks, rng):
+    forbidden = [attack.signature_bytes() for attack in attacks.values()]
+    packets = []
+    for _ in range(draw_count(rng, traffic.background_rate, traffic.distribution)):
+        src, dst = reference_endpoints(rng, nodes)
+        payload = rng.randbytes(traffic.payload_len)
+        while any(sig in payload for sig in forbidden):
+            payload = rng.randbytes(traffic.payload_len)
+        packets.append((src, dst, payload, None))
+    for entry in traffic.attack_mix:
+        attack = attacks[entry.attack_id]
+        for _ in range(draw_count(rng, entry.rate, traffic.distribution)):
+            src, dst = reference_endpoints(rng, nodes)
+            packets.append((src, dst, reference_attack_payload(rng, attack, traffic.payload_len),
+                            attack.attack_id))
+    return packets
+
+
+def reference_worm_emit(nodes, node, attack, rng, payload_len):
+    packets = []
+    for _ in range(attack.fanout):
+        dst = node
+        while dst == node:
+            dst = nodes[rng.randrange(len(nodes))]
+        packets.append((node, dst, reference_attack_payload(rng, attack, payload_len),
+                        attack.attack_id))
+    return packets
+
+
+def drawn(packets):
+    return [(p.src, p.dst, p.payload, p.attack) for p in packets]
+
+
+class TestDraws:
+    """The draws on `getrandbits` give what `randrange` and `randbytes` gave
+    from the same state, so the pinned logs do not move."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 100, 255, 256, 257, 500, 10000])
+    def test_uniform_index_is_randrange(self, n):
+        ours, stdlib = random.Random(n), random.Random(n)
+        assert ([uniform_index(ours, n) for _ in range(1000)]
+                == [stdlib.randrange(n) for _ in range(1000)])
+        assert ours.getstate() == stdlib.getstate()
+
+    @pytest.mark.parametrize("length", [0, 1, 15, 16, 64, 65])
+    def test_byte_draw_is_randbytes(self, length):
+        ours, stdlib = random.Random(length), random.Random(length)
+        assert ([ours.getrandbits(8 * length).to_bytes(length, "little") for _ in range(1000)]
+                == [stdlib.randbytes(length) for _ in range(1000)])
+        assert ours.getstate() == stdlib.getstate()
+
+    @pytest.mark.parametrize("payload_len", [4, 16, 64])
+    def test_background_and_worm_draw_what_the_stdlib_drew(self, payload_len):
+        state = fresh_state()
+        nodes = state.network.nodes
+        # attack 3's one-byte signature turns benign draws away, and is in no packet's mix
+        attacks = {1: ATTACK, 2: AttackConfig(attack_id=2, signature="a3f1c08e", fanout=4),
+                   3: AttackConfig(attack_id=3, signature="00", fanout=1)}
+        traffic = TrafficConfig(background_rate=40.0, payload_len=payload_len,
+                                attack_mix=[AttackMixConfig(attack_id=2, rate=3.0),
+                                            AttackMixConfig(attack_id=1, rate=2.0)])
+        ours, stdlib = random.Random(payload_len), random.Random(payload_len)
+        for _ in range(20):
+            assert (drawn(inject_background(state, traffic, attacks, ours))
+                    == reference_background(nodes, traffic, attacks, stdlib))
+            for attack in attacks.values():
+                assert (drawn(worm_emit(state, 7, attack, ours, payload_len))
+                        == reference_worm_emit(nodes, 7, attack, stdlib, payload_len))
+        assert ours.getstate() == stdlib.getstate()
 
 
 class TestWorm:

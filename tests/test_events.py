@@ -223,9 +223,9 @@ class TestFormat:
         assert [to_line(rec) for rec in log.events] == log.to_text().splitlines()
 
 
-class TestWriter:
-    """`EventLog.writer` checks its kind and keys before any event is
-    written, and its records are those `append` builds."""
+class TestKeys:
+    """`EventLog.keys` checks its kind and keys before any event is
+    written, and a record built with its keys is the one `append` builds."""
 
     PAIRS = (("pid", 7), ("node", 0), ("f", 0.5), ("b", b"\x00\xab"), ("attack", None),
              ("klass", "Data"))
@@ -233,36 +233,35 @@ class TestWriter:
     def test_unknown_kind_is_rejected(self):
         log = EventLog()
         with pytest.raises(ValueError, match="unknown event kind"):
-            log.writer("Bogus")
+            log.keys("Bogus")
         assert len(log) == 0
 
     def test_repeated_key_is_rejected(self):
         # load_log refuses such a line, so a log holding one could not be replayed
         log = EventLog()
         with pytest.raises(ValueError, match="repeated field key"):
-            log.writer("Inject", "pid", "pid")
+            log.keys("Inject", "pid", "pid")
         assert len(log) == 0
 
     @pytest.mark.parametrize("kind, pairs", [("Inject", PAIRS), ("Step", ())])
     def test_record_is_the_one_append_builds(self, kind, pairs):
         log = EventLog()
         log.append(3, kind, **dict(pairs))
-        log.writer(kind, *(key for key, _ in pairs))(3, *(value for _, value in pairs))
-        appended, written = log.events
-        assert written == appended and written[2] is appended[2]
+        keys = log.keys(kind, *(key for key, _ in pairs))
+        log.events.append((3, kind, keys, *(value for _, value in pairs)))
+        appended, built = log.events
+        assert built == appended and built[2] is appended[2]
         assert log.to_text() == 2 * (reference_to_line(3, kind, pairs) + "\n")
 
-    @pytest.mark.parametrize("writer_first", [True, False])
-    def test_writer_and_append_share_equal_keys(self, writer_first):
+    @pytest.mark.parametrize("keys_first", [True, False])
+    def test_keys_are_shared_with_append(self, keys_first):
         log = EventLog()
-        if writer_first:
-            write = log.writer("Deliver", "pid", "node")
+        if keys_first:
+            keys = log.keys("Deliver", "pid", "node")
         log.append(1, "Drop", pid=2, node=3)
-        if not writer_first:
-            write = log.writer("Deliver", "pid", "node")
-        write(2, 3, 4)
-        appended, written = log.events
-        assert written[2] == ("pid", "node") and written[2] is appended[2]
+        if not keys_first:
+            keys = log.keys("Deliver", "pid", "node")
+        assert keys == ("pid", "node") and keys is log.events[0][2]
 
 
 def line_keys(line: str) -> tuple[str, ...]:
